@@ -21,7 +21,6 @@ from .domain import (
     QueryTemplate,
     Vocabulary,
     assemble,
-    fingerprint,
     fingerprints,
     make_dataset,
     make_queries,

@@ -10,7 +10,7 @@ keeps full fits under a few seconds at 5k x 2048.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -212,7 +212,3 @@ class BoostedTreeClassifier:
     @classmethod
     def load(cls, path: str | Path) -> "BoostedTreeClassifier":
         return cls.from_json_dict(json.loads(Path(path).read_text()))
-
-
-def with_seed(config: ClassifierConfig, seed: int) -> ClassifierConfig:
-    return replace(config, seed=seed)

@@ -39,6 +39,26 @@ from .domain import (
 from .policy import Policy, build_pretrain_corpus, pretrain_prior
 from .rl import RLConfig, SequenceScorer, run_rl
 from .scoring import SCORING_KINDS
+from .tables import write_table
+
+
+@dataclasses.dataclass(frozen=True)
+class LabelMetrics:
+    """One row of the calibration report: validity and efficiency for one true label."""
+
+    label: int
+    validity: float
+    efficiency: float
+
+
+def _classifier_config(args) -> ClassifierConfig:
+    return ClassifierConfig(
+        n_rounds=args.rounds,
+        learning_rate=args.learning_rate,
+        max_depth=args.depth,
+        subsample=args.subsample,
+        seed=args.seed,
+    )
 
 
 def _cmd_gen_data(args) -> int:
@@ -86,14 +106,7 @@ def _cmd_pretrain(args) -> int:
 def _cmd_train_clf(args) -> int:
     dataset = read_dataset_csv(args.data)
     train_seqs, train_labels = dataset.subset("train")
-    config = ClassifierConfig(
-        n_rounds=args.rounds,
-        learning_rate=args.learning_rate,
-        max_depth=args.depth,
-        subsample=args.subsample,
-        seed=args.seed,
-    )
-    model = BoostedTreeClassifier(config).fit(fingerprints(train_seqs), train_labels)
+    model = BoostedTreeClassifier(_classifier_config(args)).fit(fingerprints(train_seqs), train_labels)
     model.save(args.out)
     test_seqs, test_labels = dataset.subset("test")
     if test_seqs:
@@ -109,12 +122,8 @@ def _cmd_train_clf(args) -> int:
 def _cmd_calibrate(args) -> int:
     dataset = read_dataset_csv(args.data)
     train_seqs, train_labels = dataset.subset("train")
-    config = ClassifierConfig(
-        n_rounds=args.rounds,
-        learning_rate=args.learning_rate,
-        max_depth=args.depth,
-        subsample=args.subsample,
-    )
+    # build_acp re-seeds each ICP's classifier, so --seed only picks the bootstrap seeds
+    config = _classifier_config(args)
     acp = build_acp(fingerprints(train_seqs), train_labels, k=args.k, config=config, seed=args.seed)
     save_acp(acp, args.out)
     test_seqs, test_labels = dataset.subset("test")
@@ -122,11 +131,11 @@ def _cmd_calibrate(args) -> int:
     sets = [predict_set(PValuePair(a, b), args.significance) for a, b in zip(p0, p1)]
     metrics = validity_efficiency(sets, test_labels.tolist())
     metrics_path = Path(args.out).with_suffix(".metrics.csv")
-    metrics_path.write_text(
-        "label,validity,efficiency\n"
-        f"0,{metrics.validity_0!r},{metrics.efficiency_0!r}\n"
-        f"1,{metrics.validity_1!r},{metrics.efficiency_1!r}\n"
-    )
+    rows = [
+        LabelMetrics(0, metrics.validity_0, metrics.efficiency_0),
+        LabelMetrics(1, metrics.validity_1, metrics.efficiency_1),
+    ]
+    write_table(metrics_path, LabelMetrics, rows)
     print(
         f"ACP of {acp.k} ICPs saved to {args.out}; at significance {args.significance}: "
         f"validity {metrics.validity_0:.3f}/{metrics.validity_1:.3f}, "
@@ -158,7 +167,7 @@ def _cmd_run(args) -> int:
     scorer = SequenceScorer(args.scoring, classifier, acp, args.significance)
     record = run_rl(query, config, prior, scorer)
     record.write_csv(args.out)
-    reached = harness.steps_to_threshold(record)
+    reached = harness.steps_to_threshold(record.steps)
     print(
         f"{config.steps} steps on {query.to_text()}: "
         f"{len(record.unique_valid)} unique valid, "
@@ -182,6 +191,14 @@ def _cmd_report(args) -> int:
     result = harness.regenerate_report(Path(args.dir) / "runs", args.out or args.dir)
     print(f"report regenerated for {len(result.rows)} runs into {result.out_dir}")
     return 0
+
+
+def _add_classifier_flags(p: argparse.ArgumentParser) -> None:
+    """The classifier settings train-clf and calibrate share; defaults are ClassifierConfig's."""
+    p.add_argument("--rounds", type=int, default=ClassifierConfig.n_rounds)
+    p.add_argument("--learning-rate", type=float, default=ClassifierConfig.learning_rate)
+    p.add_argument("--depth", type=int, default=ClassifierConfig.max_depth)
+    p.add_argument("--subsample", type=float, default=ClassifierConfig.subsample)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,10 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-clf", help="fit the boosted-tree classifier")
     p.add_argument("--data", required=True)
-    p.add_argument("--rounds", type=int, default=200)
-    p.add_argument("--learning-rate", type=float, default=0.3)
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--subsample", type=float, default=1.0)
+    _add_classifier_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train_clf)
@@ -227,10 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="build an aggregated conformal predictor")
     p.add_argument("--data", required=True)
     p.add_argument("--k", type=int, default=10)
-    p.add_argument("--rounds", type=int, default=200)
-    p.add_argument("--learning-rate", type=float, default=0.3)
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--subsample", type=float, default=1.0)
+    _add_classifier_flags(p)
     p.add_argument("--significance", type=float, default=DEFAULT_SIGNIFICANCE)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

@@ -9,14 +9,14 @@ deterministic given the fitted models and calibration data.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .boosting import BoostedTreeClassifier, ClassifierConfig, with_seed
+from .boosting import BoostedTreeClassifier, ClassifierConfig
 
 DEFAULT_SIGNIFICANCE = 0.2
 DEFAULT_ICP_COUNT = 10
@@ -68,10 +68,6 @@ class Icp:
         p1 = _tail_p(self.alphas_1, alpha_for_1)
         return p0, p1
 
-    def p_values(self, fp: np.ndarray) -> PValuePair:
-        p0, p1 = self.p_values_batch(np.atleast_2d(fp))
-        return PValuePair(float(p0[0]), float(p1[0]))
-
 
 def _tail_p(sorted_alphas: np.ndarray, test_alphas: np.ndarray) -> np.ndarray:
     n = len(sorted_alphas)
@@ -121,10 +117,6 @@ class Acp:
             p1_sum += p1
         return p0_sum / self.k, p1_sum / self.k
 
-    def p_values(self, fp: np.ndarray) -> PValuePair:
-        p0, p1 = self.p_values_batch(np.atleast_2d(fp))
-        return PValuePair(float(p0[0]), float(p1[0]))
-
 
 def build_acp(
     X: np.ndarray,
@@ -166,7 +158,7 @@ def build_acp(
                 break
         else:
             raise RuntimeError("bootstrap failed to produce usable calibration splits")
-        model = BoostedTreeClassifier(with_seed(config, clf_seed)).fit(X[boot], y_boot)
+        model = BoostedTreeClassifier(replace(config, seed=clf_seed)).fit(X[boot], y_boot)
         icps.append(calibrate_icp(model, X[oob], y_oob))
     return Acp(tuple(icps))
 

@@ -205,23 +205,13 @@ def oracle_label(seq: str, vocab: Vocabulary = DEFAULT_VOCABULARY) -> int:
     return int(in_window and n <= 10)
 
 
-def fingerprint(seq: str, vocab: Vocabulary = DEFAULT_VOCABULARY) -> np.ndarray:
-    """Hashed bigram count fingerprint with 2048 buckets.
+def fingerprints(seqs: Sequence[str], vocab: Vocabulary = DEFAULT_VOCABULARY) -> np.ndarray:
+    """Hashed bigram count fingerprints with 2048 buckets, one row per sequence.
 
     Each adjacent token pair is hashed with 64-bit FNV-1a over the two residue
     ordinals and counted modulo the bucket count; a length-1 sequence maps to
     the all-zero vector.
     """
-    fp = np.zeros(FINGERPRINT_BUCKETS, dtype=np.int64)
-    if len(seq) >= 2:
-        ords = vocab.ordinals(seq)
-        buckets = vocab._bucket_table[ords[:-1], ords[1:]]
-        np.add.at(fp, buckets, 1)
-    return fp
-
-
-def fingerprints(seqs: Sequence[str], vocab: Vocabulary = DEFAULT_VOCABULARY) -> np.ndarray:
-    """Stack fingerprints for a batch of sequences into an (n, 2048) matrix."""
     out = np.zeros((len(seqs), FINGERPRINT_BUCKETS), dtype=np.int64)
     table = vocab._bucket_table
     for i, seq in enumerate(seqs):

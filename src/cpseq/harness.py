@@ -28,15 +28,10 @@ from .domain import (
     read_queries_csv,
 )
 from .policy import Policy, build_pretrain_corpus, pretrain_prior
-from .rl import RLConfig, RunRecord, SequenceScorer, StepMetrics, run_rl
+from .rl import RLConfig, SequenceScorer, StepMetrics, run_rl
 from .scoring import SCORING_KINDS
+from .tables import read_table, write_table
 
-SUMMARY_CSV_HEADER = "query_id,length,scoring_fn,n_unique_valid,n_conf_eff,steps_to_half,status"
-WILCOXON_CSV_HEADER = "metric,scoring_fn,n_pairs,statistic,p_value,status"
-LENGTH_CSV_HEADER = (
-    "length,scoring_fn,n_runs,n_ok,median_unique_valid,median_conf_eff,"
-    "n_reached_half,median_steps_to_half"
-)
 BASELINE_KIND = "rm_p1"
 _KIND_CODE = {kind: i for i, kind in enumerate(SCORING_KINDS)}
 
@@ -108,15 +103,12 @@ def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> tuple[float,
 # -- convergence and stratification -------------------------------------------
 
 
-def steps_to_threshold(
-    record: RunRecord | Sequence[StepMetrics], threshold: float = 0.5
-) -> int | None:
+def steps_to_threshold(steps: Sequence[StepMetrics], threshold: float = 0.5) -> int | None:
     """First step whose confident-hit fraction reaches the threshold, if any.
 
     Only steps with at least one valid sample count, so a zero threshold finds
     the first valid batch rather than trivially returning the first step.
     """
-    steps = record.steps if isinstance(record, RunRecord) else record
     for m in steps:
         if m.n_valid > 0 and m.frac_conf_eff >= threshold:
             return m.step
@@ -308,12 +300,9 @@ def build_campaign_artifacts(
     dataset = read_dataset_csv(config.dataset, vocab)
     queries = read_queries_csv(config.queries, vocab)
     train_seqs, train_labels = dataset.subset("train")
-    X_train = None
-
-    if config.classifier is not None:
-        classifier = BoostedTreeClassifier.load(config.classifier)
-    else:
+    if config.classifier is None or config.acp is None:
         X_train = fingerprints(train_seqs, vocab)
+        # one config for both: build_acp re-seeds each ICP's classifier with its own seed
         clf_config = ClassifierConfig(
             n_rounds=config.clf_rounds,
             learning_rate=config.clf_learning_rate,
@@ -321,19 +310,15 @@ def build_campaign_artifacts(
             subsample=config.clf_subsample,
             seed=_derived_seed(config.seed, 9001),
         )
+
+    if config.classifier is not None:
+        classifier = BoostedTreeClassifier.load(config.classifier)
+    else:
         classifier = BoostedTreeClassifier(clf_config).fit(X_train, train_labels)
 
     if config.acp is not None:
         acp = load_acp(config.acp)
     else:
-        if X_train is None:
-            X_train = fingerprints(train_seqs, vocab)
-        clf_config = ClassifierConfig(
-            n_rounds=config.clf_rounds,
-            learning_rate=config.clf_learning_rate,
-            max_depth=config.clf_depth,
-            subsample=config.clf_subsample,
-        )
         acp = build_acp(
             X_train, train_labels, k=config.acp_k, config=clf_config,
             seed=_derived_seed(config.seed, 9002),
@@ -421,7 +406,7 @@ def run_campaign(
                     scoring_fn=kind,
                     n_unique_valid=len(record.unique_valid),
                     n_conf_eff=len(record.conf_eff_unique),
-                    steps_to_half=steps_to_threshold(record),
+                    steps_to_half=steps_to_threshold(record.steps),
                     status="ok",
                 )
                 sidecar.update(
@@ -434,95 +419,31 @@ def run_campaign(
                 sidecar.update(status="error", error=f"{type(err).__name__}: {err}")
             (runs_dir / f"{name}.json").write_text(json.dumps(sidecar))
             rows.append(row)
-
-    wilcoxon_rows = wilcoxon_vs_baseline(rows)
-    write_summary_csv(rows, out / "summary.csv")
-    write_wilcoxon_csv(wilcoxon_rows, out / "wilcoxon.csv")
-    write_length_summary_csv(stratify_by_length(rows), out / "summary_by_length.csv")
-    return CampaignResult(rows=rows, wilcoxon=wilcoxon_rows, out_dir=out)
+    return _write_summaries(rows, out)
 
 
 # -- file output and report -----------------------------------------------------
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_summary_csv(rows: Sequence[RunSummary], path: str | Path) -> None:
-    lines = [SUMMARY_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(r.query_id),
-                    str(r.length),
-                    r.scoring_fn,
-                    _cell(r.n_unique_valid),
-                    _cell(r.n_conf_eff),
-                    _cell(r.steps_to_half),
-                    r.status,
-                ]
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_table(path, RunSummary, rows)
 
 
 def write_wilcoxon_csv(rows: Sequence[WilcoxonRow], path: str | Path) -> None:
-    lines = [WILCOXON_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [r.metric, r.scoring_fn, str(r.n_pairs), _cell(r.statistic), _cell(r.p_value), r.status]
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_table(path, WilcoxonRow, rows)
 
 
 def write_length_summary_csv(rows: Sequence[LengthSummary], path: str | Path) -> None:
-    lines = [LENGTH_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(r.length),
-                    r.scoring_fn,
-                    str(r.n_runs),
-                    str(r.n_ok),
-                    _cell(r.median_unique_valid),
-                    _cell(r.median_conf_eff),
-                    str(r.n_reached_half),
-                    _cell(r.median_steps_to_half),
-                ]
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_table(path, LengthSummary, rows)
 
 
-def _read_run_steps(path: Path) -> list[StepMetrics]:
-    rows = []
-    with open(path) as f:
-        header = f.readline().strip()
-        for line in f:
-            parts = line.rstrip("\n").split(",")
-            rows.append(
-                StepMetrics(
-                    step=int(parts[0]),
-                    avg_score=float(parts[2]),
-                    avg_p0=float(parts[3]),
-                    avg_p1=float(parts[4]),
-                    frac_conf_eff=float(parts[5]),
-                    n_sampled=int(parts[6]),
-                    n_valid=int(parts[7]),
-                    n_unique_valid=int(parts[8]),
-                    loss=float(parts[9]),
-                )
-            )
-    return rows
+def _write_summaries(rows: list[RunSummary], out: Path) -> CampaignResult:
+    """Write summary.csv, wilcoxon.csv and summary_by_length.csv for the run rows."""
+    wilcoxon_rows = wilcoxon_vs_baseline(rows)
+    write_summary_csv(rows, out / "summary.csv")
+    write_wilcoxon_csv(wilcoxon_rows, out / "wilcoxon.csv")
+    write_length_summary_csv(stratify_by_length(rows), out / "summary_by_length.csv")
+    return CampaignResult(rows=rows, wilcoxon=wilcoxon_rows, out_dir=out)
 
 
 def regenerate_report(runs_dir: str | Path, out_dir: str | Path) -> CampaignResult:
@@ -541,7 +462,7 @@ def regenerate_report(runs_dir: str | Path, out_dir: str | Path) -> CampaignResu
     for sidecar_path in sidecars:
         meta = json.loads(sidecar_path.read_text())
         if meta["status"] == "ok":
-            steps = _read_run_steps(sidecar_path.with_suffix(".csv"))
+            steps = read_table(sidecar_path.with_suffix(".csv"), StepMetrics)
             row = RunSummary(
                 query_id=int(meta["query_id"]),
                 length=int(meta["length"]),
@@ -558,8 +479,4 @@ def regenerate_report(runs_dir: str | Path, out_dir: str | Path) -> CampaignResu
             )
         rows.append(row)
     rows.sort(key=lambda r: (r.query_id, _KIND_CODE[r.scoring_fn]))
-    wilcoxon_rows = wilcoxon_vs_baseline(rows)
-    write_summary_csv(rows, out / "summary.csv")
-    write_wilcoxon_csv(wilcoxon_rows, out / "wilcoxon.csv")
-    write_length_summary_csv(stratify_by_length(rows), out / "summary_by_length.csv")
-    return CampaignResult(rows=rows, wilcoxon=wilcoxon_rows, out_dir=out)
+    return _write_summaries(rows, out)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,6 +46,17 @@ class SampledProposal:
     fills: tuple[str, ...]
     log_likelihood: float
     tokens: tuple[str, ...]
+
+
+class _Forward(NamedTuple):
+    """What a teacher-forced pass computes, kept for backpropagation."""
+
+    template_ids: np.ndarray
+    query_encoding: np.ndarray
+    inputs: list[int]  # the token id fed in at each step
+    states: list[np.ndarray]  # zero state first; step i maps states[i] to states[i + 1]
+    probs: list[np.ndarray]  # the emission distribution at each step
+    nll: float  # total negative log-likelihood of the stream
 
 
 class Policy:
@@ -143,31 +154,31 @@ class Policy:
         exp = np.exp(logits)
         return h_new, exp / exp.sum()
 
-    def nll(self, query: QueryTemplate, fills: Sequence[str]) -> float:
-        """Total negative log-likelihood of the emitted token stream."""
-        stream = self._stream_ids(fills)
-        wq_q = self.p["w_query"] @ self.encode_query(query)
+    def _forward(self, query: QueryTemplate, stream: Sequence[int]) -> _Forward:
+        """Teacher-forced pass over a token-id stream (see :class:`_Forward`)."""
+        template_ids = self._template_ids(query)
+        q = self.p["embed"][template_ids].mean(axis=0)
+        wq_q = self.p["w_query"] @ q
         h = np.zeros(self.p["w_rec"].shape[0])
         prev = self.begin_id
+        inputs, states, probs_list = [], [h], []
         total = 0.0
         for t in stream:
+            inputs.append(prev)
             h, probs = self._step(prev, wq_q, h)
+            states.append(h)
+            probs_list.append(probs)
             total -= np.log(probs[t])
             prev = t
-        return float(total)
+        return _Forward(template_ids, q, inputs, states, probs_list, float(total))
+
+    def nll(self, query: QueryTemplate, fills: Sequence[str]) -> float:
+        """Total negative log-likelihood of the emitted token stream."""
+        return self._forward(query, self._stream_ids(fills)).nll
 
     def distributions(self, query: QueryTemplate, fills: Sequence[str]) -> list[np.ndarray]:
         """Per-step emission distributions along a teacher-forced stream."""
-        stream = self._stream_ids(fills)
-        wq_q = self.p["w_query"] @ self.encode_query(query)
-        h = np.zeros(self.p["w_rec"].shape[0])
-        prev = self.begin_id
-        out = []
-        for t in stream:
-            h, probs = self._step(prev, wq_q, h)
-            out.append(probs)
-            prev = t
-        return out
+        return self._forward(query, self._stream_ids(fills)).probs
 
     def sample(
         self,
@@ -211,50 +222,33 @@ class Policy:
         entry (mask marker included) through the mean.
         """
         stream = self._stream_ids(fills)
-        embed, w_in, w_query, w_rec = (self.p[k] for k in ("embed", "w_in", "w_query", "w_rec"))
-        template_ids = self._template_ids(query)
-        q = embed[template_ids].mean(axis=0)
-        wq_q = w_query @ q
-        dh_dim = w_rec.shape[0]
-
-        # forward, caching per-step state
-        h = np.zeros(dh_dim)
-        prev = self.begin_id
-        inputs, h_prevs, h_news, prob_list = [], [], [], []
-        total = 0.0
-        for t in stream:
-            inputs.append(prev)
-            h_prevs.append(h)
-            h, probs = self._step(prev, wq_q, h)
-            h_news.append(h)
-            prob_list.append(probs)
-            total -= np.log(probs[t])
-            prev = t
-
+        fwd = self._forward(query, stream)
         grads = {name: np.zeros_like(self.p[name]) for name in PARAM_NAMES}
         if upstream_scale == 0.0 or not stream:
-            return float(total), grads
+            return fwd.nll, grads
 
+        embed, w_in, w_query, w_rec = (self.p[k] for k in ("embed", "w_in", "w_query", "w_rec"))
+        inputs, states, q = fwd.inputs, fwd.states, fwd.query_encoding
         dq = np.zeros_like(q)
-        dh = np.zeros(dh_dim)
+        dh = np.zeros(w_rec.shape[0])
         for i in range(len(stream) - 1, -1, -1):
-            dlogits = prob_list[i].copy()
+            dlogits = fwd.probs[i].copy()
             dlogits[stream[i]] -= 1.0
             dlogits *= upstream_scale
-            grads["w_out"] += np.outer(dlogits, h_news[i])
+            grads["w_out"] += np.outer(dlogits, states[i + 1])
             grads["b_out"] += dlogits
             dh = dh + self.p["w_out"].T @ dlogits
-            da = dh * (1.0 - h_news[i] ** 2)
+            da = dh * (1.0 - states[i + 1] ** 2)
             e_in = embed[inputs[i]]
             grads["w_in"] += np.outer(da, e_in)
             grads["embed"][inputs[i]] += w_in.T @ da
             grads["w_query"] += np.outer(da, q)
             dq += w_query.T @ da
-            grads["w_rec"] += np.outer(da, h_prevs[i])
+            grads["w_rec"] += np.outer(da, states[i])
             grads["b_rec"] += da
             dh = w_rec.T @ da
-        np.add.at(grads["embed"], template_ids, dq / len(template_ids))
-        return float(total), grads
+        np.add.at(grads["embed"], fwd.template_ids, dq / len(fwd.template_ids))
+        return fwd.nll, grads
 
     def sgd_step(self, grads: dict[str, np.ndarray], learning_rate: float) -> None:
         for name in PARAM_NAMES:

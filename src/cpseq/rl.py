@@ -10,10 +10,8 @@ which scoring kind drives the run.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -22,11 +20,7 @@ from .conformal import Acp, DEFAULT_SIGNIFICANCE, PValuePair, is_confident_posit
 from .domain import DEFAULT_VOCABULARY, QueryTemplate, Vocabulary, assemble, fingerprints
 from .policy import Policy
 from .scoring import SCORING_KINDS, score
-
-METRICS_CSV_HEADER = (
-    "step,scoring_fn,avg_score,avg_p0,avg_p1,frac_conf_eff,"
-    "n_sampled,n_valid,n_unique_valid,loss"
-)
+from .tables import write_table
 
 
 @dataclass(frozen=True)
@@ -89,7 +83,6 @@ class SequenceScorer:
         acp: Acp,
         significance: float = DEFAULT_SIGNIFICANCE,
         vocab: Vocabulary = DEFAULT_VOCABULARY,
-        score_fn: Callable[[PValuePair, float], float] | None = None,
     ):
         if kind not in SCORING_KINDS:
             raise ValueError(f"scoring kind must be one of {SCORING_KINDS}")
@@ -98,7 +91,6 @@ class SequenceScorer:
         self.acp = acp
         self.significance = significance
         self.vocab = vocab
-        self._score_fn = score_fn
         self._cache: dict[str, SequenceEval] = {}
 
     def evaluate(self, sequences: list[str]) -> dict[str, SequenceEval]:
@@ -109,16 +101,12 @@ class SequenceScorer:
             raws = self.classifier.predict_proba(X)
             for seq, p0, p1, raw in zip(fresh, p0s, p1s, raws):
                 pv = PValuePair(float(p0), float(p1))
-                if self._score_fn is not None:
-                    s = self._score_fn(pv, float(raw))
-                else:
-                    s = score(self.kind, pv, float(raw), self.significance)
                 self._cache[seq] = SequenceEval(
                     sequence=seq,
                     p0=pv.p0,
                     p1=pv.p1,
                     p1_raw=float(raw),
-                    score=s,
+                    score=score(self.kind, pv, float(raw), self.significance),
                     hit=is_confident_positive(pv, self.significance),
                 )
         return {s: self._cache[s] for s in sequences}
@@ -126,7 +114,10 @@ class SequenceScorer:
 
 @dataclass
 class StepMetrics:
+    """One learning step's metrics; the fields are the per-run CSV's columns."""
+
     step: int
+    scoring_fn: str
     avg_score: float
     avg_p0: float
     avg_p1: float
@@ -148,24 +139,7 @@ class RunRecord:
     conf_eff_unique: set[str] = field(default_factory=set)
 
     def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as f:
-            f.write(METRICS_CSV_HEADER + "\n")
-            writer = csv.writer(f)
-            for m in self.steps:
-                writer.writerow(
-                    [
-                        m.step,
-                        self.config.scoring,
-                        repr(m.avg_score),
-                        repr(m.avg_p0),
-                        repr(m.avg_p1),
-                        repr(m.frac_conf_eff),
-                        m.n_sampled,
-                        m.n_valid,
-                        m.n_unique_valid,
-                        repr(m.loss),
-                    ]
-                )
+        write_table(path, StepMetrics, self.steps)
 
 
 def rl_step(
@@ -199,32 +173,20 @@ def rl_step(
             total_grads[name] += weight * g
     agent.sgd_step(total_grads, config.learning_rate)
 
-    unique = list(dict.fromkeys(valid_seqs))
-    if unique:
-        rows = [evals[s] for s in unique]
-        metrics = StepMetrics(
-            step=step_index,
-            avg_score=sum(r.score for r in rows) / len(rows),
-            avg_p0=sum(r.p0 for r in rows) / len(rows),
-            avg_p1=sum(r.p1 for r in rows) / len(rows),
-            frac_conf_eff=sum(1 for r in rows if r.hit) / len(rows),
-            n_sampled=config.batch_size,
-            n_valid=len(valid_seqs),
-            n_unique_valid=len(unique),
-            loss=loss_total / config.batch_size,
-        )
-    else:
-        metrics = StepMetrics(
-            step=step_index,
-            avg_score=0.0,
-            avg_p0=0.0,
-            avg_p1=0.0,
-            frac_conf_eff=0.0,
-            n_sampled=config.batch_size,
-            n_valid=0,
-            n_unique_valid=0,
-            loss=loss_total / config.batch_size,
-        )
+    rows = [evals[s] for s in dict.fromkeys(valid_seqs)]
+    n = max(len(rows), 1)  # a step without valid samples reports zero averages
+    metrics = StepMetrics(
+        step=step_index,
+        scoring_fn=config.scoring,
+        avg_score=sum(r.score for r in rows) / n,
+        avg_p0=sum(r.p0 for r in rows) / n,
+        avg_p1=sum(r.p1 for r in rows) / n,
+        frac_conf_eff=sum(1 for r in rows if r.hit) / n,
+        n_sampled=config.batch_size,
+        n_valid=len(valid_seqs),
+        n_unique_valid=len(rows),
+        loss=loss_total / config.batch_size,
+    )
     return metrics, valid_seqs
 
 

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from .conformal import DEFAULT_SIGNIFICANCE, PValuePair
 
-SCORING_KINDS = ("rm_p1", "cp_p1", "cp_1mp0", "cp_diff", "cp_harsh", "cp_soft")
-
 
 def score_rm(p1_raw: float) -> float:
     """Raw-model probability of the positive class, used as-is."""
@@ -46,18 +44,19 @@ def score_soft(pv: PValuePair, significance: float = DEFAULT_SIGNIFICANCE) -> fl
     return 0.0
 
 
+_BY_KIND = {
+    "rm_p1": lambda pv, p1_raw, significance: score_rm(p1_raw),
+    "cp_p1": lambda pv, p1_raw, significance: score_p1(pv),
+    "cp_1mp0": lambda pv, p1_raw, significance: score_one_minus_p0(pv),
+    "cp_diff": lambda pv, p1_raw, significance: score_diff(pv),
+    "cp_harsh": lambda pv, p1_raw, significance: score_harsh(pv, significance),
+    "cp_soft": lambda pv, p1_raw, significance: score_soft(pv, significance),
+}
+SCORING_KINDS = tuple(_BY_KIND)
+
+
 def score(kind: str, pv: PValuePair, p1_raw: float, significance: float = DEFAULT_SIGNIFICANCE) -> float:
     """Dispatch on a scoring-kind name from :data:`SCORING_KINDS`."""
-    if kind == "rm_p1":
-        return score_rm(p1_raw)
-    if kind == "cp_p1":
-        return score_p1(pv)
-    if kind == "cp_1mp0":
-        return score_one_minus_p0(pv)
-    if kind == "cp_diff":
-        return score_diff(pv)
-    if kind == "cp_harsh":
-        return score_harsh(pv, significance)
-    if kind == "cp_soft":
-        return score_soft(pv, significance)
-    raise ValueError(f"unknown scoring kind {kind!r}; expected one of {SCORING_KINDS}")
+    if kind not in _BY_KIND:
+        raise ValueError(f"unknown scoring kind {kind!r}; expected one of {SCORING_KINDS}")
+    return _BY_KIND[kind](pv, p1_raw, significance)

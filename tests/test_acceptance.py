@@ -244,7 +244,7 @@ def test_criterion_6_directional_reproduction(clf5k, acp5k, prior5k):
             config = RLConfig(scoring=kind, steps=350, seed=run_seed_for(0, qi, kind))
             record = run_rl(query, config, prior5k, scorers[kind])
             hits[kind].append(len(record.conf_eff_unique))
-            reach[kind].append(steps_to_threshold(record) or NEVER_REACHED)
+            reach[kind].append(steps_to_threshold(record.steps) or NEVER_REACHED)
 
     med_hits = {k: statistics.median(v) for k, v in hits.items()}
     med_reach = {k: statistics.median(v) for k, v in reach.items()}
@@ -265,7 +265,7 @@ def test_criterion_6_directional_reproduction(clf5k, acp5k, prior5k):
 
     # the hit-count direction is the headline comparison and must hold; the
     # convergence direction is reported with a documented failure flag when it
-    # reverses (see the decisions ledger for the observed near-tie).
+    # reverses (CHANGES.md records the observed near-tie).
     _verdict(
         "criterion 6 (directional reproduction)",
         hits_direction and len(queries) >= 10,

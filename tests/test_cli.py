@@ -67,6 +67,7 @@ def test_calibrate_writes_metrics_report(workdir):
     lines = (workdir / "acp.metrics.csv").read_text().splitlines()
     assert lines[0] == "label,validity,efficiency"
     assert len(lines) == 3
+    assert b"\r" not in (workdir / "acp.metrics.csv").read_bytes()
 
 
 def test_run_subcommand(workdir, tmp_path, capsys):

@@ -80,17 +80,17 @@ def _icp_with_label1_scores(scores, test_p1):
 
 def test_p_value_counting_all_calibration_scores_above():
     icp = _icp_with_label1_scores([0.1, 0.2, 0.3, 0.6], test_p1=0.95)  # alpha = 0.05
-    assert icp.p_values(np.zeros(3)).p1 == pytest.approx(1.0)
+    assert icp.p_values_batch(np.zeros((1, 3)))[1][0] == pytest.approx(1.0)
 
 
 def test_p_value_counting_none_above():
     icp = _icp_with_label1_scores([0.1, 0.2, 0.3, 0.6], test_p1=0.3)  # alpha = 0.7
-    assert icp.p_values(np.zeros(3)).p1 == pytest.approx((0 + 1) / 5)
+    assert icp.p_values_batch(np.zeros((1, 3)))[1][0] == pytest.approx((0 + 1) / 5)
 
 
 def test_p_value_counting_tie_counts_as_greater_equal():
     icp = _icp_with_label1_scores([0.1, 0.2, 0.3, 0.6], test_p1=0.8)  # alpha = 0.2
-    assert icp.p_values(np.zeros(3)).p1 == pytest.approx((3 + 1) / 5)
+    assert icp.p_values_batch(np.zeros((1, 3)))[1][0] == pytest.approx((3 + 1) / 5)
 
 
 @given(
@@ -126,12 +126,14 @@ def _stub_icp(p0_out, p1_out):
 def test_acp_of_one_equals_the_icp():
     icp = _stub_icp(0.4, 0.7)
     acp = Acp((icp,))
-    assert acp.p_values(np.zeros(3)) == PValuePair(0.4, 0.7)
+    p0, p1 = acp.p_values_batch(np.zeros((1, 3)))
+    assert PValuePair(p0[0], p1[0]) == PValuePair(0.4, 0.7)
 
 
 def test_acp_mean_aggregation():
     acp = Acp((_stub_icp(0.1, 0.2), _stub_icp(0.3, 0.4)))
-    pv = acp.p_values(np.zeros(3))
+    p0, p1 = acp.p_values_batch(np.zeros((1, 3)))
+    pv = PValuePair(p0[0], p1[0])
     assert pv == PValuePair(pytest.approx(0.2), pytest.approx(0.3))
 
 

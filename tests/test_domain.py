@@ -11,7 +11,6 @@ from cpseq.domain import (
     QueryTemplate,
     Vocabulary,
     assemble,
-    fingerprint,
     fingerprints,
     make_dataset,
     make_queries,
@@ -158,12 +157,12 @@ def _fnv1a_bucket(i, j):
 
 
 def test_fingerprint_length_one_is_zero():
-    assert fingerprint("A").sum() == 0
+    assert fingerprints(["A"])[0].sum() == 0
 
 
 def test_fingerprint_bigram_hand_count():
     # ACAC: bigrams AC, CA, AC -> bucket(A,C) = 2, bucket(C,A) = 1
-    fp = fingerprint("ACAC")
+    fp = fingerprints(["ACAC"])[0]
     ia, ic = RES.index("A"), RES.index("C")
     assert fp[_fnv1a_bucket(ia, ic)] == 2
     assert fp[_fnv1a_bucket(ic, ia)] == 1
@@ -174,7 +173,7 @@ def test_fingerprint_bigram_hand_count():
 @given(seq=sequences)
 @settings(max_examples=100, deadline=None)
 def test_fingerprint_matches_naive_counter(seq):
-    fp = fingerprint(seq)
+    fp = fingerprints([seq])[0]
     expected = np.zeros(FINGERPRINT_BUCKETS, dtype=np.int64)
     for (a, b), c in _naive_bigram_counts(seq).items():
         expected[_fnv1a_bucket(RES.index(a), RES.index(b))] += c
@@ -184,18 +183,18 @@ def test_fingerprint_matches_naive_counter(seq):
 @given(seq=sequences)
 @settings(max_examples=100, deadline=None)
 def test_fingerprint_total_is_length_minus_one(seq):
-    assert fingerprint(seq).sum() == len(seq) - 1
+    assert fingerprints([seq])[0].sum() == len(seq) - 1
 
 
 def test_fingerprint_deterministic():
-    assert np.array_equal(fingerprint("AVILMFWC"), fingerprint("AVILMFWC"))
+    assert np.array_equal(fingerprints(["AVILMFWC"])[0], fingerprints(["AVILMFWC"])[0])
 
 
 def test_fingerprints_batch_matches_single():
     seqs = ["ACAC", "AVILM", "D"]
     batch = fingerprints(seqs)
     for row, seq in zip(batch, seqs):
-        assert np.array_equal(row, fingerprint(seq))
+        assert np.array_equal(row, fingerprints([seq])[0])
 
 
 # -- dataset generation ------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from cpseq.harness import (
     CampaignConfig,
     RunSummary,
+    WilcoxonRow,
     parse_campaign_config,
     regenerate_report,
     run_campaign,
@@ -17,6 +18,7 @@ from cpseq.harness import (
     wilcoxon_vs_baseline,
 )
 from cpseq.rl import StepMetrics
+from cpseq.tables import read_table
 
 
 # -- wilcoxon: fixed cases ---------------------------------------------------------
@@ -115,7 +117,7 @@ def test_normal_branch_close_to_exact_at_cutoff():
 
 def _metrics(step, frac, n_valid=10):
     return StepMetrics(
-        step=step, avg_score=0.0, avg_p0=0.0, avg_p1=0.0,
+        step=step, scoring_fn="cp_soft", avg_score=0.0, avg_p0=0.0, avg_p1=0.0,
         frac_conf_eff=frac, n_sampled=32, n_valid=n_valid, n_unique_valid=n_valid, loss=0.0,
     )
 
@@ -313,3 +315,53 @@ def test_failing_run_is_isolated(small_campaign, tmp_path, monkeypatch):
     lines = (tmp_path / "out2" / "summary.csv").read_text().splitlines()
     error_lines = [l for l in lines if l.endswith(",error")]
     assert len(error_lines) == 1
+
+
+def test_campaign_csvs_end_lines_with_newline_only(small_campaign):
+    root, _, _ = small_campaign
+    written = sorted((root / "out").rglob("*.csv"))
+    assert len(written) == 7  # four run CSVs and three summaries
+    for path in written:
+        assert b"\r" not in path.read_bytes(), path.name
+
+
+def _copy_runs(src, dst, rewrite=None):
+    dst.mkdir()
+    for path in src.iterdir():
+        text = path.read_text()
+        if rewrite is not None and path.suffix == ".csv":
+            text = rewrite(text)
+        (dst / path.name).write_bytes(text.encode())
+    return dst
+
+
+def test_report_rejects_run_csv_with_wrong_header(small_campaign, tmp_path):
+    root, _, _ = small_campaign
+    runs = _copy_runs(root / "out" / "runs", tmp_path / "runs")
+    bad = runs / "q001_rm_p1.csv"
+    bad.write_text(bad.read_text().replace("avg_p0,avg_p1", "avg_p1,avg_p0", 1))
+    with pytest.raises(ValueError, match="q001_rm_p1.csv"):
+        regenerate_report(runs, tmp_path / "report")
+
+
+def test_report_reads_run_csvs_with_crlf_rows(small_campaign, tmp_path):
+    # older versions ended the header with \n and every data row with \r\n
+    root, _, _ = small_campaign
+    out = root / "out"
+
+    def crlf_rows(text):
+        header, _, body = text.partition("\n")
+        return header + "\n" + body.replace("\n", "\r\n")
+
+    runs = _copy_runs(out / "runs", tmp_path / "runs", crlf_rows)
+    assert b"\r\n" in (runs / "q000_rm_p1.csv").read_bytes()
+    regenerate_report(runs, tmp_path / "report")
+    for name in ("summary.csv", "wilcoxon.csv", "summary_by_length.csv"):
+        assert (tmp_path / "report" / name).read_bytes() == (out / name).read_bytes()
+
+
+def test_summary_tables_read_back_exactly(small_campaign):
+    root, _, result = small_campaign
+    assert read_table(root / "out" / "summary.csv", RunSummary) == result.rows
+    assert read_table(root / "out" / "wilcoxon.csv", WilcoxonRow) == result.wilcoxon
+    assert any(row.steps_to_half is None for row in result.rows)  # empty cells read back as None

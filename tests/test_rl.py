@@ -1,12 +1,14 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from cpseq.domain import QueryTemplate
 from cpseq.policy import Policy
 from cpseq.rl import (
-    METRICS_CSV_HEADER,
     RLConfig,
     SequenceScorer,
+    StepMetrics,
     augmented_log_likelihood,
     rl_step,
     run_rl,
@@ -86,9 +88,8 @@ def test_scorer_kinds_disagree_only_on_score(tiny_models):
 
 def test_step_loss_zero_when_agent_equals_prior_and_scores_zero(tiny_models, tiny_prior):
     clf, acp = tiny_models
-    scorer = SequenceScorer(
-        "cp_harsh", clf, acp, score_fn=lambda pv, raw: 0.0
-    )
+    # every p0 is at least 1/(n_cal + 1), so no sequence is a hit and every cp_harsh score is 0
+    scorer = SequenceScorer("cp_harsh", clf, acp, significance=1e-9)
     agent = tiny_prior.copy()
     config = RLConfig(scoring="cp_harsh", batch_size=16, steps=1, learning_rate=1e-9)
     metrics, _ = rl_step(agent, tiny_prior, QUERY, scorer, config, np.random.default_rng(0), 1)
@@ -165,7 +166,7 @@ def test_metrics_csv_schema(tmp_path, tiny_models, tiny_prior):
     path = tmp_path / "run.csv"
     record.write_csv(path)
     lines = path.read_text().splitlines()
-    assert lines[0] == METRICS_CSV_HEADER
+    assert lines[0] == ",".join(f.name for f in fields(StepMetrics))
     assert lines[0] == (
         "step,scoring_fn,avg_score,avg_p0,avg_p1,frac_conf_eff,"
         "n_sampled,n_valid,n_unique_valid,loss"
