@@ -15,11 +15,12 @@ from .conformal import (
     validity_efficiency,
 )
 from .domain import (
-    DEFAULT_VOCABULARY,
+    EMISSION_TOKENS,
+    HYDROPHOBIC,
+    RESIDUES,
     LabeledDataset,
     MASK,
     QueryTemplate,
-    Vocabulary,
     assemble,
     fingerprints,
     make_dataset,
@@ -34,7 +35,7 @@ from .harness import (
     stratify_by_length,
     wilcoxon_signed_rank,
 )
-from .policy import Policy, PolicyConfig, SampledProposal, build_pretrain_corpus, pretrain_prior
+from .policy import Policy, SampledProposal, build_pretrain_corpus, pretrain_prior
 from .rl import RLConfig, RunRecord, SequenceScorer, StepMetrics, augmented_log_likelihood, run_rl, squared_loss
 from .scoring import (
     SCORING_KINDS,

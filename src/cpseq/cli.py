@@ -255,12 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prior", required=True)
     p.add_argument("--classifier", required=True)
     p.add_argument("--acp", required=True)
-    p.add_argument("--scoring", choices=SCORING_KINDS, default="rm_p1")
-    p.add_argument("--sigma", type=float, default=50.0)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--steps", type=int, default=350)
-    p.add_argument("--significance", type=float, default=DEFAULT_SIGNIFICANCE)
-    p.add_argument("--learning-rate", type=float, default=3e-4)
+    p.add_argument("--scoring", choices=SCORING_KINDS, default=RLConfig.scoring)
+    p.add_argument("--sigma", type=float, default=RLConfig.sigma)
+    p.add_argument("--batch-size", type=int, default=RLConfig.batch_size)
+    p.add_argument("--steps", type=int, default=RLConfig.steps)
+    p.add_argument("--significance", type=float, default=RLConfig.significance)
+    p.add_argument("--learning-rate", type=float, default=RLConfig.learning_rate)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_run)

@@ -1,23 +1,30 @@
-"""Surrogate sequence domain: vocabulary, masked-fill templates, assembly,
+"""Surrogate sequence domain: the fixed alphabet, masked-fill templates, assembly,
 ground-truth labels, hashed bigram fingerprints, and dataset/query generation.
 
 Sequences are plain strings of single-character residue tokens. A query
 template is a sequence with some positions replaced by the mask marker ``?``;
 a proposal fills each masked slot with a short run of residue tokens
 terminated by the slot-end symbol.
+
+The alphabet is fixed: 20 residue tokens, of which 8 are hydrophobic, plus the
+slot-end and begin symbols the policy emits and starts from.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 MASK = "?"
+RESIDUES = tuple("ACDEFGHIKLMNPQRSTVWY")
+HYDROPHOBIC = frozenset("AVILMFWC")  # drives the ground-truth label rule
+SLOT_END = "$"  # terminates a slot fill during generation
+BEGIN = "^"  # marks the start of the emission stream
+EMISSION_TOKENS = (*RESIDUES, SLOT_END, BEGIN)
 MAX_MASKED = 4
 MAX_FILL_TOKENS = 4
 FINGERPRINT_BUCKETS = 2048
@@ -40,69 +47,13 @@ def _fnv1a_pair(i: int, j: int) -> int:
     return h
 
 
-@dataclass(frozen=True)
-class Vocabulary:
-    """Fixed symbol set for a run.
-
-    ``residue_tokens`` are the emittable sequence symbols; ``slot_end_token``
-    terminates a slot fill during generation and ``begin_token`` marks the
-    start of the emission stream. The hydrophobic subset drives the
-    ground-truth label rule.
-    """
-
-    residue_tokens: tuple[str, ...] = tuple("ACDEFGHIKLMNPQRSTVWY")
-    hydrophobic_tokens: frozenset[str] = frozenset("AVILMFWC")
-    slot_end_token: str = "$"
-    begin_token: str = "^"
-
-    def __post_init__(self):
-        symbols = (*self.residue_tokens, self.slot_end_token, self.begin_token)
-        if not self.residue_tokens:
-            raise ValueError("residue_tokens must be nonempty")
-        if any(len(s) != 1 for s in symbols):
-            raise ValueError("all vocabulary symbols must be single characters")
-        if len(set(symbols)) != len(symbols):
-            raise ValueError("vocabulary symbols must be distinct")
-        if MASK in symbols:
-            raise ValueError(f"{MASK!r} is reserved for masked template positions")
-        if not self.hydrophobic_tokens <= set(self.residue_tokens):
-            raise ValueError("hydrophobic subset must be drawn from residue_tokens")
-
-    @property
-    def size(self) -> int:
-        """Total emission alphabet size (residues + slot end + begin)."""
-        return len(self.residue_tokens) + 2
-
-    def emission_tokens(self) -> tuple[str, ...]:
-        return (*self.residue_tokens, self.slot_end_token, self.begin_token)
-
-    @cached_property
-    def _residue_set(self) -> frozenset[str]:
-        return frozenset(self.residue_tokens)
-
-    @cached_property
-    def _residue_index(self) -> dict[str, int]:
-        return {t: i for i, t in enumerate(self.residue_tokens)}
-
-    @cached_property
-    def _bucket_table(self) -> np.ndarray:
-        """Precomputed fingerprint bucket for every ordered residue pair."""
-        n = len(self.residue_tokens)
-        table = np.empty((n, n), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                table[i, j] = _fnv1a_pair(i, j) % FINGERPRINT_BUCKETS
-        return table
-
-    def is_sequence(self, seq: str) -> bool:
-        return len(seq) >= 1 and all(t in self._residue_set for t in seq)
-
-    def ordinals(self, seq: str) -> np.ndarray:
-        idx = self._residue_index
-        return np.array([idx[t] for t in seq], dtype=np.int64)
-
-
-DEFAULT_VOCABULARY = Vocabulary()
+_RESIDUE_INDEX = {t: i for i, t in enumerate(RESIDUES)}
+# the fingerprint bucket of every ordered residue pair
+_BUCKET_TABLE = np.array(
+    [[_fnv1a_pair(i, j) % FINGERPRINT_BUCKETS for j in range(len(RESIDUES))]
+     for i in range(len(RESIDUES))],
+    dtype=np.int64,
+)
 
 
 @dataclass(frozen=True)
@@ -140,29 +91,23 @@ class QueryTemplate:
         return cls(tuple(text))
 
 
-def validate_template(query: QueryTemplate, vocab: Vocabulary = DEFAULT_VOCABULARY) -> None:
+def validate_template(query: QueryTemplate) -> None:
     """Raise if any fixed template entry is not a residue token."""
     for p in query.positions:
-        if p != MASK and p not in vocab._residue_set:
+        if p != MASK and p not in _RESIDUE_INDEX:
             raise ValueError(f"template entry {p!r} is not a residue token")
 
 
-def assemble(
-    query: QueryTemplate,
-    fills: Sequence[str],
-    vocab: Vocabulary = DEFAULT_VOCABULARY,
-    max_fill_tokens: int = MAX_FILL_TOKENS,
-) -> str | None:
+def assemble(query: QueryTemplate, fills: Sequence[str]) -> str | None:
     """Substitute slot fills into the template; ``None`` marks an invalid proposal.
 
     A fill is the raw emitted slot string: residue tokens optionally ending in
     the slot-end symbol (absent when generation hit the per-slot cap). Invalid
     outcomes: wrong fill count, empty content, content longer than
-    ``max_fill_tokens``, or any non-residue symbol in the content.
+    ``MAX_FILL_TOKENS``, or any non-residue symbol in the content.
     """
     if len(fills) != query.masked_count:
         return None
-    residues = vocab._residue_set
     out: list[str] = []
     fill_iter = iter(fills)
     for entry in query.positions:
@@ -170,29 +115,27 @@ def assemble(
             out.append(entry)
             continue
         fill = next(fill_iter)
-        content = fill[:-1] if fill.endswith(vocab.slot_end_token) else fill
-        if not 1 <= len(content) <= max_fill_tokens:
+        content = fill[:-1] if fill.endswith(SLOT_END) else fill
+        if not 1 <= len(content) <= MAX_FILL_TOKENS:
             return None
-        if any(t not in residues for t in content):
+        if any(t not in _RESIDUE_INDEX for t in content):
             return None
         out.append(content)
     return "".join(out)
 
 
-def mask_out(
-    seq: str, positions: Iterable[int], vocab: Vocabulary = DEFAULT_VOCABULARY
-) -> tuple[QueryTemplate, tuple[str, ...]]:
+def mask_out(seq: str, positions: Iterable[int]) -> tuple[QueryTemplate, tuple[str, ...]]:
     """Turn a full sequence into (template, ground-truth fills) by masking positions."""
     pos = sorted(set(positions))
     entries = list(seq)
     fills = []
     for p in pos:
-        fills.append(seq[p] + vocab.slot_end_token)
+        fills.append(seq[p] + SLOT_END)
         entries[p] = MASK
     return QueryTemplate(tuple(entries)), tuple(fills)
 
 
-def oracle_label(seq: str, vocab: Vocabulary = DEFAULT_VOCABULARY) -> int:
+def oracle_label(seq: str) -> int:
     """Deterministic ground-truth label.
 
     Label 1 iff the hydrophobic fraction h lies in [0.4, 0.7] and the sequence
@@ -200,12 +143,12 @@ def oracle_label(seq: str, vocab: Vocabulary = DEFAULT_VOCABULARY) -> int:
     (0.4 <= h <=> 5*count >= 2*len, h <= 0.7 <=> 10*count <= 7*len).
     """
     n = len(seq)
-    count = sum(1 for t in seq if t in vocab.hydrophobic_tokens)
+    count = sum(1 for t in seq if t in HYDROPHOBIC)
     in_window = 5 * count >= 2 * n and 10 * count <= 7 * n
     return int(in_window and n <= 10)
 
 
-def fingerprints(seqs: Sequence[str], vocab: Vocabulary = DEFAULT_VOCABULARY) -> np.ndarray:
+def fingerprints(seqs: Sequence[str]) -> np.ndarray:
     """Hashed bigram count fingerprints with 2048 buckets, one row per sequence.
 
     Each adjacent token pair is hashed with 64-bit FNV-1a over the two residue
@@ -213,11 +156,10 @@ def fingerprints(seqs: Sequence[str], vocab: Vocabulary = DEFAULT_VOCABULARY) ->
     the all-zero vector.
     """
     out = np.zeros((len(seqs), FINGERPRINT_BUCKETS), dtype=np.int64)
-    table = vocab._bucket_table
     for i, seq in enumerate(seqs):
         if len(seq) >= 2:
-            ords = vocab.ordinals(seq)
-            np.add.at(out[i], table[ords[:-1], ords[1:]], 1)
+            ords = np.array([_RESIDUE_INDEX[t] for t in seq], dtype=np.int64)
+            np.add.at(out[i], _BUCKET_TABLE[ords[:-1], ords[1:]], 1)
     return out
 
 
@@ -256,7 +198,6 @@ def make_dataset(
     length_weights: dict[int, float] | None = None,
     noise_rate: float = 0.05,
     seed: int = 0,
-    vocab: Vocabulary = DEFAULT_VOCABULARY,
 ) -> LabeledDataset:
     """Generate n unique random sequences with noisy oracle labels and a 90/10 split.
 
@@ -271,14 +212,13 @@ def make_dataset(
     lengths = sorted(weights)
     if any(weights[L] < 0 for L in lengths) or sum(weights.values()) <= 0:
         raise ValueError("length weights must be nonnegative with positive sum")
-    capacity = sum(len(vocab.residue_tokens) ** L for L in lengths)
+    capacity = sum(len(RESIDUES) ** L for L in lengths)
     if n > capacity:
         raise ValueError(f"n={n} exceeds the {capacity} distinct sequences available")
 
     rng = np.random.default_rng(seed)
     probs = np.array([weights[L] for L in lengths], dtype=float)
     probs /= probs.sum()
-    residues = vocab.residue_tokens
 
     seqs: list[str] = []
     seen: set[str] = set()
@@ -289,12 +229,12 @@ def make_dataset(
         if attempts > max_attempts:
             raise RuntimeError("exhausted attempts drawing unique sequences")
         L = lengths[rng.choice(len(lengths), p=probs)]
-        seq = "".join(residues[i] for i in rng.integers(0, len(residues), L))
+        seq = "".join(RESIDUES[i] for i in rng.integers(0, len(RESIDUES), L))
         if seq not in seen:
             seen.add(seq)
             seqs.append(seq)
 
-    labels = np.array([oracle_label(s, vocab) for s in seqs], dtype=np.int8)
+    labels = np.array([oracle_label(s) for s in seqs], dtype=np.int8)
     flips = rng.random(n) < noise_rate
     labels = np.where(flips, 1 - labels, labels).astype(np.int8)
 
@@ -311,7 +251,6 @@ def make_queries(
     lengths: Sequence[int] = (6, 7, 10),
     max_masked: int = MAX_MASKED,
     seed: int = 0,
-    vocab: Vocabulary = DEFAULT_VOCABULARY,
 ) -> list[QueryTemplate]:
     """Draw n random templates with 1..max_masked masked positions each."""
     lengths = sorted(set(lengths))
@@ -320,27 +259,26 @@ def make_queries(
     if not 1 <= max_masked <= MAX_MASKED:
         raise ValueError(f"max_masked must be in [1, {MAX_MASKED}]")
     rng = np.random.default_rng(seed)
-    residues = vocab.residue_tokens
     queries = []
     for _ in range(n):
         L = lengths[rng.integers(0, len(lengths))]
-        seq = "".join(residues[i] for i in rng.integers(0, len(residues), L))
+        seq = "".join(RESIDUES[i] for i in rng.integers(0, len(RESIDUES), L))
         m = int(rng.integers(1, max_masked + 1))
         positions = rng.choice(L, size=m, replace=False)
-        template, _ = mask_out(seq, positions.tolist(), vocab)
+        template, _ = mask_out(seq, positions.tolist())
         queries.append(template)
     return queries
 
 
 def write_dataset_csv(dataset: LabeledDataset, path: str | Path) -> None:
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
+        writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["sequence", "label", "split"])
         for seq, label, split in zip(dataset.sequences, dataset.labels, dataset.splits):
             writer.writerow([seq, int(label), split])
 
 
-def read_dataset_csv(path: str | Path, vocab: Vocabulary = DEFAULT_VOCABULARY) -> LabeledDataset:
+def read_dataset_csv(path: str | Path) -> LabeledDataset:
     seqs: list[str] = []
     labels: list[int] = []
     splits: list[str] = []
@@ -350,7 +288,7 @@ def read_dataset_csv(path: str | Path, vocab: Vocabulary = DEFAULT_VOCABULARY) -
             raise ValueError(f"unexpected dataset header in {path}")
         for row in reader:
             seq = row["sequence"]
-            if not vocab.is_sequence(seq):
+            if not seq or any(t not in _RESIDUE_INDEX for t in seq):
                 raise ValueError(f"non-residue symbol in sequence {seq!r}")
             seqs.append(seq)
             labels.append(int(row["label"]))
@@ -360,13 +298,13 @@ def read_dataset_csv(path: str | Path, vocab: Vocabulary = DEFAULT_VOCABULARY) -
 
 def write_queries_csv(queries: Sequence[QueryTemplate], path: str | Path) -> None:
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
+        writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["template"])
         for q in queries:
             writer.writerow([q.to_text()])
 
 
-def read_queries_csv(path: str | Path, vocab: Vocabulary = DEFAULT_VOCABULARY) -> list[QueryTemplate]:
+def read_queries_csv(path: str | Path) -> list[QueryTemplate]:
     queries = []
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
@@ -374,6 +312,6 @@ def read_queries_csv(path: str | Path, vocab: Vocabulary = DEFAULT_VOCABULARY) -
             raise ValueError(f"unexpected query header in {path}")
         for row in reader:
             template = QueryTemplate.from_text(row["template"])
-            validate_template(template, vocab)
+            validate_template(template)
             queries.append(template)
     return queries

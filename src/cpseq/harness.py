@@ -14,19 +14,13 @@ import math
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_args, get_type_hints
 
 import numpy as np
 
 from .boosting import BoostedTreeClassifier, ClassifierConfig
-from .conformal import Acp, build_acp, load_acp
-from .domain import (
-    DEFAULT_VOCABULARY,
-    Vocabulary,
-    fingerprints,
-    read_dataset_csv,
-    read_queries_csv,
-)
+from .conformal import DEFAULT_SIGNIFICANCE, Acp, build_acp, load_acp
+from .domain import fingerprints, read_dataset_csv, read_queries_csv
 from .policy import Policy, build_pretrain_corpus, pretrain_prior
 from .rl import RLConfig, SequenceScorer, StepMetrics, run_rl
 from .scoring import SCORING_KINDS
@@ -205,20 +199,20 @@ class CampaignConfig:
     dataset: Path
     queries: Path
     scoring: tuple[str, ...] = SCORING_KINDS
-    steps: int = 350
-    batch_size: int = 32
-    sigma: float = 50.0
-    significance: float = 0.2
-    rl_learning_rate: float = 3e-4
+    steps: int = RLConfig.steps
+    batch_size: int = RLConfig.batch_size
+    sigma: float = RLConfig.sigma
+    significance: float = DEFAULT_SIGNIFICANCE
+    rl_learning_rate: float = RLConfig.learning_rate
     seed: int = 0
     prior: Path | None = None
     classifier: Path | None = None
     acp: Path | None = None
     acp_k: int = 10
-    clf_rounds: int = 200
-    clf_learning_rate: float = 0.3
-    clf_depth: int = 2
-    clf_subsample: float = 1.0
+    clf_rounds: int = ClassifierConfig.n_rounds
+    clf_learning_rate: float = ClassifierConfig.learning_rate
+    clf_depth: int = ClassifierConfig.max_depth
+    clf_subsample: float = ClassifierConfig.subsample
     pretrain_epochs: int = 20
     pretrain_learning_rate: float = 1e-3
     pretrain_corpus_size: int = 1500
@@ -231,25 +225,24 @@ class CampaignConfig:
                 raise ValueError(f"unknown scoring kind {kind!r}")
 
 
-_INT_KEYS = {
-    "steps", "batch_size", "seed", "acp_k", "clf_rounds", "clf_depth",
-    "pretrain_epochs", "pretrain_corpus_size",
-}
-_FLOAT_KEYS = {
-    "sigma", "significance", "rl_learning_rate", "clf_learning_rate",
-    "clf_subsample", "pretrain_learning_rate",
-}
-_PATH_KEYS = {"dataset", "queries", "prior", "classifier", "acp"}
+def _config_value(hint, text: str, base: Path):
+    """A config value of the field type ``hint``: comma lists split, paths resolve against ``base``."""
+    if hint == tuple[str, ...]:
+        return tuple(k.strip() for k in text.split(",") if k.strip())
+    if Path in (hint, *get_args(hint)):
+        return base / text
+    return hint(text)
 
 
 def parse_campaign_config(path: str | Path) -> CampaignConfig:
     """Parse the flat ``key = value`` campaign config file.
 
-    Blank lines and ``#`` comments are ignored; relative paths resolve against
-    the config file's directory.
+    Each key is a :class:`CampaignConfig` field and is read as that field's
+    type. Blank lines and ``#`` comments are ignored; relative paths resolve
+    against the config file's directory.
     """
     path = Path(path)
-    base = path.parent
+    hints = get_type_hints(CampaignConfig)
     values: dict[str, object] = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -258,17 +251,10 @@ def parse_campaign_config(path: str | Path) -> CampaignConfig:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key in _PATH_KEYS:
-            values[key] = base / value
-        elif key in _INT_KEYS:
-            values[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            values[key] = float(value)
-        elif key == "scoring":
-            values[key] = tuple(k.strip() for k in value.split(",") if k.strip())
-        else:
+        key = key.strip()
+        if key not in hints:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = _config_value(hints[key], value.strip(), path.parent)
     for required in ("dataset", "queries"):
         if required not in values:
             raise ValueError(f"config {path} is missing required key {required!r}")
@@ -293,15 +279,13 @@ class CampaignArtifacts:
     acp: Acp
 
 
-def build_campaign_artifacts(
-    config: CampaignConfig, vocab: Vocabulary = DEFAULT_VOCABULARY
-) -> CampaignArtifacts:
+def build_campaign_artifacts(config: CampaignConfig) -> CampaignArtifacts:
     """Load the prior/classifier/ACP artifacts, building any that lack a path."""
-    dataset = read_dataset_csv(config.dataset, vocab)
-    queries = read_queries_csv(config.queries, vocab)
+    dataset = read_dataset_csv(config.dataset)
+    queries = read_queries_csv(config.queries)
     train_seqs, train_labels = dataset.subset("train")
     if config.classifier is None or config.acp is None:
-        X_train = fingerprints(train_seqs, vocab)
+        X_train = fingerprints(train_seqs)
         # one config for both: build_acp re-seeds each ICP's classifier with its own seed
         clf_config = ClassifierConfig(
             n_rounds=config.clf_rounds,
@@ -328,13 +312,12 @@ def build_campaign_artifacts(
         prior = Policy.load(config.prior)
     else:
         corpus_seqs = train_seqs[: config.pretrain_corpus_size]
-        corpus = build_pretrain_corpus(corpus_seqs, seed=_derived_seed(config.seed, 9003), vocab=vocab)
+        corpus = build_pretrain_corpus(corpus_seqs, seed=_derived_seed(config.seed, 9003))
         result = pretrain_prior(
             corpus,
             epochs=config.pretrain_epochs,
             learning_rate=config.pretrain_learning_rate,
             seed=_derived_seed(config.seed, 9004),
-            vocab=vocab,
             gate_queries=queries,
             gate_samples=300,
         )
@@ -356,7 +339,6 @@ def _run_name(query_id: int, kind: str) -> str:
 def run_campaign(
     config: CampaignConfig,
     out_dir: str | Path,
-    vocab: Vocabulary = DEFAULT_VOCABULARY,
     artifacts: CampaignArtifacts | None = None,
 ) -> CampaignResult:
     """Execute every (query x scoring kind) run and write all output files.
@@ -367,16 +349,14 @@ def run_campaign(
     out = Path(out_dir)
     runs_dir = out / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
-    queries = read_queries_csv(config.queries, vocab)
+    queries = read_queries_csv(config.queries)
     if not queries:
         raise ValueError("query file contains no templates")
     if artifacts is None:
-        artifacts = build_campaign_artifacts(config, vocab)
+        artifacts = build_campaign_artifacts(config)
 
     scorers = {
-        kind: SequenceScorer(
-            kind, artifacts.classifier, artifacts.acp, config.significance, vocab
-        )
+        kind: SequenceScorer(kind, artifacts.classifier, artifacts.acp, config.significance)
         for kind in config.scoring
     }
     rows: list[RunSummary] = []

@@ -3,10 +3,10 @@
 A single-layer recurrent categorical model: token embeddings feed a tanh
 state update that also consumes a query encoding (mean embedding of the
 template, with the mask marker as its own symbol), and a linear projection
-produces vocabulary logits at every step. Likelihoods, sampling, and
-parameter gradients are all computed in closed form with numpy; there is no
-autodiff dependency. The output projection starts at zero, so a fresh policy
-is exactly uniform over the emission alphabet.
+produces logits over the fixed emission alphabet at every step. Likelihoods,
+sampling, and parameter gradients are all computed in closed form with numpy;
+there is no autodiff dependency. The output projection starts at zero, so a
+fresh policy is exactly uniform over the emission alphabet.
 """
 
 from __future__ import annotations
@@ -19,24 +19,28 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .domain import (
-    DEFAULT_VOCABULARY,
+    BEGIN,
+    EMISSION_TOKENS,
+    MASK,
     MAX_FILL_TOKENS,
     MAX_MASKED,
+    SLOT_END,
     QueryTemplate,
-    Vocabulary,
     assemble,
     mask_out,
 )
 
 MAX_TOKENS_PER_SLOT = MAX_FILL_TOKENS + 1  # content cap plus the terminator
 PARAM_NAMES = ("embed", "w_in", "w_query", "w_rec", "b_rec", "w_out", "b_out")
+EMBED_DIM = 16
+HIDDEN_DIM = 32
+INIT_SCALE = 0.1  # standard deviation of the random initial weights
+GATE_THRESHOLD = 0.9  # fill-validity a pretrained prior must reach on the gate queries
 
-
-@dataclass(frozen=True)
-class PolicyConfig:
-    embed_dim: int = 16
-    hidden_dim: int = 32
-    init_scale: float = 0.1
+TOKEN_ID = {t: i for i, t in enumerate(EMISSION_TOKENS)}
+MASK_ID = len(EMISSION_TOKENS)  # extra embedding row for the mask marker
+END_ID = TOKEN_ID[SLOT_END]
+BEGIN_ID = TOKEN_ID[BEGIN]
 
 
 @dataclass(frozen=True)
@@ -46,6 +50,17 @@ class SampledProposal:
     fills: tuple[str, ...]
     log_likelihood: float
     tokens: tuple[str, ...]
+
+
+def _template_ids(query: QueryTemplate) -> np.ndarray:
+    return np.array([MASK_ID if t == MASK else TOKEN_ID[t] for t in query.positions], dtype=np.intp)
+
+
+def _stream_ids(fills: Sequence[str]) -> list[int]:
+    try:
+        return [TOKEN_ID[t] for fill in fills for t in fill]
+    except KeyError as err:
+        raise ValueError(f"proposal token {err.args[0]!r} not in the emission alphabet")
 
 
 class _Forward(NamedTuple):
@@ -60,90 +75,35 @@ class _Forward(NamedTuple):
 
 
 class Policy:
-    """Autoregressive categorical model over an emission alphabet."""
+    """Autoregressive categorical model over the fixed emission alphabet."""
 
-    def __init__(
-        self,
-        tokens: Sequence[str],
-        end_token: str,
-        params: dict[str, np.ndarray],
-        begin_token: str | None = None,
-    ):
-        self.tokens = tuple(tokens)
-        if end_token not in self.tokens:
-            raise ValueError("end_token must be part of the emission alphabet")
-        if len(set(self.tokens)) != len(self.tokens):
-            raise ValueError("emission tokens must be distinct")
-        self.end_token = end_token
-        self.begin_token = begin_token if begin_token is not None else self.tokens[-1]
-        if self.begin_token not in self.tokens:
-            raise ValueError("begin_token must be part of the emission alphabet")
-        self.token_id = {t: i for i, t in enumerate(self.tokens)}
-        self.mask_id = len(self.tokens)  # extra embedding row for the mask marker
-        self.end_id = self.token_id[end_token]
-        self.begin_id = self.token_id[self.begin_token]
+    def __init__(self, params: dict[str, np.ndarray]):
         self.p = params
 
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def fresh(
-        cls,
-        tokens: Sequence[str],
-        end_token: str,
-        config: PolicyConfig = PolicyConfig(),
-        seed: int = 0,
-    ) -> "Policy":
+    def fresh(cls, seed: int = 0) -> "Policy":
         rng = np.random.default_rng(seed)
-        v = len(tokens)
-        de, dh, s = config.embed_dim, config.hidden_dim, config.init_scale
+        v, de, dh = len(EMISSION_TOKENS), EMBED_DIM, HIDDEN_DIM
         params = {
-            "embed": rng.normal(0.0, s, (v + 1, de)),
-            "w_in": rng.normal(0.0, s, (dh, de)),
-            "w_query": rng.normal(0.0, s, (dh, de)),
-            "w_rec": rng.normal(0.0, s, (dh, dh)),
+            "embed": rng.normal(0.0, INIT_SCALE, (v + 1, de)),
+            "w_in": rng.normal(0.0, INIT_SCALE, (dh, de)),
+            "w_query": rng.normal(0.0, INIT_SCALE, (dh, de)),
+            "w_rec": rng.normal(0.0, INIT_SCALE, (dh, dh)),
             "b_rec": np.zeros(dh),
             "w_out": np.zeros((v, dh)),
             "b_out": np.zeros(v),
         }
-        return cls(tokens, end_token, params)
-
-    @classmethod
-    def for_vocabulary(
-        cls,
-        vocab: Vocabulary = DEFAULT_VOCABULARY,
-        config: PolicyConfig = PolicyConfig(),
-        seed: int = 0,
-    ) -> "Policy":
-        policy = cls.fresh(vocab.emission_tokens(), vocab.slot_end_token, config, seed)
-        assert policy.begin_token == vocab.begin_token
-        return policy
+        return cls(params)
 
     def copy(self) -> "Policy":
-        params = {k: v.copy() for k, v in self.p.items()}
-        return Policy(self.tokens, self.end_token, params, self.begin_token)
+        return Policy({k: v.copy() for k, v in self.p.items()})
 
     def params_equal(self, other: "Policy") -> bool:
         return all(np.array_equal(self.p[k], other.p[k]) for k in PARAM_NAMES)
 
     # -- core math -----------------------------------------------------------
-
-    def _template_ids(self, query: QueryTemplate) -> np.ndarray:
-        from .domain import MASK
-
-        return np.array(
-            [self.mask_id if t == MASK else self.token_id[t] for t in query.positions],
-            dtype=np.intp,
-        )
-
-    def encode_query(self, query: QueryTemplate) -> np.ndarray:
-        return self.p["embed"][self._template_ids(query)].mean(axis=0)
-
-    def _stream_ids(self, fills: Sequence[str]) -> list[int]:
-        try:
-            return [self.token_id[t] for fill in fills for t in fill]
-        except KeyError as err:
-            raise ValueError(f"proposal token {err.args[0]!r} not in the emission alphabet")
 
     def _step(self, prev_id: int, wq_q: np.ndarray, h: np.ndarray):
         """One recurrence step: returns (new hidden state, softmax probabilities)."""
@@ -156,11 +116,11 @@ class Policy:
 
     def _forward(self, query: QueryTemplate, stream: Sequence[int]) -> _Forward:
         """Teacher-forced pass over a token-id stream (see :class:`_Forward`)."""
-        template_ids = self._template_ids(query)
+        template_ids = _template_ids(query)
         q = self.p["embed"][template_ids].mean(axis=0)
         wq_q = self.p["w_query"] @ q
         h = np.zeros(self.p["w_rec"].shape[0])
-        prev = self.begin_id
+        prev = BEGIN_ID
         inputs, states, probs_list = [], [h], []
         total = 0.0
         for t in stream:
@@ -174,40 +134,35 @@ class Policy:
 
     def nll(self, query: QueryTemplate, fills: Sequence[str]) -> float:
         """Total negative log-likelihood of the emitted token stream."""
-        return self._forward(query, self._stream_ids(fills)).nll
+        return self._forward(query, _stream_ids(fills)).nll
 
     def distributions(self, query: QueryTemplate, fills: Sequence[str]) -> list[np.ndarray]:
         """Per-step emission distributions along a teacher-forced stream."""
-        return self._forward(query, self._stream_ids(fills)).probs
+        return self._forward(query, _stream_ids(fills)).probs
 
-    def sample(
-        self,
-        query: QueryTemplate,
-        rng: np.random.Generator,
-        max_tokens_per_slot: int = MAX_TOKENS_PER_SLOT,
-    ) -> SampledProposal:
+    def sample(self, query: QueryTemplate, rng: np.random.Generator) -> SampledProposal:
         """Draw one fill per masked slot; a slot ends on the terminator or the cap.
 
         A cap-hit slot keeps its unterminated tokens, so the proposal later
         fails assembly: that is the intended invalidity channel.
         """
-        wq_q = self.p["w_query"] @ self.encode_query(query)
+        wq_q = self.p["w_query"] @ self.p["embed"][_template_ids(query)].mean(axis=0)
         h = np.zeros(self.p["w_rec"].shape[0])
-        prev = self.begin_id
+        prev = BEGIN_ID
         fills = []
         trace = []
         log_likelihood = 0.0
         for _ in range(query.masked_count):
             fill = []
-            for _ in range(max_tokens_per_slot):
+            for _ in range(MAX_TOKENS_PER_SLOT):
                 h, probs = self._step(prev, wq_q, h)
                 draw = min(int(np.searchsorted(np.cumsum(probs), rng.random(), side="right")), len(probs) - 1)
                 log_likelihood += float(np.log(probs[draw]))
-                tok = self.tokens[draw]
+                tok = EMISSION_TOKENS[draw]
                 fill.append(tok)
                 trace.append(tok)
                 prev = draw
-                if draw == self.end_id:
+                if draw == END_ID:
                     break
             fills.append("".join(fill))
         return SampledProposal(tuple(fills), log_likelihood, tuple(trace))
@@ -221,7 +176,7 @@ class Policy:
         encoding contributes gradients to the embedding rows of every template
         entry (mask marker included) through the mean.
         """
-        stream = self._stream_ids(fills)
+        stream = _stream_ids(fills)
         fwd = self._forward(query, stream)
         grads = {name: np.zeros_like(self.p[name]) for name in PARAM_NAMES}
         if upstream_scale == 0.0 or not stream:
@@ -258,16 +213,20 @@ class Policy:
 
     def to_json_dict(self) -> dict:
         return {
-            "tokens": list(self.tokens),
-            "end_token": self.end_token,
-            "begin_token": self.begin_token,
+            "tokens": list(EMISSION_TOKENS),
+            "end_token": SLOT_END,
+            "begin_token": BEGIN,
             "params": {k: v.tolist() for k, v in self.p.items()},
         }
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "Policy":
-        params = {k: np.array(v, dtype=np.float64) for k, v in payload["params"].items()}
-        return cls(tuple(payload["tokens"]), payload["end_token"], params, payload["begin_token"])
+        """The policy a :meth:`to_json_dict` payload holds; raises ValueError on any other alphabet."""
+        saved = (tuple(payload["tokens"]), payload["end_token"], payload["begin_token"])
+        fixed = (EMISSION_TOKENS, SLOT_END, BEGIN)
+        if saved != fixed:
+            raise ValueError(f"policy alphabet (tokens, end, begin) {saved} is not the fixed one {fixed}")
+        return cls({k: np.array(v, dtype=np.float64) for k, v in payload["params"].items()})
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict()))
@@ -278,34 +237,27 @@ class Policy:
 
 
 def build_pretrain_corpus(
-    sequences: Iterable[str],
-    seed: int = 0,
-    max_masked: int = MAX_MASKED,
-    vocab: Vocabulary = DEFAULT_VOCABULARY,
+    sequences: Iterable[str], seed: int = 0
 ) -> list[tuple[QueryTemplate, tuple[str, ...]]]:
     """Mask random positions of full sequences into (template, true fills) pairs."""
     rng = np.random.default_rng(seed)
     corpus = []
     for seq in sequences:
-        m = int(rng.integers(1, min(max_masked, len(seq) - 1) + 1))
+        m = int(rng.integers(1, min(MAX_MASKED, len(seq) - 1) + 1))
         positions = rng.choice(len(seq), size=m, replace=False)
-        corpus.append(mask_out(seq, positions.tolist(), vocab))
+        corpus.append(mask_out(seq, positions.tolist()))
     return corpus
 
 
 def fill_validity(
-    policy: Policy,
-    queries: Sequence[QueryTemplate],
-    n_samples: int,
-    rng: np.random.Generator,
-    vocab: Vocabulary = DEFAULT_VOCABULARY,
+    policy: Policy, queries: Sequence[QueryTemplate], n_samples: int, rng: np.random.Generator
 ) -> float:
     """Fraction of sampled proposals that assemble into valid sequences."""
     valid = 0
     for i in range(n_samples):
         query = queries[i % len(queries)]
         proposal = policy.sample(query, rng)
-        if assemble(query, proposal.fills, vocab) is not None:
+        if assemble(query, proposal.fills) is not None:
             valid += 1
     return valid / n_samples
 
@@ -326,21 +278,18 @@ def pretrain_prior(
     epochs: int = 20,
     learning_rate: float = 1e-3,
     seed: int = 0,
-    config: PolicyConfig = PolicyConfig(),
-    vocab: Vocabulary = DEFAULT_VOCABULARY,
     gate_queries: Sequence[QueryTemplate] | None = None,
-    gate_threshold: float = 0.9,
     gate_samples: int = 500,
 ) -> PretrainResult:
     """Maximum-likelihood pretraining of a prior by per-example SGD.
 
     When ``gate_queries`` are supplied the returned prior must reach the
-    fill-validity gate on them, otherwise :class:`ValidityGateError` is raised;
+    fill-validity gate (:data:`GATE_THRESHOLD`) on them, otherwise :class:`ValidityGateError` is raised;
     downstream reinforcement runs assume a gate-passed prior.
     """
     if not corpus:
         raise ValueError("corpus must be nonempty")
-    policy = Policy.for_vocabulary(vocab, config, seed=np.random.SeedSequence([seed, 0]).generate_state(1)[0])
+    policy = Policy.fresh(seed=np.random.SeedSequence([seed, 0]).generate_state(1)[0])
     shuffle_rng = np.random.default_rng([seed, 1])
     history = []
     order = np.arange(len(corpus))
@@ -357,9 +306,7 @@ def pretrain_prior(
     gate_validity = None
     if gate_queries is not None:
         gate_rng = np.random.default_rng([seed, 2])
-        gate_validity = fill_validity(policy, gate_queries, gate_samples, gate_rng, vocab)
-        if gate_validity < gate_threshold:
-            raise ValidityGateError(
-                f"prior fill-validity {gate_validity:.3f} below gate {gate_threshold}"
-            )
+        gate_validity = fill_validity(policy, gate_queries, gate_samples, gate_rng)
+        if gate_validity < GATE_THRESHOLD:
+            raise ValidityGateError(f"prior fill-validity {gate_validity:.3f} below gate {GATE_THRESHOLD}")
     return PretrainResult(policy, history, gate_validity)

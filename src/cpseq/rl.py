@@ -17,7 +17,7 @@ import numpy as np
 
 from .boosting import BoostedTreeClassifier
 from .conformal import Acp, DEFAULT_SIGNIFICANCE, PValuePair, is_confident_positive
-from .domain import DEFAULT_VOCABULARY, QueryTemplate, Vocabulary, assemble, fingerprints
+from .domain import QueryTemplate, assemble, fingerprints
 from .policy import Policy
 from .scoring import SCORING_KINDS, score
 from .tables import write_table
@@ -82,7 +82,6 @@ class SequenceScorer:
         classifier: BoostedTreeClassifier,
         acp: Acp,
         significance: float = DEFAULT_SIGNIFICANCE,
-        vocab: Vocabulary = DEFAULT_VOCABULARY,
     ):
         if kind not in SCORING_KINDS:
             raise ValueError(f"scoring kind must be one of {SCORING_KINDS}")
@@ -90,13 +89,12 @@ class SequenceScorer:
         self.classifier = classifier
         self.acp = acp
         self.significance = significance
-        self.vocab = vocab
         self._cache: dict[str, SequenceEval] = {}
 
     def evaluate(self, sequences: list[str]) -> dict[str, SequenceEval]:
         fresh = sorted(set(s for s in sequences if s not in self._cache))
         if fresh:
-            X = fingerprints(fresh, self.vocab)
+            X = fingerprints(fresh)
             p0s, p1s = self.acp.p_values_batch(X)
             raws = self.classifier.predict_proba(X)
             for seq, p0, p1, raw in zip(fresh, p0s, p1s, raws):
@@ -150,10 +148,10 @@ def rl_step(
     config: RLConfig,
     rng: np.random.Generator,
     step_index: int,
-) -> tuple[StepMetrics, list[str]]:
-    """One sample-score-update cycle; returns metrics plus the step's valid sequences."""
+) -> tuple[StepMetrics, dict[str, SequenceEval]]:
+    """One sample-score-update cycle; returns metrics plus each distinct valid sequence's evaluation."""
     proposals = [agent.sample(query, rng) for _ in range(config.batch_size)]
-    assembled = [assemble(query, p.fills, scorer.vocab) for p in proposals]
+    assembled = [assemble(query, p.fills) for p in proposals]
     valid_seqs = [s for s in assembled if s is not None]
     evals = scorer.evaluate(valid_seqs) if valid_seqs else {}
 
@@ -173,7 +171,7 @@ def rl_step(
             total_grads[name] += weight * g
     agent.sgd_step(total_grads, config.learning_rate)
 
-    rows = [evals[s] for s in dict.fromkeys(valid_seqs)]
+    rows = list(evals.values())  # in order of first appearance
     n = max(len(rows), 1)  # a step without valid samples reports zero averages
     metrics = StepMetrics(
         step=step_index,
@@ -187,7 +185,7 @@ def rl_step(
         n_unique_valid=len(rows),
         loss=loss_total / config.batch_size,
     )
-    return metrics, valid_seqs
+    return metrics, evals
 
 
 def run_rl(
@@ -201,10 +199,8 @@ def run_rl(
     rng = np.random.default_rng(config.seed)
     record = RunRecord(config=config, query=query)
     for step_index in range(1, config.steps + 1):
-        metrics, valid_seqs = rl_step(agent, prior, query, scorer, config, rng, step_index)
+        metrics, evals = rl_step(agent, prior, query, scorer, config, rng, step_index)
         record.steps.append(metrics)
-        for seq in valid_seqs:
-            record.unique_valid.add(seq)
-            if scorer.evaluate([seq])[seq].hit:
-                record.conf_eff_unique.add(seq)
+        record.unique_valid.update(evals)
+        record.conf_eff_unique.update(seq for seq, e in evals.items() if e.hit)
     return record

@@ -164,7 +164,7 @@ def test_criterion_4_gradient_exactness():
     from cpseq.domain import QueryTemplate
 
     rng = np.random.default_rng(2024)
-    policy = Policy.for_vocabulary(seed=6)
+    policy = Policy.fresh(seed=6)
     policy.p["w_out"] = rng.normal(0.0, 0.25, policy.p["w_out"].shape)
     policy.p["b_out"] = rng.normal(0.0, 0.25, policy.p["b_out"].shape)
     query = QueryTemplate.from_text("KC?SK?A?GS")

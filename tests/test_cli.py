@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from cpseq.cli import main
@@ -110,6 +112,25 @@ def test_campaign_and_report_round_trip(workdir, tmp_path):
     assert (out / "summary.csv").exists()
     assert main(["report", "--dir", str(out), "--out", str(tmp_path / "rep")]) == 0
     assert (tmp_path / "rep" / "summary.csv").read_bytes() == (out / "summary.csv").read_bytes()
+
+
+def test_run_rejects_prior_with_another_alphabet(workdir, tmp_path, capsys):
+    payload = json.loads((workdir / "prior.json").read_text())
+    payload["end_token"] = "^"
+    (tmp_path / "prior.json").write_text(json.dumps(payload))
+    code = main(
+        [
+            "run",
+            "--query", "AC?DE?G",
+            "--prior", str(tmp_path / "prior.json"),
+            "--classifier", str(workdir / "clf.json"),
+            "--acp", str(workdir / "acp.json"),
+            "--out", str(tmp_path / "run.csv"),
+        ]
+    )
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "run.csv").exists()
 
 
 def test_missing_input_exits_nonzero(tmp_path, capsys):

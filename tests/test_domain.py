@@ -4,12 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpseq.domain import (
-    DEFAULT_VOCABULARY,
+    BEGIN,
+    EMISSION_TOKENS,
     FINGERPRINT_BUCKETS,
+    HYDROPHOBIC,
     MASK,
+    RESIDUES,
+    SLOT_END,
     LabeledDataset,
     QueryTemplate,
-    Vocabulary,
     assemble,
     fingerprints,
     make_dataset,
@@ -22,30 +25,30 @@ from cpseq.domain import (
     write_queries_csv,
 )
 
-VOCAB = DEFAULT_VOCABULARY
-RES = VOCAB.residue_tokens
+RES = RESIDUES
 
 residue = st.sampled_from(RES)
 sequences = st.text(alphabet=st.sampled_from("".join(RES)), min_size=1, max_size=14)
 
 
-# -- vocabulary ----------------------------------------------------------------
+# -- alphabet ------------------------------------------------------------------
 
 
 def test_default_vocabulary_shape():
     assert len(RES) == 20
-    assert len(VOCAB.hydrophobic_tokens) == 8
-    assert VOCAB.size == 22
+    assert len(HYDROPHOBIC) == 8
+    assert len(EMISSION_TOKENS) == 22
+    assert EMISSION_TOKENS == (*RES, SLOT_END, BEGIN)
 
 
-def test_vocabulary_rejects_duplicates():
-    with pytest.raises(ValueError):
-        Vocabulary(residue_tokens=tuple("AAC"), hydrophobic_tokens=frozenset("A"))
+def test_alphabet_symbols_are_distinct_single_characters():
+    assert len(set(EMISSION_TOKENS)) == len(EMISSION_TOKENS)
+    assert all(len(t) == 1 for t in EMISSION_TOKENS)
 
 
-def test_vocabulary_rejects_mask_symbol():
-    with pytest.raises(ValueError):
-        Vocabulary(residue_tokens=("?", "A"), hydrophobic_tokens=frozenset("A"))
+def test_alphabet_excludes_mask_symbol_and_holds_the_hydrophobic_subset():
+    assert MASK not in EMISSION_TOKENS
+    assert HYDROPHOBIC <= set(RES)
 
 
 # -- templates and assembly ------------------------------------------------------
@@ -230,11 +233,9 @@ def test_make_dataset_split_sizes_and_partition():
 
 
 def test_make_dataset_capacity_guard():
-    small = Vocabulary(
-        residue_tokens=tuple("AC"), hydrophobic_tokens=frozenset("A")
-    )
+    # one more than the 20**6 distinct length-6 sequences: raises before drawing anything
     with pytest.raises(ValueError):
-        make_dataset(100, length_weights={6: 1.0}, seed=0, vocab=small)
+        make_dataset(20**6 + 1, length_weights={6: 1.0})
 
 
 def test_conflicting_duplicate_labels_rejected():

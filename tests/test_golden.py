@@ -8,8 +8,9 @@ why.
 
 Covered: the tiny classifier, ACP and prior artifacts (the prior is pretrained
 with ``Policy.nll_and_grad``), the dataset and query CSVs, every file of the
-criterion-8 campaign, and the ACP and metrics CSV of a small ``cpseq
-calibrate``.
+criterion-8 campaign, the ACP and metrics CSV of a small ``cpseq
+calibrate``, the classifier of a small ``cpseq train-clf`` and the metrics CSV
+of a short ``cpseq run`` on the tiny artifacts.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ GOLDEN = {
     "cal/acp.json": "f92494d5f9f691fa6297bab1b368c90fd71e2d2005585d924a777a486b9f457c",
     "cal/acp.metrics.csv": "0bf7eaefd85871fe79625c5a8b8602050278f3c0353db450223eba055326ebf5",
     "clf.json": "71379a9797478ea83ec3cc50eac72f72845a82254cc9e2156b4d3b4ec82a47be",
-    "data.csv": "5e8b86da1f6b37a6af883f791b2120f6ddbc46f9d38cd7a3a33b509181de93b9",
+    "data.csv": "027acee8efb547b4330c935f7e76958fe5f6dc8c2ad6dfa8e3817b8b9acb814c",
     "out/runs/q000_cp_soft.csv": "a4d20c5fb51e3a3413c675bbd353b93e52bd8c6c72fc342231e704c0bd842f50",
     "out/runs/q000_cp_soft.json": "c22c58aed7b809b8f826656695532c8d7ceb60a0bd8caafeff01310792588995",
     "out/runs/q000_rm_p1.csv": "4e544f246fa7b1db59a28dda23239d368cd5815cd56f81723ee5b26d0358eeb8",
@@ -39,7 +40,9 @@ GOLDEN = {
     "out/summary_by_length.csv": "8bba7f41d1893fcf00138ee98de03d6ebe3d9ad3ed3c3459934674b5c3ceedc1",
     "out/wilcoxon.csv": "e74b6d9b3fcca15403b0f155ad38df7e1733cf8738185a49511929f81ac0d534",
     "prior.json": "6e20116bf63734f2a44f6ed447b6c16bdcb411803fee904ee43b72ecc3b8f1b8",
-    "queries.csv": "9e68e4c370c14a99a54f2710266c1f9a90846386079becbb1b8d6880934c43bf",
+    "queries.csv": "97d593c9ea5f396ac242ae4b66da19295531960e82d8a19c210368c648dc5eb4",
+    "run/run.csv": "c8611516f50224f9c4ce31e682d80e8d4f7c47963d8ac16c95fe7dbf65f67913",
+    "train/clf.json": "0e04bf25a4d813c46ca4838c7856d3d1ac246e0df2455fcf68a1220449775a1d",
 }
 
 
@@ -65,6 +68,13 @@ def test_outputs_match_golden_hashes(tmp_path, tiny_models, tiny_prior):
     (tmp_path / "cal").mkdir()
     calibrate = ["calibrate", "--data", str(tmp_path / "data.csv"), "--k", "2", "--rounds", "25"]
     assert main(calibrate + ["--seed", "2", "--out", str(tmp_path / "cal" / "acp.json")]) == 0
+    (tmp_path / "train").mkdir()
+    train = ["train-clf", "--data", str(tmp_path / "data.csv"), "--rounds", "25", "--seed", "4"]
+    assert main(train + ["--out", str(tmp_path / "train" / "clf.json")]) == 0
+    (tmp_path / "run").mkdir()
+    run = ["run", "--query", "AC?DE?G", "--steps", "5", "--batch-size", "8", "--seed", "7"]
+    run += ["--prior", str(tmp_path / "prior.json"), "--classifier", str(tmp_path / "clf.json")]
+    assert main(run + ["--acp", str(tmp_path / "acp.json"), "--out", str(tmp_path / "run" / "run.csv")]) == 0
 
     got = {
         path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()

@@ -1,5 +1,7 @@
 import itertools
 import json
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,8 +191,7 @@ def test_wilcoxon_vs_baseline_degenerate_on_ties():
 
 
 def test_parse_campaign_config(tmp_path):
-    (tmp_path / "c.cfg").write_text(
-        """
+    text = """
 # campaign settings
 dataset = data.csv
 queries = queries.csv
@@ -201,17 +202,47 @@ sigma = 50.0
 significance = 0.2
 rl_learning_rate = 0.0003
 seed = 9
+prior = art/prior.json  # a trailing comment
+classifier = art/clf.json
+acp = /abs/acp.json
 clf_rounds = 30
+clf_learning_rate = 0.25
+clf_depth = 3
+clf_subsample = 0.8
 acp_k = 3
 pretrain_epochs = 4
+pretrain_learning_rate = 0.002
 pretrain_corpus_size = 200
 """
-    )
+    keys = {line.partition("=")[0].strip() for line in text.splitlines() if "=" in line}
+    assert keys == {f.name for f in fields(CampaignConfig)}  # the file sets every key
+    (tmp_path / "c.cfg").write_text(text)
     config = parse_campaign_config(tmp_path / "c.cfg")
-    assert config.dataset == tmp_path / "data.csv"
-    assert config.scoring == ("rm_p1", "cp_soft")
-    assert config.steps == 40 and config.seed == 9
-    assert config.sigma == 50.0
+    expected = CampaignConfig(
+        dataset=tmp_path / "data.csv",
+        queries=tmp_path / "queries.csv",
+        scoring=("rm_p1", "cp_soft"),
+        steps=40,
+        batch_size=16,
+        sigma=50.0,
+        significance=0.2,
+        rl_learning_rate=0.0003,
+        seed=9,
+        prior=tmp_path / "art" / "prior.json",
+        classifier=tmp_path / "art" / "clf.json",
+        acp=Path("/abs/acp.json"),
+        clf_rounds=30,
+        clf_learning_rate=0.25,
+        clf_depth=3,
+        clf_subsample=0.8,
+        acp_k=3,
+        pretrain_epochs=4,
+        pretrain_learning_rate=0.002,
+        pretrain_corpus_size=200,
+    )
+    assert config == expected
+    for f in fields(CampaignConfig):  # == takes 50 for 50.0, so compare the types too
+        assert type(getattr(config, f.name)) is type(getattr(expected, f.name)), f.name
 
 
 def test_parse_campaign_config_rejects_unknown_key(tmp_path):
@@ -319,8 +350,8 @@ def test_failing_run_is_isolated(small_campaign, tmp_path, monkeypatch):
 
 def test_campaign_csvs_end_lines_with_newline_only(small_campaign):
     root, _, _ = small_campaign
-    written = sorted((root / "out").rglob("*.csv"))
-    assert len(written) == 7  # four run CSVs and three summaries
+    written = sorted(root.rglob("*.csv"))
+    assert len(written) == 9  # the dataset and queries, four run CSVs and three summaries
     for path in written:
         assert b"\r" not in path.read_bytes(), path.name
 

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from cpseq.domain import DEFAULT_VOCABULARY, QueryTemplate, assemble, make_queries
+from cpseq.domain import EMISSION_TOKENS, RESIDUES, SLOT_END, QueryTemplate, assemble, make_queries
 from cpseq.policy import (
     MAX_TOKENS_PER_SLOT,
     Policy,
@@ -11,28 +13,21 @@ from cpseq.policy import (
     pretrain_prior,
 )
 
-VOCAB = DEFAULT_VOCABULARY
 QUERY = QueryTemplate.from_text("AC?DE?G")
 FILLS = ("KF$", "M$")
 
 
 @pytest.fixture
 def fresh_policy():
-    return Policy.for_vocabulary(VOCAB, seed=3)
+    return Policy.fresh(seed=3)
 
 
 # -- likelihoods -----------------------------------------------------------------
 
 
-def test_degenerate_single_token_alphabet_has_zero_nll():
-    policy = Policy.fresh(("A",), end_token="A", seed=0)
-    template = QueryTemplate(("A", "A", "?"))
-    assert policy.nll(template, ("AA",)) == pytest.approx(0.0, abs=1e-12)
-
-
 def test_fresh_policy_is_uniform(fresh_policy):
     n_tokens = sum(len(f) for f in FILLS)
-    expected = n_tokens * np.log(VOCAB.size)
+    expected = n_tokens * np.log(len(EMISSION_TOKENS))
     assert fresh_policy.nll(QUERY, FILLS) == pytest.approx(expected, abs=1e-9)
 
 
@@ -77,9 +72,9 @@ def test_sample_emits_one_fill_per_slot(fresh_policy):
 def test_uniform_policy_validity_matches_independent_monte_carlo(fresh_policy):
     # independent simulator: uniform draws over the alphabet with the same cap rule
     rng = np.random.default_rng(123)
-    tokens = fresh_policy.tokens
-    end = VOCAB.slot_end_token
-    residues = set(VOCAB.residue_tokens)
+    tokens = EMISSION_TOKENS
+    end = SLOT_END
+    residues = set(RESIDUES)
     n = 12000
 
     def simulate_slot():
@@ -139,9 +134,9 @@ def test_uniform_gradient_has_softmax_minus_onehot_structure(fresh_policy):
     # bias gradient reduces to L/V minus the emitted token counts
     _, grads = fresh_policy.nll_and_grad(QUERY, FILLS)
     stream = [t for f in FILLS for t in f]
-    v = VOCAB.size
+    v = len(EMISSION_TOKENS)
     expected = np.array(
-        [len(stream) / v - sum(1 for t in stream if t == tok) for tok in fresh_policy.tokens]
+        [len(stream) / v - sum(1 for t in stream if t == tok) for tok in EMISSION_TOKENS]
     )
     assert np.allclose(grads["b_out"], expected, atol=1e-12)
 
@@ -207,5 +202,18 @@ def test_serialization_round_trip(tmp_path, tiny_prior):
     tiny_prior.save(path)
     back = Policy.load(path)
     assert back.params_equal(tiny_prior)
-    assert back.tokens == tiny_prior.tokens
+    assert back.to_json_dict()["tokens"] == list(EMISSION_TOKENS)
     assert back.nll(QUERY, FILLS) == tiny_prior.nll(QUERY, FILLS)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("tokens", ["C", "A", *EMISSION_TOKENS[2:]]), ("end_token", "^"), ("begin_token", "$")],
+)
+def test_load_rejects_another_alphabet(tmp_path, fresh_policy, key, value):
+    payload = fresh_policy.to_json_dict()
+    payload[key] = value
+    path = tmp_path / "prior.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="not the fixed one"):
+        Policy.load(path)

@@ -109,7 +109,7 @@ def test_zero_valid_step_yields_finite_metrics(tiny_models):
     clf, acp = tiny_models
     scorer = SequenceScorer("rm_p1", clf, acp)
     # an untrained uniform policy almost never assembles two valid fills
-    prior = Policy.for_vocabulary(seed=0)
+    prior = Policy.fresh(seed=0)
     agent = prior.copy()
     config = RLConfig(batch_size=8, steps=1)
     rng = np.random.default_rng(5)
