@@ -17,6 +17,7 @@ import numpy as np
 from . import harness
 from .boosting import BoostedTreeClassifier, ClassifierConfig
 from .conformal import (
+    DEFAULT_ICP_COUNT,
     DEFAULT_SIGNIFICANCE,
     PValuePair,
     build_acp,
@@ -26,6 +27,9 @@ from .conformal import (
     validity_efficiency,
 )
 from .domain import (
+    DEFAULT_NOISE_RATE,
+    DEFAULT_QUERY_LENGTHS,
+    MAX_MASKED,
     QueryTemplate,
     fingerprints,
     make_dataset,
@@ -36,7 +40,15 @@ from .domain import (
     write_dataset_csv,
     write_queries_csv,
 )
-from .policy import Policy, build_pretrain_corpus, pretrain_prior
+from .policy import (
+    DEFAULT_GATE_SAMPLES,
+    DEFAULT_PRETRAIN_CORPUS_SIZE,
+    DEFAULT_PRETRAIN_EPOCHS,
+    DEFAULT_PRETRAIN_LEARNING_RATE,
+    Policy,
+    build_pretrain_corpus,
+    pretrain_prior,
+)
 from .rl import RLConfig, SequenceScorer, run_rl
 from .scoring import SCORING_KINDS
 from .tables import write_table
@@ -207,27 +219,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate a labeled sequence dataset CSV")
     p.add_argument("--n", type=int, default=5000)
-    p.add_argument("--noise-rate", type=float, default=0.05)
+    p.add_argument("--noise-rate", type=float, default=DEFAULT_NOISE_RATE)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("gen-queries", help="generate a query template CSV")
     p.add_argument("--n", type=int, default=150)
-    p.add_argument("--lengths", type=int, nargs="+", default=[6, 7, 10])
-    p.add_argument("--max-masked", type=int, default=4)
+    p.add_argument("--lengths", type=int, nargs="+", default=list(DEFAULT_QUERY_LENGTHS))
+    p.add_argument("--max-masked", type=int, default=MAX_MASKED)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_queries)
 
     p = sub.add_parser("pretrain", help="pretrain the prior policy on masked sequences")
     p.add_argument("--data", required=True)
-    p.add_argument("--corpus-size", type=int, default=1500)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
+    p.add_argument("--corpus-size", type=int, default=DEFAULT_PRETRAIN_CORPUS_SIZE)
+    p.add_argument("--epochs", type=int, default=DEFAULT_PRETRAIN_EPOCHS)
+    p.add_argument("--learning-rate", type=float, default=DEFAULT_PRETRAIN_LEARNING_RATE)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--gate-queries", default=None)
-    p.add_argument("--gate-samples", type=int, default=500)
+    p.add_argument("--gate-samples", type=int, default=DEFAULT_GATE_SAMPLES)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_pretrain)
 
@@ -240,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="build an aggregated conformal predictor")
     p.add_argument("--data", required=True)
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=int, default=DEFAULT_ICP_COUNT)
     _add_classifier_flags(p)
     p.add_argument("--significance", type=float, default=DEFAULT_SIGNIFICANCE)
     p.add_argument("--seed", type=int, default=0)

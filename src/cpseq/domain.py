@@ -32,6 +32,8 @@ TRAIN_FRACTION = 0.9
 
 # lengths 6/7/10 weighted 40/30/30
 DEFAULT_LENGTH_WEIGHTS = {6: 0.4, 7: 0.3, 10: 0.3}
+DEFAULT_QUERY_LENGTHS = tuple(DEFAULT_LENGTH_WEIGHTS)  # queries come in the dataset's lengths
+DEFAULT_NOISE_RATE = 0.05  # share of dataset labels flipped
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -196,7 +198,7 @@ class LabeledDataset:
 def make_dataset(
     n: int,
     length_weights: dict[int, float] | None = None,
-    noise_rate: float = 0.05,
+    noise_rate: float = DEFAULT_NOISE_RATE,
     seed: int = 0,
 ) -> LabeledDataset:
     """Generate n unique random sequences with noisy oracle labels and a 90/10 split.
@@ -248,7 +250,7 @@ def make_dataset(
 
 def make_queries(
     n: int,
-    lengths: Sequence[int] = (6, 7, 10),
+    lengths: Sequence[int] = DEFAULT_QUERY_LENGTHS,
     max_masked: int = MAX_MASKED,
     seed: int = 0,
 ) -> list[QueryTemplate]:

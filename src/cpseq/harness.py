@@ -19,9 +19,16 @@ from typing import Iterable, Sequence, get_args, get_type_hints
 import numpy as np
 
 from .boosting import BoostedTreeClassifier, ClassifierConfig
-from .conformal import DEFAULT_SIGNIFICANCE, Acp, build_acp, load_acp
+from .conformal import DEFAULT_ICP_COUNT, DEFAULT_SIGNIFICANCE, Acp, build_acp, load_acp
 from .domain import fingerprints, read_dataset_csv, read_queries_csv
-from .policy import Policy, build_pretrain_corpus, pretrain_prior
+from .policy import (
+    DEFAULT_PRETRAIN_CORPUS_SIZE,
+    DEFAULT_PRETRAIN_EPOCHS,
+    DEFAULT_PRETRAIN_LEARNING_RATE,
+    Policy,
+    build_pretrain_corpus,
+    pretrain_prior,
+)
 from .rl import RLConfig, SequenceScorer, StepMetrics, run_rl
 from .scoring import SCORING_KINDS
 from .tables import read_table, write_table
@@ -208,14 +215,14 @@ class CampaignConfig:
     prior: Path | None = None
     classifier: Path | None = None
     acp: Path | None = None
-    acp_k: int = 10
+    acp_k: int = DEFAULT_ICP_COUNT
     clf_rounds: int = ClassifierConfig.n_rounds
     clf_learning_rate: float = ClassifierConfig.learning_rate
     clf_depth: int = ClassifierConfig.max_depth
     clf_subsample: float = ClassifierConfig.subsample
-    pretrain_epochs: int = 20
-    pretrain_learning_rate: float = 1e-3
-    pretrain_corpus_size: int = 1500
+    pretrain_epochs: int = DEFAULT_PRETRAIN_EPOCHS
+    pretrain_learning_rate: float = DEFAULT_PRETRAIN_LEARNING_RATE
+    pretrain_corpus_size: int = DEFAULT_PRETRAIN_CORPUS_SIZE
 
     def __post_init__(self):
         if not self.scoring:

@@ -36,6 +36,10 @@ EMBED_DIM = 16
 HIDDEN_DIM = 32
 INIT_SCALE = 0.1  # standard deviation of the random initial weights
 GATE_THRESHOLD = 0.9  # fill-validity a pretrained prior must reach on the gate queries
+DEFAULT_PRETRAIN_EPOCHS = 20
+DEFAULT_PRETRAIN_LEARNING_RATE = 1e-3
+DEFAULT_PRETRAIN_CORPUS_SIZE = 1500  # training sequences masked into the pretraining corpus
+DEFAULT_GATE_SAMPLES = 500  # proposals drawn to measure fill-validity
 
 TOKEN_ID = {t: i for i, t in enumerate(EMISSION_TOKENS)}
 MASK_ID = len(EMISSION_TOKENS)  # extra embedding row for the mask marker
@@ -275,11 +279,11 @@ class ValidityGateError(RuntimeError):
 
 def pretrain_prior(
     corpus: Sequence[tuple[QueryTemplate, Sequence[str]]],
-    epochs: int = 20,
-    learning_rate: float = 1e-3,
+    epochs: int = DEFAULT_PRETRAIN_EPOCHS,
+    learning_rate: float = DEFAULT_PRETRAIN_LEARNING_RATE,
     seed: int = 0,
     gate_queries: Sequence[QueryTemplate] | None = None,
-    gate_samples: int = 500,
+    gate_samples: int = DEFAULT_GATE_SAMPLES,
 ) -> PretrainResult:
     """Maximum-likelihood pretraining of a prior by per-example SGD.
 

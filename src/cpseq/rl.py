@@ -149,7 +149,10 @@ def rl_step(
     rng: np.random.Generator,
     step_index: int,
 ) -> tuple[StepMetrics, dict[str, SequenceEval]]:
-    """One sample-score-update cycle; returns metrics plus each distinct valid sequence's evaluation."""
+    """One sample-score-update cycle; returns metrics plus each distinct valid sequence's evaluation.
+
+    Raises FloatingPointError when the loss or an agent parameter is not finite after the update.
+    """
     proposals = [agent.sample(query, rng) for _ in range(config.batch_size)]
     assembled = [assemble(query, p.fills) for p in proposals]
     valid_seqs = [s for s in assembled if s is not None]
@@ -170,6 +173,12 @@ def rl_step(
         for name, g in grads.items():
             total_grads[name] += weight * g
     agent.sgd_step(total_grads, config.learning_rate)
+    loss = loss_total / config.batch_size
+    non_finite = [name for name, arr in agent.p.items() if not np.isfinite(arr).all()]
+    if non_finite or not np.isfinite(loss):
+        raise FloatingPointError(
+            f"step {step_index}: the agent is not finite (loss {loss}, non-finite parameters {non_finite})"
+        )
 
     rows = list(evals.values())  # in order of first appearance
     n = max(len(rows), 1)  # a step without valid samples reports zero averages
@@ -183,7 +192,7 @@ def rl_step(
         n_sampled=config.batch_size,
         n_valid=len(valid_seqs),
         n_unique_valid=len(rows),
-        loss=loss_total / config.batch_size,
+        loss=loss,
     )
     return metrics, evals
 

@@ -1,9 +1,14 @@
+import inspect
 import json
 
 import pytest
 
-from cpseq.cli import main
-from cpseq.domain import read_dataset_csv, read_queries_csv
+from cpseq.boosting import ClassifierConfig
+from cpseq.cli import build_parser, main
+from cpseq.conformal import build_acp
+from cpseq.domain import make_dataset, make_queries, read_dataset_csv, read_queries_csv
+from cpseq.harness import CampaignConfig
+from cpseq.policy import DEFAULT_PRETRAIN_CORPUS_SIZE, pretrain_prior
 
 
 @pytest.fixture(scope="module")
@@ -157,3 +162,29 @@ def test_query_text_validation(tmp_path, capsys):
         ]
     )
     assert code == 1
+
+
+def _defaults(fn):
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items()}
+
+
+def test_parser_defaults_are_the_library_defaults():
+    parse = build_parser().parse_args
+    gen_data = parse(["gen-data", "--out", "d.csv"])
+    assert gen_data.noise_rate == _defaults(make_dataset)["noise_rate"]
+
+    gen_queries = parse(["gen-queries", "--out", "q.csv"])
+    query_defaults = _defaults(make_queries)
+    assert tuple(gen_queries.lengths) == tuple(query_defaults["lengths"])
+    assert gen_queries.max_masked == query_defaults["max_masked"]
+
+    pretrain = parse(["pretrain", "--data", "d.csv", "--out", "p.json"])
+    pretrain_defaults = _defaults(pretrain_prior)
+    assert pretrain.epochs == pretrain_defaults["epochs"] == CampaignConfig.pretrain_epochs
+    assert pretrain.learning_rate == pretrain_defaults["learning_rate"] == CampaignConfig.pretrain_learning_rate
+    assert pretrain.gate_samples == pretrain_defaults["gate_samples"]
+    assert pretrain.corpus_size == DEFAULT_PRETRAIN_CORPUS_SIZE == CampaignConfig.pretrain_corpus_size
+
+    calibrate = parse(["calibrate", "--data", "d.csv", "--out", "a.json"])
+    assert calibrate.k == _defaults(build_acp)["k"] == CampaignConfig.acp_k
+    assert calibrate.rounds == ClassifierConfig.n_rounds == CampaignConfig.clf_rounds

@@ -10,7 +10,9 @@ Covered: the tiny classifier, ACP and prior artifacts (the prior is pretrained
 with ``Policy.nll_and_grad``), the dataset and query CSVs, every file of the
 criterion-8 campaign, the ACP and metrics CSV of a small ``cpseq
 calibrate``, the classifier of a small ``cpseq train-clf`` and the metrics CSV
-of a short ``cpseq run`` on the tiny artifacts.
+of a short ``cpseq run`` on the tiny artifacts; and the raw float64 bytes of
+the tiny classifier's margins and the tiny ACP's p-values on the tiny test
+split.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import hashlib
 
 from cpseq.cli import main
 from cpseq.conformal import save_acp
-from cpseq.domain import make_dataset, make_queries, write_dataset_csv, write_queries_csv
+from cpseq.domain import fingerprints, make_dataset, make_queries, write_dataset_csv, write_queries_csv
 from cpseq.harness import parse_campaign_config, run_campaign
 
 GOLDEN = {
@@ -83,3 +85,20 @@ def test_outputs_match_golden_hashes(tmp_path, tiny_models, tiny_prior):
     }
     differ = sorted(name for name in set(GOLDEN) | set(got) if GOLDEN.get(name) != got.get(name))
     assert not differ, f"outputs differ from the golden hashes: {differ}\n{got}"
+
+
+PREDICTIONS_GOLDEN = {
+    "classifier margins": "9b8f691b57f25e4fab2eaaa4b647ff1673c42b73ef928b5881424e837d596609",
+    "acp p0 then p1": "4a2cb8c0aabf08b2fd84c5d71ad82a8a898ad2e9c539a7f083f759a5cf3a8562",
+}
+
+
+def test_predictions_match_golden_hashes(tiny_dataset, tiny_models):
+    clf, acp = tiny_models
+    X = fingerprints(tiny_dataset.subset("test")[0])
+    p0, p1 = acp.p_values_batch(X)
+    got = {
+        "classifier margins": hashlib.sha256(clf.predict_margin(X).tobytes()).hexdigest(),
+        "acp p0 then p1": hashlib.sha256(p0.tobytes() + p1.tobytes()).hexdigest(),
+    }
+    assert got == PREDICTIONS_GOLDEN

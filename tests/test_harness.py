@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cpseq.harness import (
+    CampaignArtifacts,
     CampaignConfig,
     RunSummary,
     WilcoxonRow,
@@ -396,3 +397,16 @@ def test_summary_tables_read_back_exactly(small_campaign):
     assert read_table(root / "out" / "summary.csv", RunSummary) == result.rows
     assert read_table(root / "out" / "wilcoxon.csv", WilcoxonRow) == result.wilcoxon
     assert any(row.steps_to_half is None for row in result.rows)  # empty cells read back as None
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_non_finite_prior_records_error_cells(small_campaign, tmp_path, tiny_models, tiny_prior):
+    _, config, _ = small_campaign
+    clf, acp = tiny_models
+    prior = tiny_prior.copy()
+    prior.p["b_out"][:] = np.inf
+    result = run_campaign(config, tmp_path / "out", CampaignArtifacts(prior, clf, acp))
+    assert [r.status for r in result.rows] == ["error"] * 4
+    sidecar = json.loads((tmp_path / "out" / "runs" / "q000_rm_p1.json").read_text())
+    assert sidecar["status"] == "error"
+    assert sidecar["error"].startswith("FloatingPointError: step 1:") and "not finite" in sidecar["error"]

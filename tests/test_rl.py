@@ -175,3 +175,12 @@ def test_metrics_csv_schema(tmp_path, tiny_models, tiny_prior):
     first = lines[1].split(",")
     assert first[0] == "1" and first[1] == "cp_diff"
     float(first[2]), float(first[9])  # numeric cells parse
+
+
+def test_step_with_non_finite_agent_raises(tiny_models, tiny_prior):
+    clf, acp = tiny_models
+    agent = tiny_prior.copy()
+    agent.p["w_out"][0, 0] = np.nan
+    config = RLConfig(batch_size=4, steps=1)
+    with pytest.raises(FloatingPointError, match="not finite"):
+        rl_step(agent, tiny_prior, QUERY, SequenceScorer("rm_p1", clf, acp), config, np.random.default_rng(0), 1)
