@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import math
 import statistics
+import sys
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence, get_args, get_type_hints
@@ -351,7 +353,8 @@ def run_campaign(
     """Execute every (query x scoring kind) run and write all output files.
 
     A failing run is recorded with status ``error`` and excluded from the
-    aggregates; it never aborts the campaign.
+    aggregates; it never aborts the campaign. Its sidecar keeps the error and
+    its traceback, and one line naming the run goes to stderr.
     """
     out = Path(out_dir)
     runs_dir = out / "runs"
@@ -403,7 +406,9 @@ def run_campaign(
                 )
             except Exception as err:  # per-run isolation
                 row = RunSummary(query_id, query.length, kind, None, None, None, "error")
-                sidecar.update(status="error", error=f"{type(err).__name__}: {err}")
+                error = f"{type(err).__name__}: {err}"
+                sidecar.update(status="error", error=error, traceback=traceback.format_exc())
+                print(f"cpseq campaign: run {name} failed: {error}", file=sys.stderr)
             (runs_dir / f"{name}.json").write_text(json.dumps(sidecar))
             rows.append(row)
     return _write_summaries(rows, out)

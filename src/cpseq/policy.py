@@ -5,7 +5,9 @@ state update that also consumes a query encoding (mean embedding of the
 template, with the mask marker as its own symbol), and a linear projection
 produces logits over the fixed emission alphabet at every step. Likelihoods,
 sampling, and parameter gradients are all computed in closed form with numpy;
-there is no autodiff dependency. The output projection starts at zero, so a
+there is no autodiff dependency. Likelihoods and gradients come per example
+(pretraining) or for a whole batch in one padded pass (reinforcement steps),
+and the two agree bit for bit. The output projection starts at zero, so a
 fresh policy is exactly uniform over the emission alphabet.
 """
 
@@ -76,6 +78,41 @@ class _Forward(NamedTuple):
     states: list[np.ndarray]  # zero state first; step i maps states[i] to states[i + 1]
     probs: list[np.ndarray]  # the emission distribution at each step
     nll: float  # total negative log-likelihood of the stream
+
+
+class _BatchForward(NamedTuple):
+    """What a batched teacher-forced pass computes, kept for backpropagation.
+
+    Row r of the padded arrays holds proposal ``order[r]``; rows are sorted by
+    decreasing stream length, so the streams still running at step i are the
+    first ``active[i]`` rows.
+    """
+
+    template_ids: np.ndarray
+    query_encoding: np.ndarray
+    order: np.ndarray
+    targets: np.ndarray  # (B, T) emitted token ids, padded with 0
+    inputs: np.ndarray  # (B, T) token ids fed in, BEGIN_ID first
+    active: list[int]
+    states: list[np.ndarray]  # (B, H) zeros first; step i maps states[i][:active[i]] to states[i + 1]
+    probs: list[np.ndarray]  # (active[i], V) emission distributions at step i
+    nll: np.ndarray  # (B,) in row order
+
+
+def _matvecs(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``w @ x[b]`` for every row b, one matrix-vector product per row.
+
+    One BLAS gemv per row gives the per-example ``w @ x`` bit for bit; a single
+    ``x @ w.T`` matrix product does not.
+    """
+    return np.matmul(w, x[:, :, None])[:, :, 0]
+
+
+def _proposal_order(order: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows of a batched pass put back in proposal order."""
+    out = np.empty_like(rows)
+    out[order] = rows
+    return out
 
 
 class Policy:
@@ -208,6 +245,81 @@ class Policy:
             dh = w_rec.T @ da
         np.add.at(grads["embed"], fwd.template_ids, dq / len(fwd.template_ids))
         return fwd.nll, grads
+
+    def _forward_batch(self, query: QueryTemplate, proposals: Sequence[Sequence[str]]) -> _BatchForward:
+        """Teacher-forced pass over B proposals' streams at once (see :class:`_BatchForward`)."""
+        streams = [_stream_ids(fills) for fills in proposals]
+        lengths = np.array([len(s) for s in streams], dtype=np.intp)
+        order = np.argsort(-lengths, kind="stable")
+        n_rows, n_steps = len(streams), int(lengths.max(initial=0))
+        targets = np.zeros((n_rows, n_steps), dtype=np.intp)
+        for row, b in enumerate(order):
+            targets[row, : lengths[b]] = streams[b]
+        inputs = np.full_like(targets, BEGIN_ID)
+        inputs[:, 1:] = targets[:, :-1]
+        sorted_lengths = lengths[order]
+        active = [int(np.count_nonzero(sorted_lengths > i)) for i in range(n_steps)]
+
+        embed, w_in, w_rec, b_rec, w_out, b_out = (
+            self.p[k] for k in ("embed", "w_in", "w_rec", "b_rec", "w_out", "b_out")
+        )
+        template_ids = _template_ids(query)
+        q = embed[template_ids].mean(axis=0)
+        wq_q = self.p["w_query"] @ q
+        h = np.zeros((n_rows, w_rec.shape[0]))
+        states, probs_list = [h], []
+        nll = np.zeros(n_rows)
+        for i, n in enumerate(active):
+            h = np.tanh(_matvecs(w_in, embed[inputs[:n, i]]) + wq_q + _matvecs(w_rec, h[:n]) + b_rec)
+            logits = _matvecs(w_out, h) + b_out
+            logits = logits - logits.max(axis=1, keepdims=True)
+            exp = np.exp(logits)
+            probs = exp / exp.sum(axis=1, keepdims=True)
+            nll[:n] -= np.log(probs[np.arange(n), targets[:n, i]])
+            states.append(h)
+            probs_list.append(probs)
+        return _BatchForward(template_ids, q, order, targets, inputs, active, states, probs_list, nll)
+
+    def nll_batch(self, query: QueryTemplate, proposals: Sequence[Sequence[str]]) -> np.ndarray:
+        """Each proposal's :meth:`nll`, bit for bit, from one batched pass; shape (B,)."""
+        fwd = self._forward_batch(query, proposals)
+        return _proposal_order(fwd.order, fwd.nll)
+
+    def nll_and_grad_batch(
+        self, query: QueryTemplate, proposals: Sequence[Sequence[str]]
+    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """Each proposal's :meth:`nll_and_grad`, bit for bit, from one batched pass.
+
+        Returns the (B,) NLLs and per-proposal gradients ``{name: (B, *shape)}``.
+        Backpropagation runs over the padded streams; a row whose stream has
+        ended leaves its accumulators and ``dh`` untouched.
+        """
+        fwd = self._forward_batch(query, proposals)
+        embed, w_in, w_query, w_rec, w_out = (self.p[k] for k in ("embed", "w_in", "w_query", "w_rec", "w_out"))
+        n_rows = len(fwd.order)
+        grads = {name: np.zeros((n_rows, *self.p[name].shape)) for name in PARAM_NAMES}
+        g_embed = grads["embed"]
+        q, states, rows = fwd.query_encoding, fwd.states, np.arange(n_rows)
+        dq = np.zeros((n_rows, len(q)))
+        dh = np.zeros((n_rows, w_rec.shape[0]))
+        for i in range(len(fwd.active) - 1, -1, -1):
+            n = fwd.active[i]
+            ids = fwd.inputs[:n, i]
+            dlogits = fwd.probs[i]  # not read again, so updated in place
+            dlogits[rows[:n], fwd.targets[:n, i]] -= 1.0
+            grads["w_out"][:n] += dlogits[:, :, None] * states[i + 1][:, None, :]
+            grads["b_out"][:n] += dlogits
+            dh[:n] = dh[:n] + _matvecs(w_out.T, dlogits)
+            da = dh[:n] * (1.0 - states[i + 1] ** 2)
+            grads["w_in"][:n] += da[:, :, None] * embed[ids][:, None, :]
+            g_embed[rows[:n], ids] += _matvecs(w_in.T, da)
+            grads["w_query"][:n] += da[:, :, None] * q
+            dq[:n] += _matvecs(w_query.T, da)
+            grads["w_rec"][:n] += da[:, :, None] * states[i][:n, None, :]
+            grads["b_rec"][:n] += da
+            dh[:n] = _matvecs(w_rec.T, da)
+        np.add.at(g_embed, (slice(None), fwd.template_ids), (dq / len(fwd.template_ids))[:, None, :])
+        return _proposal_order(fwd.order, fwd.nll), {k: _proposal_order(fwd.order, g) for k, g in grads.items()}
 
     def sgd_step(self, grads: dict[str, np.ndarray], learning_rate: float) -> None:
         for name in PARAM_NAMES:

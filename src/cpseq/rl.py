@@ -151,6 +151,9 @@ def rl_step(
 ) -> tuple[StepMetrics, dict[str, SequenceEval]]:
     """One sample-score-update cycle; returns metrics plus each distinct valid sequence's evaluation.
 
+    The prior's likelihoods and the agent's likelihoods and gradients each come
+    from one batched teacher-forced pass over the sampled proposals.
+
     Raises FloatingPointError when the loss or an agent parameter is not finite after the update.
     """
     proposals = [agent.sample(query, rng) for _ in range(config.batch_size)]
@@ -158,20 +161,21 @@ def rl_step(
     valid_seqs = [s for s in assembled if s is not None]
     evals = scorer.evaluate(valid_seqs) if valid_seqs else {}
 
+    fills = [p.fills for p in proposals]
+    log_p_prior = (-prior.nll_batch(query, fills)).tolist()  # Python floats, so the metrics CSV reads plain numbers
+    agent_nll, grads = agent.nll_and_grad_batch(query, fills)
+    log_p_agent = (-agent_nll).tolist()
     total_grads = {name: np.zeros_like(arr) for name, arr in agent.p.items()}
     loss_total = 0.0
-    for proposal, seq in zip(proposals, assembled):
+    for b, seq in enumerate(assembled):
         score_value = evals[seq].score if seq is not None else 0.0
-        log_p_prior = -prior.nll(query, proposal.fills)
-        nll_agent, grads = agent.nll_and_grad(query, proposal.fills)
-        log_p_agent = -nll_agent
-        log_p_aug = augmented_log_likelihood(log_p_prior, score_value, config.sigma)
-        delta = log_p_aug - log_p_agent
+        log_p_aug = augmented_log_likelihood(log_p_prior[b], score_value, config.sigma)
+        delta = log_p_aug - log_p_agent[b]
         loss_total += delta * delta
         # d(mean squared loss)/dtheta = mean of 2*delta * d(NLL)/dtheta
         weight = 2.0 * delta / config.batch_size
         for name, g in grads.items():
-            total_grads[name] += weight * g
+            total_grads[name] += weight * g[b]
     agent.sgd_step(total_grads, config.learning_rate)
     loss = loss_total / config.batch_size
     non_finite = [name for name, arr in agent.p.items() if not np.isfinite(arr).all()]

@@ -19,8 +19,8 @@ Row = TypeVar("Row")
 def _cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):  # np.float64 too, whose own repr reads "np.float64(...)"
+        return repr(float(value))
     return str(value)
 
 

@@ -142,7 +142,7 @@ def _trees(draw, depth, n_features):
     }
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(data=st.data())
 def test_compiled_margins_equal_reference_walk_bit_for_bit(data):
     max_depth = data.draw(st.integers(1, 4), label="max_depth")

@@ -42,7 +42,7 @@ def test_nonconformity_examples():
 
 
 @given(p=st.floats(0.0, 1.0))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_nonconformity_stays_in_unit_interval(p):
     assert 0.0 <= nonconformity(p, 1.0 - p) <= 1.0
 
@@ -98,7 +98,7 @@ def test_p_value_counting_tie_counts_as_greater_equal():
     a=st.floats(0, 1),
     b=st.floats(0, 1),
 )
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_p_value_monotone_in_test_alpha(scores, a, b):
     lo, hi = min(a, b), max(a, b)
     alphas = np.sort(np.array(scores))
@@ -177,7 +177,7 @@ def test_predict_set_examples():
 
 
 @given(p0=st.floats(0, 1), p1=st.floats(0, 1), eps=st.floats(0.01, 0.99))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_predict_set_is_a_partition(p0, p1, eps):
     outcome = predict_set(PValuePair(p0, p1), eps)
     assert outcome in (

@@ -102,7 +102,7 @@ def test_assemble_unterminated_short_fill_is_valid_content():
 
 
 @given(seq=st.text(alphabet=st.sampled_from("".join(RES)), min_size=2, max_size=12), data=st.data())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_mask_then_assemble_is_identity(seq, data):
     max_m = min(4, len(seq) - 1)
     m = data.draw(st.integers(1, max_m))
@@ -134,7 +134,7 @@ def test_oracle_window_boundaries_exact():
 
 
 @given(seq=sequences, data=st.data())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_oracle_permutation_invariant(seq, data):
     perm = data.draw(st.permutations(list(seq)))
     assert oracle_label(seq) == oracle_label("".join(perm))
@@ -174,7 +174,7 @@ def test_fingerprint_bigram_hand_count():
 
 
 @given(seq=sequences)
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_fingerprint_matches_naive_counter(seq):
     fp = fingerprints([seq])[0]
     expected = np.zeros(FINGERPRINT_BUCKETS, dtype=np.int64)
@@ -184,7 +184,7 @@ def test_fingerprint_matches_naive_counter(seq):
 
 
 @given(seq=sequences)
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_fingerprint_total_is_length_minus_one(seq):
     assert fingerprints([seq])[0].sum() == len(seq) - 1
 

@@ -21,7 +21,7 @@ from cpseq.harness import (
     wilcoxon_vs_baseline,
 )
 from cpseq.rl import StepMetrics
-from cpseq.tables import read_table
+from cpseq.tables import read_table, write_table
 
 
 # -- wilcoxon: fixed cases ---------------------------------------------------------
@@ -400,7 +400,7 @@ def test_summary_tables_read_back_exactly(small_campaign):
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-def test_non_finite_prior_records_error_cells(small_campaign, tmp_path, tiny_models, tiny_prior):
+def test_non_finite_prior_records_error_cells(small_campaign, tmp_path, tiny_models, tiny_prior, capsys):
     _, config, _ = small_campaign
     clf, acp = tiny_models
     prior = tiny_prior.copy()
@@ -410,3 +410,22 @@ def test_non_finite_prior_records_error_cells(small_campaign, tmp_path, tiny_mod
     sidecar = json.loads((tmp_path / "out" / "runs" / "q000_rm_p1.json").read_text())
     assert sidecar["status"] == "error"
     assert sidecar["error"].startswith("FloatingPointError: step 1:") and "not finite" in sidecar["error"]
+    assert sidecar["traceback"].startswith("Traceback (most recent call last):")
+    assert sidecar["traceback"].rstrip().endswith(sidecar["error"])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err_lines = captured.err.splitlines()
+    assert len(err_lines) == 4
+    assert err_lines[0] == f"cpseq campaign: run q000_rm_p1 failed: {sidecar['error']}"
+    ok_sidecar = json.loads((small_campaign[0] / "out" / "runs" / "q000_rm_p1.json").read_text())
+    assert set(ok_sidecar) == {"query_id", "length", "scoring_fn", "status", "n_unique_valid", "n_conf_eff"}
+
+
+def test_tables_write_numpy_floats_as_plain_numbers(tmp_path):
+    def metrics(to_float):
+        return StepMetrics(1, "rm_p1", to_float(0.5), to_float(0.1), to_float(1 / 3), 0.0, 32, 30, 29, to_float(12.25))
+
+    write_table(tmp_path / "numpy.csv", StepMetrics, [metrics(np.float64)])
+    write_table(tmp_path / "python.csv", StepMetrics, [metrics(float)])
+    assert (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "python.csv").read_bytes()
+    assert read_table(tmp_path / "numpy.csv", StepMetrics) == [metrics(float)]

@@ -2,10 +2,22 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cpseq.domain import EMISSION_TOKENS, RESIDUES, SLOT_END, QueryTemplate, assemble, make_queries
+from cpseq.domain import (
+    EMISSION_TOKENS,
+    MASK,
+    MAX_MASKED,
+    RESIDUES,
+    SLOT_END,
+    QueryTemplate,
+    assemble,
+    make_queries,
+)
 from cpseq.policy import (
     MAX_TOKENS_PER_SLOT,
+    PARAM_NAMES,
     Policy,
     ValidityGateError,
     build_pretrain_corpus,
@@ -139,6 +151,66 @@ def test_uniform_gradient_has_softmax_minus_onehot_structure(fresh_policy):
         [len(stream) / v - sum(1 for t in stream if t == tok) for tok in EMISSION_TOKENS]
     )
     assert np.allclose(grads["b_out"], expected, atol=1e-12)
+
+
+# -- batched teacher-forced pass -----------------------------------------------------
+
+_CONTENT_TOKENS = [t for t in EMISSION_TOKENS if t != SLOT_END]
+_slot_fills = st.one_of(
+    st.lists(st.sampled_from(_CONTENT_TOKENS), max_size=MAX_TOKENS_PER_SLOT - 1).map(
+        lambda tokens: "".join(tokens) + SLOT_END
+    ),
+    # a slot that hit the cap unterminated, as sample() leaves it
+    st.lists(st.sampled_from(_CONTENT_TOKENS), min_size=MAX_TOKENS_PER_SLOT, max_size=MAX_TOKENS_PER_SLOT).map(
+        "".join
+    ),
+)
+
+
+@st.composite
+def _batches(draw):
+    """A 1- to 4-slot query and B = 1, 2 or 32 proposals for it (B = 32 always ties some lengths)."""
+    masked = draw(st.integers(1, MAX_MASKED))
+    fixed = draw(st.lists(st.sampled_from(RESIDUES), min_size=1, max_size=6))
+    query = QueryTemplate(tuple(draw(st.permutations([*fixed, *[MASK] * masked]))))
+    proposal = st.tuples(*[_slot_fills] * masked)
+    size = draw(st.sampled_from([1, 2, 32]))
+    return query, draw(st.lists(proposal, min_size=size, max_size=size))
+
+
+def _assert_batch_matches_per_example(policy, query, proposals):
+    nll = policy.nll_batch(query, proposals)
+    grad_nll, grads = policy.nll_and_grad_batch(query, proposals)
+    assert nll.shape == (len(proposals),)
+    assert np.array_equal(grad_nll, nll)
+    assert set(grads) == set(PARAM_NAMES)
+    for b, fills in enumerate(proposals):
+        ref_nll, ref_grads = policy.nll_and_grad(query, fills)
+        assert nll[b] == ref_nll == policy.nll(query, fills)
+        for name in PARAM_NAMES:
+            assert grads[name].shape == (len(proposals), *policy.p[name].shape)
+            assert np.array_equal(grads[name][b], ref_grads[name]), (b, name)
+
+
+@given(batch=_batches(), seed=st.integers(0, 2**16))
+@settings(max_examples=60)
+def test_batched_pass_matches_per_example_bit_for_bit(batch, seed):
+    query, proposals = batch
+    policy = Policy.fresh(seed=seed)
+    rng = np.random.default_rng(seed)
+    for name in ("w_out", "b_out"):  # away from uniform, so every emission differs
+        policy.p[name] = rng.normal(0, 0.5, policy.p[name].shape)
+    _assert_batch_matches_per_example(policy, query, proposals)
+    sampled = [policy.sample(query, rng) for _ in proposals]
+    _assert_batch_matches_per_example(policy, query, [s.fills for s in sampled])
+    assert policy.nll_batch(query, [s.fills for s in sampled]).tolist() == [-s.log_likelihood for s in sampled]
+
+
+def test_batched_pass_on_a_trained_prior(tiny_prior):
+    rng = np.random.default_rng(4)
+    for query in make_queries(4, seed=6):
+        proposals = [tiny_prior.sample(query, rng).fills for _ in range(32)]
+        _assert_batch_matches_per_example(tiny_prior, query, proposals)
 
 
 # -- pretraining -------------------------------------------------------------------

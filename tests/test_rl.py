@@ -3,7 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from cpseq.domain import QueryTemplate
+from cpseq.domain import QueryTemplate, assemble
 from cpseq.policy import Policy
 from cpseq.rl import (
     RLConfig,
@@ -124,6 +124,61 @@ def test_zero_valid_step_yields_finite_metrics(tiny_models):
             assert metrics.avg_score == 0.0
             assert metrics.frac_conf_eff == 0.0
     assert saw_empty
+
+
+def _per_proposal_rl_step(agent, prior, query, scorer, config, rng, step_index):
+    """The reference: rl_step with one prior.nll and one agent.nll_and_grad call per proposal."""
+    proposals = [agent.sample(query, rng) for _ in range(config.batch_size)]
+    assembled = [assemble(query, p.fills) for p in proposals]
+    valid_seqs = [s for s in assembled if s is not None]
+    evals = scorer.evaluate(valid_seqs) if valid_seqs else {}
+
+    total_grads = {name: np.zeros_like(arr) for name, arr in agent.p.items()}
+    loss_total = 0.0
+    for proposal, seq in zip(proposals, assembled):
+        score_value = evals[seq].score if seq is not None else 0.0
+        log_p_prior = -prior.nll(query, proposal.fills)
+        nll_agent, grads = agent.nll_and_grad(query, proposal.fills)
+        log_p_agent = -nll_agent
+        log_p_aug = augmented_log_likelihood(log_p_prior, score_value, config.sigma)
+        delta = log_p_aug - log_p_agent
+        loss_total += delta * delta
+        weight = 2.0 * delta / config.batch_size
+        for name, g in grads.items():
+            total_grads[name] += weight * g
+    agent.sgd_step(total_grads, config.learning_rate)
+
+    rows = list(evals.values())
+    n = max(len(rows), 1)
+    return StepMetrics(
+        step=step_index,
+        scoring_fn=config.scoring,
+        avg_score=sum(r.score for r in rows) / n,
+        avg_p0=sum(r.p0 for r in rows) / n,
+        avg_p1=sum(r.p1 for r in rows) / n,
+        frac_conf_eff=sum(1 for r in rows if r.hit) / n,
+        n_sampled=config.batch_size,
+        n_valid=len(valid_seqs),
+        n_unique_valid=len(rows),
+        loss=loss_total / config.batch_size,
+    )
+
+
+@pytest.mark.parametrize("query_text", ["TFY?IQSF?E", "?DM???K"])
+def test_step_matches_per_proposal_reference_bit_for_bit(tiny_models, tiny_prior, query_text):
+    clf, acp = tiny_models
+    query = QueryTemplate.from_text(query_text)
+    config = RLConfig(scoring="cp_soft", learning_rate=1e-2)  # a large rate, so the agent leaves the prior
+    batched, reference = tiny_prior.copy(), tiny_prior.copy()
+    batched_rng, reference_rng = np.random.default_rng(12), np.random.default_rng(12)
+    batched_scorer, reference_scorer = (SequenceScorer("cp_soft", clf, acp) for _ in range(2))
+    for step in range(1, 5):
+        metrics, _ = rl_step(batched, tiny_prior, query, batched_scorer, config, batched_rng, step)
+        expected = _per_proposal_rl_step(reference, tiny_prior, query, reference_scorer, config, reference_rng, step)
+        assert metrics == expected
+        assert type(metrics.loss) is float
+        assert batched.params_equal(reference)
+    assert not batched.params_equal(tiny_prior)
 
 
 # -- full runs ----------------------------------------------------------------------

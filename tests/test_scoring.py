@@ -55,14 +55,14 @@ def test_soft_partial_reward():
 
 
 @given(pv=pairs, raw=unit)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_all_scores_in_unit_interval(pv, raw):
     for kind in SCORING_KINDS:
         assert 0.0 <= score(kind, pv, raw) <= 1.0
 
 
 @given(pv=pairs)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_full_reward_iff_confident_hit(pv):
     hit = is_confident_positive(pv)
     assert (score_harsh(pv) == 1.0) == hit
@@ -71,7 +71,7 @@ def test_full_reward_iff_confident_hit(pv):
 
 
 @given(pv=pairs)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_diff_antisymmetric_under_swap(pv):
     swapped = PValuePair(pv.p1, pv.p0)
     assert score_diff(pv) + score_diff(swapped) == pytest.approx(1.0, abs=1e-12)
