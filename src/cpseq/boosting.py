@@ -6,27 +6,28 @@ swap in any probabilistic binary classifier with the same surface. Split
 finding is histogram-based and exploits the sparsity of count features, which
 keeps full fits under a few seconds at 5k x 2048.
 
-Prediction compiles the tree list once per model into fixed-depth heap arrays
-and evaluates every tree on a block of rows with a few numpy gathers; leaf
-values are added in tree order, so margins equal those of a node-by-node walk
-bit for bit.
+Trees are fixed-depth heap arrays from ``fit`` to file, and loading checks
+them. Prediction evaluates every tree on a block of rows with a few numpy
+gathers; leaf values are added in tree order, so margins equal those of a
+node-by-node walk bit for bit.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+
+from .tables import json_field, read_json
 
 _BIN_COUNT = 16  # count features are clipped into bins 0..15 for split search
 _PROB_EPS = 1e-12  # keeps predicted probabilities strictly inside (0, 1)
 _MIN_CHILD_HESSIAN = 1e-6
 _MIN_GAIN = 1e-12
 _BLOCK_CELLS = 2**13  # (tree, row) pairs evaluated together; bounds the work arrays
-_SPLIT_KEYS = frozenset({"feature", "threshold", "left", "right"})
 
 
 @dataclass(frozen=True)
@@ -108,8 +109,8 @@ def _best_split(G, H, C, g_tot, h_tot, reg_lambda):
     return feature, threshold, float(gain.flat[idx])
 
 
-class _CompiledTrees(NamedTuple):
-    """A tree list as fixed-depth heap arrays over the columns its splits read.
+class _Trees(NamedTuple):
+    """Boosted trees as fixed-depth heap arrays, the one format from ``fit`` to file.
 
     Internal node ``i`` has children ``2i + 1`` (taken when ``X[:, f] <= t``)
     and ``2i + 2``; bottom leaf ``j`` is heap node ``2**depth - 1 + j``. Below
@@ -118,62 +119,54 @@ class _CompiledTrees(NamedTuple):
     each route from it ends on its value whatever the row holds.
     """
 
-    columns: np.ndarray  # (n_columns,) ascending features some split reads
-    feature: np.ndarray  # (n_trees, 2**depth - 1) position in ``columns``
+    feature: np.ndarray  # (n_trees, 2**depth - 1) column each split reads
     threshold: np.ndarray  # (n_trees, 2**depth - 1)
     leaf: np.ndarray  # (n_trees, 2**depth)
+    columns: np.ndarray  # (n_columns,) ascending columns some split reads
+    slot: np.ndarray  # (n_trees, 2**depth - 1) position of each split's column in ``columns``
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def _trees(feature: np.ndarray, threshold: np.ndarray, leaf: np.ndarray) -> _Trees:
+    columns, slot = np.unique(feature, return_inverse=True)
+    return _Trees(feature, threshold, leaf, columns, slot.reshape(feature.shape))
 
 
-def _compile(trees: list[dict], depth: int, n_features: int) -> _CompiledTrees:
-    """Heap arrays for ``trees``; raises ValueError naming the tree on a malformed one."""
+def _blank_arrays(n_trees: int, depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Feature, threshold and leaf arrays of n_trees trees of placeholder splits and zero leaves."""
     n_inner = 2**depth - 1
-    feature = np.zeros((len(trees), n_inner), dtype=np.intp)
-    threshold = np.zeros((len(trees), n_inner), dtype=np.int64)
-    leaf = np.zeros((len(trees), n_inner + 1), dtype=np.float64)
-    for t, tree in enumerate(trees):
-        stack = [(tree, 0, 0)]  # (node, heap index, level)
-        while stack:
-            node, i, level = stack.pop()
-            if isinstance(node, dict) and "value" in node:
-                width = 2 ** (depth - level)
-                first = (i + 1) * width - 1 - n_inner
-                leaf[t, first : first + width] = node["value"]
-                continue
-            if not isinstance(node, dict) or not _SPLIT_KEYS <= node.keys():
-                raise ValueError(f"tree {t}: a node has neither 'value' nor all of {sorted(_SPLIT_KEYS)}")
-            if level == depth:
-                raise ValueError(f"tree {t} is deeper than max_depth {depth}")
-            f, thr = node["feature"], node["threshold"]
-            if not _is_int(f) or not 0 <= f < n_features:
-                raise ValueError(f"tree {t}: split feature {f!r} is not an integer in [0, {n_features})")
-            if not _is_int(thr):
-                raise ValueError(f"tree {t}: split threshold {thr!r} is not an integer")
-            feature[t, i] = f
-            threshold[t, i] = thr
-            stack.append((node["left"], 2 * i + 1, level + 1))
-            stack.append((node["right"], 2 * i + 2, level + 1))
-    used = np.zeros(n_features, dtype=bool)
-    used[feature] = True
-    return _CompiledTrees(np.flatnonzero(used), np.cumsum(used)[feature] - 1, threshold, leaf)
+    return (
+        np.zeros((n_trees, n_inner), dtype=np.int64),
+        np.zeros((n_trees, n_inner), dtype=np.int64),
+        np.zeros((n_trees, n_inner + 1), dtype=np.float64),
+    )
 
 
-def _add_trees(compiled: _CompiledTrees, X: np.ndarray, margins: np.ndarray) -> None:
+def _heap_rows(value, width: int, integer: bool) -> np.ndarray:
+    """A JSON list of per-tree rows as an (n_trees, width) int64 or float64 array; ValueError on any other."""
+    rows = np.array(value)
+    if rows.size == 0:
+        rows = rows.reshape(0, width)
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise ValueError(f"shape {rows.shape} is not (n_trees, {width}), the width max_depth sets")
+    kinds, dtype = ("i", np.int64) if integer else ("if", np.float64)
+    if rows.size and rows.dtype.kind not in kinds:
+        raise ValueError(f"holds {rows.dtype} values, not {'integers' if integer else 'numbers'}")
+    return rows.astype(dtype)
+
+
+def _add_trees(trees: _Trees, X: np.ndarray, margins: np.ndarray) -> None:
     """Add every tree's leaf value for each row of ``X`` to ``margins``, in tree order."""
-    n_trees, n_inner = compiled.feature.shape
+    n_trees, n_inner = trees.feature.shape
     if n_trees == 0:
         return
     depth = n_inner.bit_length()
-    leaves = compiled.leaf.ravel()
+    leaves = trees.leaf.ravel()
     first_leaf = np.arange(n_trees) * (n_inner + 1) - n_inner  # flat leaf index minus heap index
     block = max(1, _BLOCK_CELLS // n_trees)
     for start in range(0, len(X), block):
         rows = slice(start, start + block)
-        Xb = X[rows, compiled.columns]  # (rows, columns)
-        goes_left = (Xb[:, compiled.feature] <= compiled.threshold).ravel()  # (rows, trees, nodes)
+        Xb = X[rows, trees.columns]  # (rows, columns)
+        goes_left = (Xb[:, trees.slot] <= trees.threshold).ravel()  # (rows, trees, nodes)
         first_node = np.arange(0, goes_left.size, n_inner).reshape(len(Xb), n_trees)
         node = np.zeros((len(Xb), n_trees), dtype=np.intp)
         for _ in range(depth):
@@ -189,9 +182,8 @@ class BoostedTreeClassifier:
     def __init__(self, config: ClassifierConfig | None = None):
         self.config = config or ClassifierConfig()
         self.base_score = 0.0  # margin (logit); 0.5 probability before any round
-        self.trees_: list[dict] = []
+        self.trees = _trees(*_blank_arrays(0, self.config.max_depth))
         self.train_losses_: list[float] = []
-        self._compiled: _CompiledTrees | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "BoostedTreeClassifier":
         X = np.asarray(X)
@@ -207,53 +199,60 @@ class BoostedTreeClassifier:
         n = len(y)
         margins = np.full(n, self.base_score, dtype=np.float64)
         p = _sigmoid(margins)
-        self.trees_ = []
-        self.train_losses_ = []
-        self._compiled = None
+        feature, threshold, leaf = _blank_arrays(cfg.n_rounds, cfg.max_depth)
+        every_row = np.ones(n, dtype=bool)
+        losses = []
 
-        for _ in range(cfg.n_rounds):
+        for r in range(cfg.n_rounds):
             g = p - y
             h = p * (1.0 - p)
             if cfg.subsample < 1.0:
                 active = np.zeros(n, dtype=bool)
                 active[rng.permutation(n)[: max(1, int(cfg.subsample * n))]] = True
             else:
-                active = np.ones(n, dtype=bool)
-            tree = self._build_node(bins, X, active, g, h, depth=0)
-            self.trees_.append(tree)
-            _add_trees(_compile([tree], cfg.max_depth, X.shape[1]), X, margins)
+                active = every_row
+            self._build_node(bins, X, every_row, active, g, h, margins, (feature[r], threshold[r], leaf[r]))
             p = _sigmoid(margins)
             clipped = np.clip(p, _PROB_EPS, 1.0 - _PROB_EPS)
-            self.train_losses_.append(float(-np.mean(y * np.log(clipped) + (1 - y) * np.log(1 - clipped))))
+            losses.append(float(-np.mean(y * np.log(clipped) + (1 - y) * np.log(1 - clipped))))
+        self.trees = _trees(feature, threshold, leaf)
+        self.train_losses_ = losses
         return self
 
-    def _leaf(self, g_tot, h_tot):
-        value = -self.config.learning_rate * g_tot / (h_tot + self.config.reg_lambda)
-        return {"value": float(value)}
+    def _build_node(self, bins, X, route, active, g, h, margins, tree, node=0, level=0):
+        """Grow heap node ``node`` of one tree's (feature, threshold, leaf) rows.
 
-    def _build_node(self, bins, X, node_mask, g, h, depth):
-        if depth >= self.config.max_depth or node_mask.sum() < 2:
-            return self._leaf(g[node_mask].sum(), h[node_mask].sum())
-        G, H, C, g_tot, h_tot = bins.histograms(node_mask, g, h)
-        feature, threshold, gain = _best_split(G, H, C, g_tot, h_tot, self.config.reg_lambda)
-        if gain <= _MIN_GAIN:
-            return self._leaf(g_tot, h_tot)
-        goes_left = node_mask & (X[:, feature] <= threshold)
-        return {
-            "feature": int(feature),
-            "threshold": int(threshold),
-            "left": self._build_node(bins, X, goes_left, g, h, depth + 1),
-            "right": self._build_node(bins, X, node_mask & ~goes_left, g, h, depth + 1),
-        }
+        ``route`` holds every row that reaches the node and ``active`` the
+        round's subsample; split statistics come from the rows in both, and
+        each routed row gets its leaf's value added to its margin.
+        """
+        feature, threshold, leaf = tree
+        cfg = self.config
+        node_mask = route & active
+        if level < cfg.max_depth and node_mask.sum() >= 2:
+            G, H, C, g_tot, h_tot = bins.histograms(node_mask, g, h)
+            f, t, gain = _best_split(G, H, C, g_tot, h_tot, cfg.reg_lambda)
+            if gain > _MIN_GAIN:
+                feature[node], threshold[node] = f, t
+                goes_left = route & (X[:, f] <= t)
+                self._build_node(bins, X, goes_left, active, g, h, margins, tree, 2 * node + 1, level + 1)
+                self._build_node(bins, X, route & ~goes_left, active, g, h, margins, tree, 2 * node + 2, level + 1)
+                return
+        value = -cfg.learning_rate * g[node_mask].sum() / (h[node_mask].sum() + cfg.reg_lambda)
+        width = 2 ** (cfg.max_depth - level)
+        first = (node + 1) * width - 1 - len(feature)  # the bottom leaves below this node
+        leaf[first : first + width] = value
+        margins[route] += value
 
     def predict_margin(self, X: np.ndarray) -> np.ndarray:
+        """Margin (logit) per row; raises ValueError when X has fewer columns than a split reads."""
         X = np.atleast_2d(np.asarray(X))
-        compiled = self._compiled
-        if compiled is None or (compiled.columns.size and compiled.columns[-1] >= X.shape[1]):
-            # first prediction, or X narrower than a split reads: compiling checks the trees against X
-            compiled = self._compiled = _compile(self.trees_, self.config.max_depth, X.shape[1])
+        trees = self.trees
+        if trees.columns.size and trees.columns[-1] >= X.shape[1]:
+            t, i = np.argwhere(trees.feature >= X.shape[1])[0]
+            raise ValueError(f"tree {t} splits on column {trees.feature[t, i]}, but X has {X.shape[1]} columns")
         margins = np.full(len(X), self.base_score, dtype=np.float64)
-        _add_trees(compiled, X, margins)
+        _add_trees(trees, X, margins)
         return margins
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -262,23 +261,30 @@ class BoostedTreeClassifier:
 
     def to_json_dict(self) -> dict:
         return {
-            "config": {
-                "n_rounds": self.config.n_rounds,
-                "learning_rate": self.config.learning_rate,
-                "max_depth": self.config.max_depth,
-                "subsample": self.config.subsample,
-                "reg_lambda": self.config.reg_lambda,
-                "seed": self.config.seed,
-            },
+            "config": asdict(self.config),
             "base_score": self.base_score,
-            "trees": self.trees_,
+            "feature": self.trees.feature.tolist(),
+            "threshold": self.trees.threshold.tolist(),
+            "leaf": self.trees.leaf.tolist(),
         }
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "BoostedTreeClassifier":
-        model = cls(ClassifierConfig(**payload["config"]))
-        model.base_score = float(payload["base_score"])
-        model.trees_ = payload["trees"]
+        """The model a :meth:`to_json_dict` payload holds; raises ValueError naming a missing or malformed key."""
+        model = cls(json_field(payload, "config", lambda config: ClassifierConfig(**config)))
+        if "trees" in payload:
+            raise ValueError("key 'trees' holds nested-dict trees, which cpseq no longer reads; rebuild the file")
+        model.base_score = json_field(payload, "base_score", float)
+        n_inner = 2**model.config.max_depth - 1
+        feature = json_field(payload, "feature", lambda rows: _heap_rows(rows, n_inner, integer=True))
+        threshold = json_field(payload, "threshold", lambda rows: _heap_rows(rows, n_inner, integer=True))
+        leaf = json_field(payload, "leaf", lambda rows: _heap_rows(rows, n_inner + 1, integer=False))
+        if not len(feature) == len(threshold) == len(leaf):
+            counts = f"{len(feature)}, {len(threshold)} and {len(leaf)}"
+            raise ValueError(f"keys 'feature', 'threshold' and 'leaf' hold {counts} trees")
+        if feature.size and feature.min() < 0:
+            raise ValueError(f"key 'feature': column {feature.min()} is not a non-negative integer")
+        model.trees = _trees(feature, threshold, leaf)
         return model
 
     def save(self, path: str | Path) -> None:
@@ -286,4 +292,4 @@ class BoostedTreeClassifier:
 
     @classmethod
     def load(cls, path: str | Path) -> "BoostedTreeClassifier":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
+        return read_json(path, cls.from_json_dict)

@@ -11,12 +11,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .boosting import BoostedTreeClassifier, ClassifierConfig
+from .tables import json_field, read_json
 
 DEFAULT_SIGNIFICANCE = 0.2
 DEFAULT_ICP_COUNT = 10
@@ -54,8 +56,8 @@ class Icp:
 
     def __post_init__(self):
         for alphas in (self.alphas_0, self.alphas_1):
-            if len(alphas) < 1:
-                raise ValueError("each label needs at least one calibration point")
+            if alphas.ndim != 1 or len(alphas) < 1:
+                raise ValueError("each label needs a list of at least one calibration score")
             if np.any(np.diff(alphas) < 0):
                 raise ValueError("calibration scores must be sorted ascending")
 
@@ -235,16 +237,17 @@ def acp_to_json_dict(acp: Acp) -> dict:
     }
 
 
-def acp_from_json_dict(payload: dict) -> Acp:
-    icps = tuple(
-        Icp(
-            model=BoostedTreeClassifier.from_json_dict(entry["model"]),
-            alphas_0=np.array(entry["alphas_0"], dtype=np.float64),
-            alphas_1=np.array(entry["alphas_1"], dtype=np.float64),
-        )
-        for entry in payload["icps"]
+def _icp_from_json_dict(entry: dict) -> Icp:
+    return Icp(
+        model=json_field(entry, "model", BoostedTreeClassifier.from_json_dict),
+        alphas_0=json_field(entry, "alphas_0", partial(np.array, dtype=np.float64)),
+        alphas_1=json_field(entry, "alphas_1", partial(np.array, dtype=np.float64)),
     )
-    return Acp(icps)
+
+
+def acp_from_json_dict(payload: dict) -> Acp:
+    """The ACP an :func:`acp_to_json_dict` payload holds; raises ValueError naming a missing or malformed key."""
+    return Acp(json_field(payload, "icps", lambda icps: tuple(map(_icp_from_json_dict, icps))))
 
 
 def save_acp(acp: Acp, path: str | Path) -> None:
@@ -252,4 +255,4 @@ def save_acp(acp: Acp, path: str | Path) -> None:
 
 
 def load_acp(path: str | Path) -> Acp:
-    return acp_from_json_dict(json.loads(Path(path).read_text()))
+    return read_json(path, acp_from_json_dict)

@@ -24,6 +24,7 @@ from .boosting import BoostedTreeClassifier, ClassifierConfig
 from .conformal import DEFAULT_ICP_COUNT, DEFAULT_SIGNIFICANCE, Acp, build_acp, load_acp
 from .domain import fingerprints, read_dataset_csv, read_queries_csv
 from .policy import (
+    DEFAULT_GATE_SAMPLES,
     DEFAULT_PRETRAIN_CORPUS_SIZE,
     DEFAULT_PRETRAIN_EPOCHS,
     DEFAULT_PRETRAIN_LEARNING_RATE,
@@ -328,7 +329,7 @@ def build_campaign_artifacts(config: CampaignConfig) -> CampaignArtifacts:
             learning_rate=config.pretrain_learning_rate,
             seed=_derived_seed(config.seed, 9004),
             gate_queries=queries,
-            gate_samples=300,
+            gate_samples=DEFAULT_GATE_SAMPLES,
         )
         prior = result.policy
     return CampaignArtifacts(prior=prior, classifier=classifier, acp=acp)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -31,11 +32,21 @@ from .domain import (
     assemble,
     mask_out,
 )
+from .tables import json_field, read_json
 
 MAX_TOKENS_PER_SLOT = MAX_FILL_TOKENS + 1  # content cap plus the terminator
-PARAM_NAMES = ("embed", "w_in", "w_query", "w_rec", "b_rec", "w_out", "b_out")
 EMBED_DIM = 16
 HIDDEN_DIM = 32
+PARAM_SHAPES = {
+    "embed": (len(EMISSION_TOKENS) + 1, EMBED_DIM),  # one more row for the mask marker
+    "w_in": (HIDDEN_DIM, EMBED_DIM),
+    "w_query": (HIDDEN_DIM, EMBED_DIM),
+    "w_rec": (HIDDEN_DIM, HIDDEN_DIM),
+    "b_rec": (HIDDEN_DIM,),
+    "w_out": (len(EMISSION_TOKENS), HIDDEN_DIM),
+    "b_out": (len(EMISSION_TOKENS),),
+}
+PARAM_NAMES = tuple(PARAM_SHAPES)
 INIT_SCALE = 0.1  # standard deviation of the random initial weights
 GATE_THRESHOLD = 0.9  # fill-validity a pretrained prior must reach on the gate queries
 DEFAULT_PRETRAIN_EPOCHS = 20
@@ -108,6 +119,16 @@ def _matvecs(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(w, x[:, :, None])[:, :, 0]
 
 
+def _saved_params(saved: dict) -> dict[str, np.ndarray]:
+    """Every parameter of a saved policy; raises ValueError naming a missing one or one of another shape."""
+    params = {}
+    for name, shape in PARAM_SHAPES.items():
+        params[name] = json_field(saved, name, partial(np.array, dtype=np.float64))
+        if params[name].shape != shape:
+            raise ValueError(f"key {name!r}: shape {params[name].shape} is not {shape}")
+    return params
+
+
 def _proposal_order(order: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Rows of a batched pass put back in proposal order."""
     out = np.empty_like(rows)
@@ -126,17 +147,11 @@ class Policy:
     @classmethod
     def fresh(cls, seed: int = 0) -> "Policy":
         rng = np.random.default_rng(seed)
-        v, de, dh = len(EMISSION_TOKENS), EMBED_DIM, HIDDEN_DIM
-        params = {
-            "embed": rng.normal(0.0, INIT_SCALE, (v + 1, de)),
-            "w_in": rng.normal(0.0, INIT_SCALE, (dh, de)),
-            "w_query": rng.normal(0.0, INIT_SCALE, (dh, de)),
-            "w_rec": rng.normal(0.0, INIT_SCALE, (dh, dh)),
-            "b_rec": np.zeros(dh),
-            "w_out": np.zeros((v, dh)),
-            "b_out": np.zeros(v),
-        }
-        return cls(params)
+        random = ("embed", "w_in", "w_query", "w_rec")  # drawn in this order; the rest start at zero
+        return cls({
+            name: rng.normal(0.0, INIT_SCALE, shape) if name in random else np.zeros(shape)
+            for name, shape in PARAM_SHAPES.items()
+        })
 
     def copy(self) -> "Policy":
         return Policy({k: v.copy() for k, v in self.p.items()})
@@ -176,10 +191,6 @@ class Policy:
     def nll(self, query: QueryTemplate, fills: Sequence[str]) -> float:
         """Total negative log-likelihood of the emitted token stream."""
         return self._forward(query, _stream_ids(fills)).nll
-
-    def distributions(self, query: QueryTemplate, fills: Sequence[str]) -> list[np.ndarray]:
-        """Per-step emission distributions along a teacher-forced stream."""
-        return self._forward(query, _stream_ids(fills)).probs
 
     def sample(self, query: QueryTemplate, rng: np.random.Generator) -> SampledProposal:
         """Draw one fill per masked slot; a slot ends on the terminator or the cap.
@@ -337,19 +348,20 @@ class Policy:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "Policy":
-        """The policy a :meth:`to_json_dict` payload holds; raises ValueError on any other alphabet."""
-        saved = (tuple(payload["tokens"]), payload["end_token"], payload["begin_token"])
+        """The policy a :meth:`to_json_dict` payload holds; raises ValueError on any other alphabet or shape."""
+        saved = (json_field(payload, "tokens", tuple), json_field(payload, "end_token", str),
+                 json_field(payload, "begin_token", str))
         fixed = (EMISSION_TOKENS, SLOT_END, BEGIN)
         if saved != fixed:
             raise ValueError(f"policy alphabet (tokens, end, begin) {saved} is not the fixed one {fixed}")
-        return cls({k: np.array(v, dtype=np.float64) for k, v in payload["params"].items()})
+        return cls(json_field(payload, "params", _saved_params))
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict()))
 
     @classmethod
     def load(cls, path: str | Path) -> "Policy":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
+        return read_json(path, cls.from_json_dict)
 
 
 def build_pretrain_corpus(

@@ -140,6 +140,17 @@ class RunRecord:
         write_table(path, StepMetrics, self.steps)
 
 
+def _weighted_sum(weights: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """``sum_b weights[b] * grads[b]`` added in row order from 0.0, as a loop of ``+=`` would, bit for bit.
+
+    A reduction over the first axis of a C-ordered array adds one row at a
+    time in order (numpy sums pairwise only along the contiguous axis); it
+    measured faster than both the loop and ``np.add.accumulate``.
+    """
+    terms = weights.reshape(-1, *(1,) * (grads.ndim - 1)) * grads
+    return np.add.reduce(terms, axis=0, initial=0.0)  # from 0.0, so a -0.0 total reads 0.0 as in the loop
+
+
 def rl_step(
     agent: Policy,
     prior: Policy,
@@ -165,7 +176,7 @@ def rl_step(
     log_p_prior = (-prior.nll_batch(query, fills)).tolist()  # Python floats, so the metrics CSV reads plain numbers
     agent_nll, grads = agent.nll_and_grad_batch(query, fills)
     log_p_agent = (-agent_nll).tolist()
-    total_grads = {name: np.zeros_like(arr) for name, arr in agent.p.items()}
+    weights = np.empty(config.batch_size)
     loss_total = 0.0
     for b, seq in enumerate(assembled):
         score_value = evals[seq].score if seq is not None else 0.0
@@ -173,10 +184,8 @@ def rl_step(
         delta = log_p_aug - log_p_agent[b]
         loss_total += delta * delta
         # d(mean squared loss)/dtheta = mean of 2*delta * d(NLL)/dtheta
-        weight = 2.0 * delta / config.batch_size
-        for name, g in grads.items():
-            total_grads[name] += weight * g[b]
-    agent.sgd_step(total_grads, config.learning_rate)
+        weights[b] = 2.0 * delta / config.batch_size
+    agent.sgd_step({name: _weighted_sum(weights, g) for name, g in grads.items()}, config.learning_rate)
     loss = loss_total / config.batch_size
     non_finite = [name for name, arr in agent.p.items() if not np.isfinite(arr).all()]
     if non_finite or not np.isfinite(loss):

@@ -1,17 +1,21 @@
-"""The one CSV codec for the tables cpseq writes: per-run metrics, the three
-campaign summaries and the calibration report.
+"""The file codecs: the one CSV codec for the tables cpseq writes (per-run
+metrics, the three campaign summaries and the calibration report), and the
+field reader for its JSON artifacts (classifier, ACP and prior).
 
 A table is a list of dataclass rows; its header is the row class's field
 names. Cells are written as: ``None`` → empty, ``float`` → ``repr`` (so values
-read back exactly), anything else → ``str``; lines end with ``\\n``.
+read back exactly), anything else → ``str``; lines end with ``\\n``. A
+missing or malformed artifact field raises ValueError naming the file and
+the key.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import fields
 from pathlib import Path
-from typing import Sequence, TypeVar, get_args, get_type_hints
+from typing import Callable, Sequence, TypeVar, get_args, get_type_hints
 
 Row = TypeVar("Row")
 
@@ -57,3 +61,21 @@ def read_table(path: str | Path, row_type: type[Row]) -> list[Row]:
                 raise ValueError(f"{path}:{reader.line_num}: expected {len(names)} cells, got {len(cells)}")
             rows.append(row_type(*(parse(cell) for parse, cell in zip(parsers, cells))))
     return rows
+
+
+def json_field(payload, key: str, convert: Callable):
+    """``convert(payload[key])``; raises ValueError naming the key when it is missing or convert rejects it."""
+    if not isinstance(payload, dict) or key not in payload:
+        raise ValueError(f"missing key {key!r}")
+    try:
+        return convert(payload[key])
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"key {key!r}: {err}") from None
+
+
+def read_json(path: str | Path, from_json_dict: Callable):
+    """``from_json_dict`` of the JSON file at path; its ValueError names the file."""
+    try:
+        return from_json_dict(json.loads(Path(path).read_text()))
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None

@@ -107,39 +107,45 @@ def test_serialization_round_trip(tmp_path, tiny_dataset):
     json.loads(path.read_text())
 
 
-# -- compiled evaluation ---------------------------------------------------------
+# -- heap-array trees ------------------------------------------------------------------
 
 
 def _reference_margin(model, X):
-    """A node-by-node walk of every tree for every row, added in tree order."""
+    """A node-by-node walk of every tree's heap arrays for every row, added in tree order."""
+    trees = model.trees
+    n_inner = trees.feature.shape[1]
     margins = np.full(len(X), model.base_score, dtype=np.float64)
-    for tree in model.trees_:
+    for feature, threshold, leaf in zip(trees.feature, trees.threshold, trees.leaf):
         values = []
         for row in X:
-            node = tree
-            while "value" not in node:
-                node = node["left"] if row[node["feature"]] <= node["threshold"] else node["right"]
-            values.append(node["value"])
+            node = 0
+            while node < n_inner:
+                node = 2 * node + 1 if row[feature[node]] <= threshold[node] else 2 * node + 2
+            values.append(leaf[node - n_inner])
         margins += np.array(values, dtype=np.float64)
     return margins
 
 
-def _model(trees, max_depth=2, base_score=0.0):
+def _payload(trees, max_depth=2, base_score=0.0):
+    """A saved model holding ``trees``, each a (feature, threshold, leaf) triple of lists."""
     payload = BoostedTreeClassifier(ClassifierConfig(max_depth=max_depth)).to_json_dict()
-    return BoostedTreeClassifier.from_json_dict({**payload, "base_score": base_score, "trees": trees})
+    feature, threshold, leaf = ([list(tree[i]) for tree in trees] for i in range(3))
+    return {**payload, "base_score": base_score, "feature": feature, "threshold": threshold, "leaf": leaf}
+
+
+def _model(trees, max_depth=2, base_score=0.0):
+    return BoostedTreeClassifier.from_json_dict(_payload(trees, max_depth, base_score))
 
 
 @st.composite
 def _trees(draw, depth, n_features):
-    """A tree of at most ``depth`` split levels; any node may be an early leaf."""
-    if depth == 0 or draw(st.booleans()):
-        return {"value": draw(st.floats(-1e3, 1e3, allow_nan=False))}
-    return {
-        "feature": draw(st.integers(0, n_features - 1)),
-        "threshold": draw(st.integers(-1, 5)),
-        "left": draw(_trees(depth - 1, n_features)),
-        "right": draw(_trees(depth - 1, n_features)),
-    }
+    """A tree of ``depth`` split levels as heap arrays; any split may read any column."""
+    n_inner = 2**depth - 1
+    return (
+        draw(st.lists(st.integers(0, n_features - 1), min_size=n_inner, max_size=n_inner)),
+        draw(st.lists(st.integers(-1, 5), min_size=n_inner, max_size=n_inner)),
+        draw(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=n_inner + 1, max_size=n_inner + 1)),
+    )
 
 
 @settings(max_examples=150)
@@ -166,6 +172,26 @@ def test_fitted_depth3_margins_equal_reference_walk(tiny_dataset):
     assert clf.predict_margin(X).tobytes() == _reference_margin(clf, X).tobytes()
 
 
+def _log_loss(y, p):
+    return float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
+
+
+@pytest.mark.parametrize("max_depth", [2, 3])
+def test_fit_margins_route_every_row_not_only_the_subsample(tiny_dataset, max_depth):
+    # fit updates the training margins leaf by leaf; rows outside a round's
+    # subsample must get their leaf value too, or the last loss drifts from
+    # the one the finished model predicts
+    seqs, labels = tiny_dataset.subset("train")
+    X = fingerprints(seqs)
+    y = labels.astype(np.float64)
+    clf = BoostedTreeClassifier(ClassifierConfig(n_rounds=40, max_depth=max_depth, subsample=0.7, seed=3)).fit(X, y)
+    lowest = slice(2 ** (max_depth - 1) - 1, 2**max_depth - 1)  # the splits just above the leaves
+    placeholder = (clf.trees.feature[:, lowest] == 0) & (clf.trees.threshold[:, lowest] == 0)
+    twin_leaves = clf.trees.leaf[:, 0::2] == clf.trees.leaf[:, 1::2]
+    assert (placeholder & twin_leaves).any()  # some branches end early, so their layout is exercised
+    assert clf.train_losses_[-1] == _log_loss(y, clf.predict_proba(X))
+
+
 def test_refit_and_reload_never_serve_stale_compiled_trees():
     X, y = _toy_separable(seed=1)
     X2, y2 = _toy_separable(seed=2)
@@ -185,30 +211,43 @@ def test_refit_and_reload_never_serve_stale_compiled_trees():
     assert np.array_equal(loaded.predict_margin(X), first)
 
 
-GOOD_TREE = {"feature": 1, "threshold": 2, "left": {"value": -0.5}, "right": {"value": 0.5}}
+GOOD_TREE = ([1, 0, 0], [2, 0, 0], [-0.5, -0.5, 0.5, 0.5])  # one split on column 1, then two leaves
+LEAF_ONLY = ([0, 0, 0], [0, 0, 0], [0.3, 0.3, 0.3, 0.3])  # a root leaf over placeholder splits
 
 
 @pytest.mark.parametrize(
-    "bad_tree",
+    "key, value, match",
     [
-        {"feature": 1, "threshold": 2, "left": {"value": 0.1}},
-        {"feature": -1, "threshold": 2, "left": {"value": 0.1}, "right": {"value": 0.2}},
-        {"feature": 3, "threshold": 2, "left": {"value": 0.1}, "right": {"value": 0.2}},
-        {"feature": 0, "threshold": 2.5, "left": {"value": 0.1}, "right": {"value": 0.2}},
-        {"feature": 0, "threshold": 1, "left": {"value": 0.1},
-         "right": {"feature": 2, "threshold": 0, "left": GOOD_TREE, "right": {"value": 0.2}}},
+        ("leaf", None, r"missing key 'leaf'"),
+        ("feature", [[1, 0, 0], [1, 0, 0], [-1, 0, 0]], r"'feature': column -1 is not a non-negative integer"),
+        ("feature", [[1, 0, 0], [1, 0, 0], [3, 0, 0]], r"\btree 2 splits on column 3\b"),
+        ("threshold", [[2, 0, 0], [2, 0, 0], [2.5, 0, 0]], r"'threshold': .*not integers"),
+        ("feature", [[1, 0, 0, 0, 0, 0, 0]] * 3, r"'feature': shape \(3, 7\)"),
+        ("feature", [[1.0, 0, 0]] * 3, r"'feature': .*not integers"),
+        ("leaf", [[-0.5, -0.5, 0.5, 0.5]] * 2, r"hold 3, 3 and 2 trees"),
+        ("leaf", [["x"] * 4] * 3, r"'leaf': .*not numbers"),
+        ("config", {"max_depth": 0}, r"'config': max_depth"),
+        ("base_score", [0.0], r"'base_score'"),
+        ("trees", [{"value": 0.1}], r"nested-dict trees.*rebuild"),
     ],
     ids=["missing_keys", "negative_feature", "feature_past_last_column", "fractional_threshold",
-         "deeper_than_max_depth"],
+         "deeper_than_max_depth", "float_feature", "tree_counts_differ", "non_numeric_leaf", "bad_config",
+         "non_numeric_base_score", "nested_dict_trees"],
 )
-def test_corrupt_tree_fails_loudly_on_first_prediction(bad_tree):
-    model = _model([GOOD_TREE, GOOD_TREE, bad_tree], max_depth=2)
-    with pytest.raises(ValueError, match=r"\btree 2\b"):
-        model.predict_margin(np.zeros((4, 3), dtype=np.int64))
+def test_corrupt_tree_fails_loudly_on_first_prediction(key, value, match):
+    # a malformed field fails at load, naming the key; a split past the last
+    # column of X fails at the first prediction, naming the tree
+    payload = _payload([GOOD_TREE] * 3, max_depth=2)
+    if value is None:
+        del payload[key]
+    else:
+        payload[key] = value
+    with pytest.raises(ValueError, match=match):
+        BoostedTreeClassifier.from_json_dict(payload).predict_margin(np.zeros((4, 3), dtype=np.int64))
 
 
 def test_narrower_input_than_the_splits_read_fails_loudly():
-    model = _model([{"value": 0.3}, GOOD_TREE], max_depth=2)
+    model = _model([LEAF_ONLY, GOOD_TREE], max_depth=2)
     assert np.array_equal(model.predict_margin(np.array([[0, 1], [0, 3]])), [0.3 - 0.5, 0.3 + 0.5])
-    with pytest.raises(ValueError, match=r"\btree 1\b"):
+    with pytest.raises(ValueError, match=r"\btree 1 splits on column 1, but X has 1 columns"):
         model.predict_margin(np.zeros((2, 1), dtype=np.int64))

@@ -138,6 +138,45 @@ def test_run_rejects_prior_with_another_alphabet(workdir, tmp_path, capsys):
     assert not (tmp_path / "run.csv").exists()
 
 
+def _edited(payload, *path, value=None):
+    """A copy of a JSON payload whose key at the end of ``path`` is set to value, or removed when value is None."""
+    payload = json.loads(json.dumps(payload))
+    *parents, key = path
+    inner = payload
+    for step in parents:
+        inner = inner[step]
+    if value is None:
+        del inner[key]
+    else:
+        inner[key] = value
+    return payload
+
+
+@pytest.mark.parametrize(
+    "flag, corrupt, key",
+    [
+        ("--classifier", lambda payload: {"base_score": 0.0}, "config"),
+        ("--classifier", lambda payload: _edited(payload, "leaf", value="x"), "leaf"),
+        ("--acp", lambda payload: _edited(payload, "icps", 1, "alphas_1"), "alphas_1"),
+        ("--acp", lambda payload: _edited(payload, "icps", 0, "alphas_0", value={"a": 1}), "alphas_0"),
+        ("--prior", lambda payload: _edited(payload, "params", "w_out"), "w_out"),
+        ("--prior", lambda payload: _edited(payload, "params", "b_out", value=[0.0, 1.0]), "b_out"),
+    ],
+    ids=["classifier", "classifier_wrong_type", "acp", "acp_wrong_type", "prior", "prior_wrong_shape"],
+)
+def test_run_reports_a_corrupt_artifact_by_file_and_key(workdir, tmp_path, capsys, flag, corrupt, key):
+    artifacts = {"--prior": "prior.json", "--classifier": "clf.json", "--acp": "acp.json"}
+    paths = {name: workdir / file for name, file in artifacts.items()}
+    paths[flag] = tmp_path / artifacts[flag]
+    paths[flag].write_text(json.dumps(corrupt(json.loads((workdir / artifacts[flag]).read_text()))))
+    args = ["run", "--query", "AC?DE?G", "--steps", "2", "--batch-size", "4", "--out", str(tmp_path / "run.csv")]
+    code = main(args + [part for name, path in paths.items() for part in (name, str(path))])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {paths[flag]}: ") and f"{key!r}" in err
+    assert not (tmp_path / "run.csv").exists()
+
+
 def test_missing_input_exits_nonzero(tmp_path, capsys):
     code = main(["train-clf", "--data", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "x.json")])
     assert code == 1

@@ -25,10 +25,10 @@ from cpseq.domain import fingerprints, make_dataset, make_queries, write_dataset
 from cpseq.harness import parse_campaign_config, run_campaign
 
 GOLDEN = {
-    "acp.json": "5a6ffc8fc614b12c4aa282fee0201b847e04511dfe78260c14523249aecda5eb",
-    "cal/acp.json": "f92494d5f9f691fa6297bab1b368c90fd71e2d2005585d924a777a486b9f457c",
+    "acp.json": "646a3b20cfb8d55a198548ea17f074100c6f7facb16fae1e086a312426fdb1ef",
+    "cal/acp.json": "dbbc6ca07373e18718b925c769f0330837fdbeccbe56d6e883cf2f21df5e877b",
     "cal/acp.metrics.csv": "0bf7eaefd85871fe79625c5a8b8602050278f3c0353db450223eba055326ebf5",
-    "clf.json": "71379a9797478ea83ec3cc50eac72f72845a82254cc9e2156b4d3b4ec82a47be",
+    "clf.json": "236ba47b2d86823a3abcc8d3248e95347e90420ce1e7f878ce8a89ce410a6d71",
     "data.csv": "027acee8efb547b4330c935f7e76958fe5f6dc8c2ad6dfa8e3817b8b9acb814c",
     "out/runs/q000_cp_soft.csv": "a4d20c5fb51e3a3413c675bbd353b93e52bd8c6c72fc342231e704c0bd842f50",
     "out/runs/q000_cp_soft.json": "c22c58aed7b809b8f826656695532c8d7ceb60a0bd8caafeff01310792588995",
@@ -44,7 +44,7 @@ GOLDEN = {
     "prior.json": "6e20116bf63734f2a44f6ed447b6c16bdcb411803fee904ee43b72ecc3b8f1b8",
     "queries.csv": "97d593c9ea5f396ac242ae4b66da19295531960e82d8a19c210368c648dc5eb4",
     "run/run.csv": "c8611516f50224f9c4ce31e682d80e8d4f7c47963d8ac16c95fe7dbf65f67913",
-    "train/clf.json": "0e04bf25a4d813c46ca4838c7856d3d1ac246e0df2455fcf68a1220449775a1d",
+    "train/clf.json": "497935a8f0204536b01da4bb712d01095706a75409c52284f1d13fe356f0023d",
 }
 
 

@@ -6,6 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cpseq import harness
+from cpseq.conformal import save_acp
+from cpseq.domain import make_dataset, make_queries, write_dataset_csv, write_queries_csv
 from cpseq.harness import (
     CampaignArtifacts,
     CampaignConfig,
@@ -20,6 +23,7 @@ from cpseq.harness import (
     wilcoxon_signed_rank,
     wilcoxon_vs_baseline,
 )
+from cpseq.policy import DEFAULT_GATE_SAMPLES, Policy, PretrainResult
 from cpseq.rl import StepMetrics
 from cpseq.tables import read_table, write_table
 
@@ -274,8 +278,6 @@ def test_run_seed_derivation_is_stable():
 
 @pytest.fixture(scope="module")
 def small_campaign(tmp_path_factory):
-    from cpseq.domain import make_dataset, make_queries, write_dataset_csv, write_queries_csv
-
     root = tmp_path_factory.mktemp("campaign")
     write_dataset_csv(make_dataset(400, seed=3), root / "data.csv")
     write_queries_csv(make_queries(2, seed=5), root / "queries.csv")
@@ -429,3 +431,26 @@ def test_tables_write_numpy_floats_as_plain_numbers(tmp_path):
     write_table(tmp_path / "python.csv", StepMetrics, [metrics(float)])
     assert (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "python.csv").read_bytes()
     assert read_table(tmp_path / "numpy.csv", StepMetrics) == [metrics(float)]
+
+
+def test_built_prior_is_gated_on_the_default_sample_count(tmp_path, monkeypatch, tiny_models):
+    clf, acp = tiny_models
+    write_dataset_csv(make_dataset(200, seed=3), tmp_path / "data.csv")
+    write_queries_csv(make_queries(2, seed=5), tmp_path / "queries.csv")
+    clf.save(tmp_path / "clf.json")
+    save_acp(acp, tmp_path / "acp.json")
+    calls = []
+
+    def pretrain(corpus, **kwargs):
+        calls.append(kwargs)
+        return PretrainResult(Policy.fresh())
+
+    monkeypatch.setattr(harness, "pretrain_prior", pretrain)
+    config = CampaignConfig(
+        dataset=tmp_path / "data.csv", queries=tmp_path / "queries.csv",
+        classifier=tmp_path / "clf.json", acp=tmp_path / "acp.json",
+    )
+    harness.build_campaign_artifacts(config)
+    assert len(calls) == 1
+    assert calls[0]["gate_samples"] == DEFAULT_GATE_SAMPLES
+    assert len(calls[0]["gate_queries"]) == 2

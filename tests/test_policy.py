@@ -20,6 +20,7 @@ from cpseq.policy import (
     PARAM_NAMES,
     Policy,
     ValidityGateError,
+    _stream_ids,
     build_pretrain_corpus,
     fill_validity,
     pretrain_prior,
@@ -27,6 +28,11 @@ from cpseq.policy import (
 
 QUERY = QueryTemplate.from_text("AC?DE?G")
 FILLS = ("KF$", "M$")
+
+
+def _distributions(policy, query, fills):
+    """Per-step emission distributions along a teacher-forced stream."""
+    return policy._forward(query, _stream_ids(fills)).probs
 
 
 @pytest.fixture
@@ -46,7 +52,7 @@ def test_fresh_policy_is_uniform(fresh_policy):
 def test_distributions_normalized(fresh_policy):
     rng = np.random.default_rng(0)
     fresh_policy.p["w_out"] = rng.normal(0, 0.3, fresh_policy.p["w_out"].shape)
-    for probs in fresh_policy.distributions(QUERY, FILLS):
+    for probs in _distributions(fresh_policy, QUERY, FILLS):
         assert abs(probs.sum() - 1.0) < 1e-9
         assert np.all(probs > 0)
 

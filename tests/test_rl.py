@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from cpseq.domain import QueryTemplate, assemble
-from cpseq.policy import Policy
+from cpseq.policy import PARAM_SHAPES, Policy
 from cpseq.rl import (
     RLConfig,
     SequenceScorer,
     StepMetrics,
+    _weighted_sum,
     augmented_log_likelihood,
     rl_step,
     run_rl,
@@ -179,6 +180,30 @@ def test_step_matches_per_proposal_reference_bit_for_bit(tiny_models, tiny_prior
         assert type(metrics.loss) is float
         assert batched.params_equal(reference)
     assert not batched.params_equal(tiny_prior)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_weighted_sum_matches_a_loop_of_additions_byte_for_byte(seed):
+    # every parameter shape, at batch sizes up to 32; zero and -0.0 weights over
+    # zero gradient entries are where the sign of a zero total shows
+    rng = np.random.default_rng(seed)
+    n_rows = int(rng.integers(1, 33))
+    weights = rng.normal(size=n_rows) * 10.0 ** rng.integers(-20, 5, size=n_rows)
+    weights[rng.random(n_rows) < 0.3] = rng.choice([0.0, -0.0])
+    for shape in PARAM_SHAPES.values():
+        grads = rng.normal(size=(n_rows, *shape))
+        grads[:, rng.random(shape) < 0.2] = 0.0
+        grads[rng.random(grads.shape) < 0.1] = -0.0
+        expected = np.zeros(shape)
+        for weight, g in zip(weights.tolist(), grads):
+            expected += weight * g
+        assert _weighted_sum(weights, grads).tobytes() == expected.tobytes()
+
+
+def test_weighted_sum_of_negative_zero_terms_is_positive_zero():
+    # a loop of += starts from 0.0, and 0.0 + -0.0 is 0.0
+    terms_all_negative_zero = _weighted_sum(np.array([-1.0, -0.0, -2.0]), np.zeros((3, 4)))
+    assert terms_all_negative_zero.tobytes() == np.zeros(4).tobytes()
 
 
 # -- full runs ----------------------------------------------------------------------
