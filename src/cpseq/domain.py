@@ -12,12 +12,13 @@ slot-end and begin symbols the policy emits and starts from.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .tables import read_table, write_table
 
 MASK = "?"
 RESIDUES = tuple("ACDEFGHIKLMNPQRSTVWY")
@@ -272,48 +273,41 @@ def make_queries(
     return queries
 
 
+@dataclass(frozen=True)
+class _DatasetRow:
+    sequence: str
+    label: int
+    split: str
+
+    def __post_init__(self):
+        if not self.sequence or any(t not in _RESIDUE_INDEX for t in self.sequence):
+            raise ValueError(f"non-residue symbol in sequence {self.sequence!r}")
+
+
+@dataclass(frozen=True)
+class _QueryRow:
+    template: str
+
+    def __post_init__(self):
+        validate_template(QueryTemplate.from_text(self.template))
+
+
 def write_dataset_csv(dataset: LabeledDataset, path: str | Path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["sequence", "label", "split"])
-        for seq, label, split in zip(dataset.sequences, dataset.labels, dataset.splits):
-            writer.writerow([seq, int(label), split])
+    rows = zip(dataset.sequences, dataset.labels.tolist(), dataset.splits)
+    write_table(path, _DatasetRow, [_DatasetRow(*row) for row in rows])
 
 
 def read_dataset_csv(path: str | Path) -> LabeledDataset:
-    seqs: list[str] = []
-    labels: list[int] = []
-    splits: list[str] = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != ["sequence", "label", "split"]:
-            raise ValueError(f"unexpected dataset header in {path}")
-        for row in reader:
-            seq = row["sequence"]
-            if not seq or any(t not in _RESIDUE_INDEX for t in seq):
-                raise ValueError(f"non-residue symbol in sequence {seq!r}")
-            seqs.append(seq)
-            labels.append(int(row["label"]))
-            splits.append(row["split"])
-    return LabeledDataset(tuple(seqs), np.array(labels, dtype=np.int8), tuple(splits))
+    """The dataset a CSV holds; a bad row raises ValueError naming the file and the line."""
+    rows = read_table(path, _DatasetRow)
+    labels = np.array([row.label for row in rows], dtype=np.int8)
+    return LabeledDataset(tuple(row.sequence for row in rows), labels, tuple(row.split for row in rows))
 
 
 def write_queries_csv(queries: Sequence[QueryTemplate], path: str | Path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["template"])
-        for q in queries:
-            writer.writerow([q.to_text()])
+    write_table(path, _QueryRow, [_QueryRow(q.to_text()) for q in queries])
 
 
 def read_queries_csv(path: str | Path) -> list[QueryTemplate]:
-    queries = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != ["template"]:
-            raise ValueError(f"unexpected query header in {path}")
-        for row in reader:
-            template = QueryTemplate.from_text(row["template"])
-            validate_template(template)
-            queries.append(template)
-    return queries
+    """The templates a CSV holds; a bad row raises ValueError naming the file and the line."""
+    return [QueryTemplate.from_text(row.template) for row in read_table(path, _QueryRow)]

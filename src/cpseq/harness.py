@@ -14,7 +14,7 @@ import math
 import statistics
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence, get_args, get_type_hints
 
@@ -34,7 +34,7 @@ from .policy import (
 )
 from .rl import RLConfig, SequenceScorer, StepMetrics, run_rl
 from .scoring import SCORING_KINDS
-from .tables import read_table, write_table
+from .tables import json_field, read_json, read_table, write_table
 
 BASELINE_KIND = "rm_p1"
 _KIND_CODE = {kind: i for i, kind in enumerate(SCORING_KINDS)}
@@ -388,30 +388,19 @@ def run_campaign(
                 "length": query.length,
                 "scoring_fn": kind,
             }
+            steps_to_half = None
             try:
                 record = run_rl(query, rl_config, artifacts.prior, scorers[kind])
                 record.write_csv(runs_dir / f"{name}.csv")
-                row = RunSummary(
-                    query_id=query_id,
-                    length=query.length,
-                    scoring_fn=kind,
-                    n_unique_valid=len(record.unique_valid),
-                    n_conf_eff=len(record.conf_eff_unique),
-                    steps_to_half=steps_to_threshold(record.steps),
-                    status="ok",
-                )
-                sidecar.update(
-                    status="ok",
-                    n_unique_valid=row.n_unique_valid,
-                    n_conf_eff=row.n_conf_eff,
-                )
+                steps_to_half = steps_to_threshold(record.steps)
+                sidecar.update(status="ok", n_unique_valid=len(record.unique_valid),
+                               n_conf_eff=len(record.conf_eff_unique))
             except Exception as err:  # per-run isolation
-                row = RunSummary(query_id, query.length, kind, None, None, None, "error")
                 error = f"{type(err).__name__}: {err}"
                 sidecar.update(status="error", error=error, traceback=traceback.format_exc())
                 print(f"cpseq campaign: run {name} failed: {error}", file=sys.stderr)
             (runs_dir / f"{name}.json").write_text(json.dumps(sidecar))
-            rows.append(row)
+            rows.append(replace(_sidecar_summary(sidecar), steps_to_half=steps_to_half))
     return _write_summaries(rows, out)
 
 
@@ -439,6 +428,22 @@ def _write_summaries(rows: list[RunSummary], out: Path) -> CampaignResult:
     return CampaignResult(rows=rows, wilcoxon=wilcoxon_rows, out_dir=out)
 
 
+def _scoring_kind(value) -> str:
+    if value not in _KIND_CODE:
+        raise ValueError(f"{value!r} is not a scoring kind")
+    return value
+
+
+def _sidecar_summary(meta: dict) -> RunSummary:
+    """A run sidecar's summary row, with ``steps_to_half`` left for the run's metrics CSV to give."""
+    status = json_field(meta, "status", str)
+    key = (json_field(meta, "query_id", int), json_field(meta, "length", int),
+           json_field(meta, "scoring_fn", _scoring_kind))
+    if status != "ok":
+        return RunSummary(*key, None, None, None, "error")
+    return RunSummary(*key, json_field(meta, "n_unique_valid", int), json_field(meta, "n_conf_eff", int), None, "ok")
+
+
 def regenerate_report(runs_dir: str | Path, out_dir: str | Path) -> CampaignResult:
     """Rebuild summary/wilcoxon/length CSVs purely from per-run outputs.
 
@@ -453,23 +458,10 @@ def regenerate_report(runs_dir: str | Path, out_dir: str | Path) -> CampaignResu
         raise FileNotFoundError(f"no run sidecars found under {runs}")
     rows = []
     for sidecar_path in sidecars:
-        meta = json.loads(sidecar_path.read_text())
-        if meta["status"] == "ok":
+        row = read_json(sidecar_path, _sidecar_summary)
+        if row.status == "ok":
             steps = read_table(sidecar_path.with_suffix(".csv"), StepMetrics)
-            row = RunSummary(
-                query_id=int(meta["query_id"]),
-                length=int(meta["length"]),
-                scoring_fn=meta["scoring_fn"],
-                n_unique_valid=int(meta["n_unique_valid"]),
-                n_conf_eff=int(meta["n_conf_eff"]),
-                steps_to_half=steps_to_threshold(steps),
-                status="ok",
-            )
-        else:
-            row = RunSummary(
-                int(meta["query_id"]), int(meta["length"]), meta["scoring_fn"],
-                None, None, None, "error",
-            )
+            row = replace(row, steps_to_half=steps_to_threshold(steps))
         rows.append(row)
     rows.sort(key=lambda r: (r.query_id, _KIND_CODE[r.scoring_fn]))
     return _write_summaries(rows, out)

@@ -5,10 +5,10 @@ state update that also consumes a query encoding (mean embedding of the
 template, with the mask marker as its own symbol), and a linear projection
 produces logits over the fixed emission alphabet at every step. Likelihoods,
 sampling, and parameter gradients are all computed in closed form with numpy;
-there is no autodiff dependency. Likelihoods and gradients come per example
-(pretraining) or for a whole batch in one padded pass (reinforcement steps),
-and the two agree bit for bit. The output projection starts at zero, so a
-fresh policy is exactly uniform over the emission alphabet.
+there is no autodiff dependency. Likelihoods and gradients come from one
+padded teacher-forced pass over a batch of (template, fills) rows, and each
+row's values are the same bit for bit in any batch. The output projection
+starts at zero, so a fresh policy is exactly uniform over the emission alphabet.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ GATE_THRESHOLD = 0.9  # fill-validity a pretrained prior must reach on the gate 
 DEFAULT_PRETRAIN_EPOCHS = 20
 DEFAULT_PRETRAIN_LEARNING_RATE = 1e-3
 DEFAULT_PRETRAIN_CORPUS_SIZE = 1500  # training sequences masked into the pretraining corpus
+PRETRAIN_BATCH = 32  # examples per pretraining SGD step
 DEFAULT_GATE_SAMPLES = 500  # proposals drawn to measure fill-validity
 
 TOKEN_ID = {t: i for i, t in enumerate(EMISSION_TOKENS)}
@@ -80,27 +81,17 @@ def _stream_ids(fills: Sequence[str]) -> list[int]:
         raise ValueError(f"proposal token {err.args[0]!r} not in the emission alphabet")
 
 
-class _Forward(NamedTuple):
-    """What a teacher-forced pass computes, kept for backpropagation."""
-
-    template_ids: np.ndarray
-    query_encoding: np.ndarray
-    inputs: list[int]  # the token id fed in at each step
-    states: list[np.ndarray]  # zero state first; step i maps states[i] to states[i + 1]
-    probs: list[np.ndarray]  # the emission distribution at each step
-    nll: float  # total negative log-likelihood of the stream
-
-
 class _BatchForward(NamedTuple):
     """What a batched teacher-forced pass computes, kept for backpropagation.
 
     Row r of the padded arrays holds proposal ``order[r]``; rows are sorted by
     decreasing stream length, so the streams still running at step i are the
-    first ``active[i]`` rows.
+    first ``active[i]`` rows. Row r's template is ``templates[group[r]]``.
     """
 
-    template_ids: np.ndarray
-    query_encoding: np.ndarray
+    templates: list[np.ndarray]  # template token ids of each distinct template
+    group: np.ndarray  # (B,) index into templates
+    query_encoding: np.ndarray  # (B, E) mean template embedding of each row
     order: np.ndarray
     targets: np.ndarray  # (B, T) emitted token ids, padded with 0
     inputs: np.ndarray  # (B, T) token ids fed in, BEGIN_ID first
@@ -113,8 +104,8 @@ class _BatchForward(NamedTuple):
 def _matvecs(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``w @ x[b]`` for every row b, one matrix-vector product per row.
 
-    One BLAS gemv per row gives the per-example ``w @ x`` bit for bit; a single
-    ``x @ w.T`` matrix product does not.
+    One BLAS gemv per row keeps each row's result independent of the rest of
+    its batch, bit for bit; a single ``x @ w.T`` matrix product does not.
     """
     return np.matmul(w, x[:, :, None])[:, :, 0]
 
@@ -170,27 +161,9 @@ class Policy:
         exp = np.exp(logits)
         return h_new, exp / exp.sum()
 
-    def _forward(self, query: QueryTemplate, stream: Sequence[int]) -> _Forward:
-        """Teacher-forced pass over a token-id stream (see :class:`_Forward`)."""
-        template_ids = _template_ids(query)
-        q = self.p["embed"][template_ids].mean(axis=0)
-        wq_q = self.p["w_query"] @ q
-        h = np.zeros(self.p["w_rec"].shape[0])
-        prev = BEGIN_ID
-        inputs, states, probs_list = [], [h], []
-        total = 0.0
-        for t in stream:
-            inputs.append(prev)
-            h, probs = self._step(prev, wq_q, h)
-            states.append(h)
-            probs_list.append(probs)
-            total -= np.log(probs[t])
-            prev = t
-        return _Forward(template_ids, q, inputs, states, probs_list, float(total))
-
     def nll(self, query: QueryTemplate, fills: Sequence[str]) -> float:
         """Total negative log-likelihood of the emitted token stream."""
-        return self._forward(query, _stream_ids(fills)).nll
+        return float(self.nll_batch([query], [fills])[0])
 
     def sample(self, query: QueryTemplate, rng: np.random.Generator) -> SampledProposal:
         """Draw one fill per masked slot; a slot ends on the terminator or the cap.
@@ -222,43 +195,16 @@ class Policy:
     def nll_and_grad(
         self, query: QueryTemplate, fills: Sequence[str], upstream_scale: float = 1.0
     ) -> tuple[float, dict[str, np.ndarray]]:
-        """NLL plus the analytic gradient of (upstream_scale * NLL).
+        """NLL plus the analytic gradient of (upstream_scale * NLL), from a batch of one."""
+        nll, grads = self.nll_and_grad_batch([query], [fills])
+        return float(nll[0]), {name: upstream_scale * g[0] for name, g in grads.items()}
 
-        Backpropagation through time over the tanh recurrence; the query
-        encoding contributes gradients to the embedding rows of every template
-        entry (mask marker included) through the mean.
-        """
-        stream = _stream_ids(fills)
-        fwd = self._forward(query, stream)
-        grads = {name: np.zeros_like(self.p[name]) for name in PARAM_NAMES}
-        if upstream_scale == 0.0 or not stream:
-            return fwd.nll, grads
-
-        embed, w_in, w_query, w_rec = (self.p[k] for k in ("embed", "w_in", "w_query", "w_rec"))
-        inputs, states, q = fwd.inputs, fwd.states, fwd.query_encoding
-        dq = np.zeros_like(q)
-        dh = np.zeros(w_rec.shape[0])
-        for i in range(len(stream) - 1, -1, -1):
-            dlogits = fwd.probs[i].copy()
-            dlogits[stream[i]] -= 1.0
-            dlogits *= upstream_scale
-            grads["w_out"] += np.outer(dlogits, states[i + 1])
-            grads["b_out"] += dlogits
-            dh = dh + self.p["w_out"].T @ dlogits
-            da = dh * (1.0 - states[i + 1] ** 2)
-            e_in = embed[inputs[i]]
-            grads["w_in"] += np.outer(da, e_in)
-            grads["embed"][inputs[i]] += w_in.T @ da
-            grads["w_query"] += np.outer(da, q)
-            dq += w_query.T @ da
-            grads["w_rec"] += np.outer(da, states[i])
-            grads["b_rec"] += da
-            dh = w_rec.T @ da
-        np.add.at(grads["embed"], fwd.template_ids, dq / len(fwd.template_ids))
-        return fwd.nll, grads
-
-    def _forward_batch(self, query: QueryTemplate, proposals: Sequence[Sequence[str]]) -> _BatchForward:
-        """Teacher-forced pass over B proposals' streams at once (see :class:`_BatchForward`)."""
+    def _forward_batch(
+        self, queries: Sequence[QueryTemplate], proposals: Sequence[Sequence[str]]
+    ) -> _BatchForward:
+        """Teacher-forced pass over rows b filling ``queries[b]`` with ``proposals[b]`` (see :class:`_BatchForward`)."""
+        if len(queries) != len(proposals):
+            raise ValueError(f"{len(queries)} templates for {len(proposals)} proposals")
         streams = [_stream_ids(fills) for fills in proposals]
         lengths = np.array([len(s) for s in streams], dtype=np.intp)
         order = np.argsort(-lengths, kind="stable")
@@ -274,14 +220,17 @@ class Policy:
         embed, w_in, w_rec, b_rec, w_out, b_out = (
             self.p[k] for k in ("embed", "w_in", "w_rec", "b_rec", "w_out", "b_out")
         )
-        template_ids = _template_ids(query)
-        q = embed[template_ids].mean(axis=0)
-        wq_q = self.p["w_query"] @ q
+        distinct: dict[QueryTemplate, int] = {}  # each template's group, in order of first appearance
+        group = np.array([distinct.setdefault(q, len(distinct)) for q in queries], dtype=np.intp)[order]
+        templates = [_template_ids(q) for q in distinct]
+        encodings = [embed[ids].mean(axis=0) for ids in templates]
+        q = np.array(encodings)[group]
+        wq_q = np.array([self.p["w_query"] @ e for e in encodings])[group]
         h = np.zeros((n_rows, w_rec.shape[0]))
         states, probs_list = [h], []
         nll = np.zeros(n_rows)
         for i, n in enumerate(active):
-            h = np.tanh(_matvecs(w_in, embed[inputs[:n, i]]) + wq_q + _matvecs(w_rec, h[:n]) + b_rec)
+            h = np.tanh(_matvecs(w_in, embed[inputs[:n, i]]) + wq_q[:n] + _matvecs(w_rec, h[:n]) + b_rec)
             logits = _matvecs(w_out, h) + b_out
             logits = logits - logits.max(axis=1, keepdims=True)
             exp = np.exp(logits)
@@ -289,29 +238,31 @@ class Policy:
             nll[:n] -= np.log(probs[np.arange(n), targets[:n, i]])
             states.append(h)
             probs_list.append(probs)
-        return _BatchForward(template_ids, q, order, targets, inputs, active, states, probs_list, nll)
+        return _BatchForward(templates, group, q, order, targets, inputs, active, states, probs_list, nll)
 
-    def nll_batch(self, query: QueryTemplate, proposals: Sequence[Sequence[str]]) -> np.ndarray:
-        """Each proposal's :meth:`nll`, bit for bit, from one batched pass; shape (B,)."""
-        fwd = self._forward_batch(query, proposals)
+    def nll_batch(self, queries: Sequence[QueryTemplate], proposals: Sequence[Sequence[str]]) -> np.ndarray:
+        """Each row's negative log-likelihood from one batched pass; shape (B,)."""
+        fwd = self._forward_batch(queries, proposals)
         return _proposal_order(fwd.order, fwd.nll)
 
     def nll_and_grad_batch(
-        self, query: QueryTemplate, proposals: Sequence[Sequence[str]]
+        self, queries: Sequence[QueryTemplate], proposals: Sequence[Sequence[str]]
     ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """Each proposal's :meth:`nll_and_grad`, bit for bit, from one batched pass.
+        """Each row's NLL and its analytic gradient from one batched pass.
 
-        Returns the (B,) NLLs and per-proposal gradients ``{name: (B, *shape)}``.
-        Backpropagation runs over the padded streams; a row whose stream has
-        ended leaves its accumulators and ``dh`` untouched.
+        Returns the (B,) NLLs and per-row gradients ``{name: (B, *shape)}``.
+        Backpropagation through time runs over the padded streams; a row whose
+        stream has ended leaves its accumulators and ``dh`` untouched. The
+        query encoding passes gradients to the embedding rows of every
+        template entry (mask marker included) through the mean.
         """
-        fwd = self._forward_batch(query, proposals)
+        fwd = self._forward_batch(queries, proposals)
         embed, w_in, w_query, w_rec, w_out = (self.p[k] for k in ("embed", "w_in", "w_query", "w_rec", "w_out"))
         n_rows = len(fwd.order)
         grads = {name: np.zeros((n_rows, *self.p[name].shape)) for name in PARAM_NAMES}
         g_embed = grads["embed"]
         q, states, rows = fwd.query_encoding, fwd.states, np.arange(n_rows)
-        dq = np.zeros((n_rows, len(q)))
+        dq = np.zeros_like(q)
         dh = np.zeros((n_rows, w_rec.shape[0]))
         for i in range(len(fwd.active) - 1, -1, -1):
             n = fwd.active[i]
@@ -324,12 +275,14 @@ class Policy:
             da = dh[:n] * (1.0 - states[i + 1] ** 2)
             grads["w_in"][:n] += da[:, :, None] * embed[ids][:, None, :]
             g_embed[rows[:n], ids] += _matvecs(w_in.T, da)
-            grads["w_query"][:n] += da[:, :, None] * q
+            grads["w_query"][:n] += da[:, :, None] * q[:n, None, :]
             dq[:n] += _matvecs(w_query.T, da)
             grads["w_rec"][:n] += da[:, :, None] * states[i][:n, None, :]
             grads["b_rec"][:n] += da
             dh[:n] = _matvecs(w_rec.T, da)
-        np.add.at(g_embed, (slice(None), fwd.template_ids), (dq / len(fwd.template_ids))[:, None, :])
+        for g, ids in enumerate(fwd.templates):
+            members = np.flatnonzero(fwd.group == g)
+            np.add.at(g_embed, (members[:, None], ids), (dq[members] / len(ids))[:, None, :])
         return _proposal_order(fwd.order, fwd.nll), {k: _proposal_order(fwd.order, g) for k, g in grads.items()}
 
     def sgd_step(self, grads: dict[str, np.ndarray], learning_rate: float) -> None:
@@ -409,8 +362,10 @@ def pretrain_prior(
     gate_queries: Sequence[QueryTemplate] | None = None,
     gate_samples: int = DEFAULT_GATE_SAMPLES,
 ) -> PretrainResult:
-    """Maximum-likelihood pretraining of a prior by per-example SGD.
+    """Maximum-likelihood pretraining of a prior by minibatch SGD.
 
+    Each epoch shuffles the corpus and takes one step on the summed NLL gradient
+    of each run of :data:`PRETRAIN_BATCH` examples (the last run may be shorter).
     When ``gate_queries`` are supplied the returned prior must reach the
     fill-validity gate (:data:`GATE_THRESHOLD`) on them, otherwise :class:`ValidityGateError` is raised;
     downstream reinforcement runs assume a gate-passed prior.
@@ -424,11 +379,13 @@ def pretrain_prior(
     for _ in range(epochs):
         shuffle_rng.shuffle(order)
         epoch_total = 0.0
-        for idx in order:
-            query, fills = corpus[idx]
-            nll, grads = policy.nll_and_grad(query, fills)
-            policy.sgd_step(grads, learning_rate)
-            epoch_total += nll
+        for start in range(0, len(order), PRETRAIN_BATCH):
+            queries, fills = zip(*(corpus[i] for i in order[start : start + PRETRAIN_BATCH]))
+            nll, grads = policy.nll_and_grad_batch(queries, fills)
+            # from 0.0 in row order, so a -0.0 total reads 0.0 as in a summing loop
+            policy.sgd_step({k: np.add.reduce(g, axis=0, initial=0.0) for k, g in grads.items()}, learning_rate)
+            for value in nll.tolist():
+                epoch_total += value
         history.append(epoch_total / len(corpus))
 
     gate_validity = None

@@ -173,8 +173,9 @@ def rl_step(
     evals = scorer.evaluate(valid_seqs) if valid_seqs else {}
 
     fills = [p.fills for p in proposals]
-    log_p_prior = (-prior.nll_batch(query, fills)).tolist()  # Python floats, so the metrics CSV reads plain numbers
-    agent_nll, grads = agent.nll_and_grad_batch(query, fills)
+    queries = [query] * config.batch_size
+    log_p_prior = (-prior.nll_batch(queries, fills)).tolist()  # Python floats, so the metrics CSV reads plain numbers
+    agent_nll, grads = agent.nll_and_grad_batch(queries, fills)
     log_p_agent = (-agent_nll).tolist()
     weights = np.empty(config.batch_size)
     loss_total = 0.0

@@ -1,12 +1,13 @@
-"""The file codecs: the one CSV codec for the tables cpseq writes (per-run
-metrics, the three campaign summaries and the calibration report), and the
-field reader for its JSON artifacts (classifier, ACP and prior).
+"""The file codecs: the one CSV codec for the tables cpseq reads and writes
+(datasets, query lists, per-run metrics, campaign summaries, the calibration
+report), and the field reader for its JSON files (artifacts, run sidecars).
 
 A table is a list of dataclass rows; its header is the row class's field
 names. Cells are written as: ``None`` → empty, ``float`` → ``repr`` (so values
-read back exactly), anything else → ``str``; lines end with ``\\n``. A
-missing or malformed artifact field raises ValueError naming the file and
-the key.
+read back exactly), anything else → ``str``; lines end with ``\\n``. A row
+with too few or too many cells, or a cell its field type rejects, raises
+ValueError naming the file and the line; a missing or malformed JSON field
+raises ValueError naming the file and the key.
 """
 
 from __future__ import annotations
@@ -59,7 +60,10 @@ def read_table(path: str | Path, row_type: type[Row]) -> list[Row]:
         for cells in reader:
             if len(cells) != len(names):
                 raise ValueError(f"{path}:{reader.line_num}: expected {len(names)} cells, got {len(cells)}")
-            rows.append(row_type(*(parse(cell) for parse, cell in zip(parsers, cells))))
+            try:
+                rows.append(row_type(*(parse(cell) for parse, cell in zip(parsers, cells))))
+            except ValueError as err:
+                raise ValueError(f"{path}:{reader.line_num}: {err}") from None
     return rows
 
 

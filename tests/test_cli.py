@@ -119,6 +119,14 @@ def test_campaign_and_report_round_trip(workdir, tmp_path):
     assert (tmp_path / "rep" / "summary.csv").read_bytes() == (out / "summary.csv").read_bytes()
 
 
+def test_report_names_a_sidecar_missing_a_key(tmp_path, capsys):
+    runs = tmp_path / "rep" / "runs"
+    runs.mkdir(parents=True)
+    (runs / "q000_rm_p1.json").write_text(json.dumps({"query_id": 0}))
+    assert main(["report", "--dir", str(tmp_path / "rep")]) == 1
+    assert capsys.readouterr().err == f"error: {runs / 'q000_rm_p1.json'}: missing key 'status'\n"
+
+
 def test_run_rejects_prior_with_another_alphabet(workdir, tmp_path, capsys):
     payload = json.loads((workdir / "prior.json").read_text())
     payload["end_token"] = "^"

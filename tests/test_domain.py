@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -288,3 +290,29 @@ def test_queries_csv_round_trip(tmp_path):
     assert [q.to_text() for q in back] == [q.to_text() for q in queries]
     assert path.read_text().splitlines()[0] == "template"
     assert MASK in path.read_text()
+
+
+@pytest.mark.parametrize("row", ["ACDEFG", "ACDEFG,1,train,extra"], ids=["short", "long"])
+def test_dataset_csv_rejects_a_row_of_another_width(tmp_path, row):
+    path = tmp_path / "data.csv"
+    path.write_text(f"sequence,label,split\nACDEFH,0,test\n{row}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: expected 3 cells")):
+        read_dataset_csv(path)
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("data.csv", "sequence,label,split\nACDEFH,0,test\nACDXFG,1,train\n", ":3: non-residue symbol"),
+        ("data.csv", "sequence,label,split\nACDEFH,x,test\n", ":2: invalid literal"),
+        ("queries.csv", "template\nAC?DE\nAC?XE\n", ":3: template entry 'X'"),
+        ("queries.csv", "template\nACDE\n", ":2: masked_count"),
+    ],
+    ids=["residue", "label", "template_entry", "unmasked_template"],
+)
+def test_csv_readers_name_the_file_and_line_of_a_bad_cell(tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    read = read_dataset_csv if name == "data.csv" else read_queries_csv
+    with pytest.raises(ValueError, match=re.escape(f"{path}{message}")):
+        read(path)

@@ -7,7 +7,8 @@ change only with a change that alters outputs on purpose, and CHANGES.md says
 why.
 
 Covered: the tiny classifier, ACP and prior artifacts (the prior is pretrained
-with ``Policy.nll_and_grad``), the dataset and query CSVs, every file of the
+in minibatches through ``Policy.nll_and_grad_batch``), the dataset and query
+CSVs, every file of the
 criterion-8 campaign, the ACP and metrics CSV of a small ``cpseq
 calibrate``, the classifier of a small ``cpseq train-clf`` and the metrics CSV
 of a short ``cpseq run`` on the tiny artifacts; and the raw float64 bytes of
@@ -30,20 +31,20 @@ GOLDEN = {
     "cal/acp.metrics.csv": "0bf7eaefd85871fe79625c5a8b8602050278f3c0353db450223eba055326ebf5",
     "clf.json": "236ba47b2d86823a3abcc8d3248e95347e90420ce1e7f878ce8a89ce410a6d71",
     "data.csv": "027acee8efb547b4330c935f7e76958fe5f6dc8c2ad6dfa8e3817b8b9acb814c",
-    "out/runs/q000_cp_soft.csv": "a4d20c5fb51e3a3413c675bbd353b93e52bd8c6c72fc342231e704c0bd842f50",
+    "out/runs/q000_cp_soft.csv": "81907326e22e4752e2c38ad2423274de633d86a07acaeccae52ebbda157627cf",
     "out/runs/q000_cp_soft.json": "c22c58aed7b809b8f826656695532c8d7ceb60a0bd8caafeff01310792588995",
-    "out/runs/q000_rm_p1.csv": "4e544f246fa7b1db59a28dda23239d368cd5815cd56f81723ee5b26d0358eeb8",
+    "out/runs/q000_rm_p1.csv": "606872c40b8440ebad160bb39ab83ace768d36c9c39b3cd9a75b5cdca222fea5",
     "out/runs/q000_rm_p1.json": "3fe6d52d6446626d2295541e8154825b52411f5b100bfabfdc961eedbf0e3bcf",
-    "out/runs/q001_cp_soft.csv": "3891279e6dbd3b74f2b95e06bf3a4d7987f26b6a4cf53d7eba2a68aeaf1a5f65",
+    "out/runs/q001_cp_soft.csv": "5f33afb9047b20227f84bf2658c57ac4dd542a7e5840aaf3a0296cea90f62b4b",
     "out/runs/q001_cp_soft.json": "22717c818fbbc52f943aa30866591148dd5da800a08a76d03fc1203e1f0f816d",
-    "out/runs/q001_rm_p1.csv": "811febb98af63e7d45c456a0574e371a4a97e3fad928e1599f23b3aca8309ce3",
+    "out/runs/q001_rm_p1.csv": "0698f4ab19a1e45927280e3296fe54a113b7bee437361a0dde2c0dc6e889ed8d",
     "out/runs/q001_rm_p1.json": "d3e485ac9da1a06e339ac9266fbcb3f52a62a2fea6cbb438439b528cc2373d01",
     "out/summary.csv": "0b5248afb3f28e32629d4632702e03b0afd96058de638dde9dae41c4828fc86b",
     "out/summary_by_length.csv": "8bba7f41d1893fcf00138ee98de03d6ebe3d9ad3ed3c3459934674b5c3ceedc1",
     "out/wilcoxon.csv": "e74b6d9b3fcca15403b0f155ad38df7e1733cf8738185a49511929f81ac0d534",
-    "prior.json": "6e20116bf63734f2a44f6ed447b6c16bdcb411803fee904ee43b72ecc3b8f1b8",
+    "prior.json": "905757707045c3b1db2b76875dc51de5d9a7507144f239902b1aaf53d9ebaf38",
     "queries.csv": "97d593c9ea5f396ac242ae4b66da19295531960e82d8a19c210368c648dc5eb4",
-    "run/run.csv": "c8611516f50224f9c4ce31e682d80e8d4f7c47963d8ac16c95fe7dbf65f67913",
+    "run/run.csv": "5731088797791342d83deb1126049e3433b33d36b05684fe20e482b4f49569e3",
     "train/clf.json": "497935a8f0204536b01da4bb712d01095706a75409c52284f1d13fe356f0023d",
 }
 

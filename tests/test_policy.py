@@ -16,11 +16,14 @@ from cpseq.domain import (
     make_queries,
 )
 from cpseq.policy import (
+    BEGIN_ID,
     MAX_TOKENS_PER_SLOT,
     PARAM_NAMES,
+    PRETRAIN_BATCH,
     Policy,
     ValidityGateError,
     _stream_ids,
+    _template_ids,
     build_pretrain_corpus,
     fill_validity,
     pretrain_prior,
@@ -30,9 +33,62 @@ QUERY = QueryTemplate.from_text("AC?DE?G")
 FILLS = ("KF$", "M$")
 
 
+# -- the per-example reference -------------------------------------------------------
+
+
+def _reference_forward(policy, query, stream):
+    """One example's teacher-forced pass, a step at a time: (inputs, states, probs, nll)."""
+    p = policy.p
+    wq_q = p["w_query"] @ p["embed"][_template_ids(query)].mean(axis=0)
+    h = np.zeros(p["w_rec"].shape[0])
+    prev = BEGIN_ID
+    inputs, states, probs_list = [], [h], []
+    total = 0.0
+    for t in stream:
+        inputs.append(prev)
+        h = np.tanh(p["w_in"] @ p["embed"][prev] + wq_q + p["w_rec"] @ h + p["b_rec"])
+        logits = p["w_out"] @ h + p["b_out"]
+        logits = logits - logits.max()
+        exp = np.exp(logits)
+        probs = exp / exp.sum()
+        states.append(h)
+        probs_list.append(probs)
+        total -= np.log(probs[t])
+        prev = t
+    return inputs, states, probs_list, float(total)
+
+
+def _reference_nll_and_grad(policy, query, fills):
+    """One example's NLL and its gradient by backpropagation through time, a step at a time."""
+    p = policy.p
+    stream = _stream_ids(fills)
+    inputs, states, probs, nll = _reference_forward(policy, query, stream)
+    template_ids = _template_ids(query)
+    q = p["embed"][template_ids].mean(axis=0)
+    grads = {name: np.zeros_like(p[name]) for name in PARAM_NAMES}
+    dq = np.zeros_like(q)
+    dh = np.zeros(p["w_rec"].shape[0])
+    for i in range(len(stream) - 1, -1, -1):
+        dlogits = probs[i].copy()
+        dlogits[stream[i]] -= 1.0
+        grads["w_out"] += np.outer(dlogits, states[i + 1])
+        grads["b_out"] += dlogits
+        dh = dh + p["w_out"].T @ dlogits
+        da = dh * (1.0 - states[i + 1] ** 2)
+        grads["w_in"] += np.outer(da, p["embed"][inputs[i]])
+        grads["embed"][inputs[i]] += p["w_in"].T @ da
+        grads["w_query"] += np.outer(da, q)
+        dq += p["w_query"].T @ da
+        grads["w_rec"] += np.outer(da, states[i])
+        grads["b_rec"] += da
+        dh = p["w_rec"].T @ da
+    np.add.at(grads["embed"], template_ids, dq / len(template_ids))
+    return nll, grads
+
+
 def _distributions(policy, query, fills):
     """Per-step emission distributions along a teacher-forced stream."""
-    return policy._forward(query, _stream_ids(fills)).probs
+    return _reference_forward(policy, query, _stream_ids(fills))[2]
 
 
 @pytest.fixture
@@ -173,50 +229,62 @@ _slot_fills = st.one_of(
 )
 
 
-@st.composite
-def _batches(draw):
-    """A 1- to 4-slot query and B = 1, 2 or 32 proposals for it (B = 32 always ties some lengths)."""
+def _template(draw):
     masked = draw(st.integers(1, MAX_MASKED))
     fixed = draw(st.lists(st.sampled_from(RESIDUES), min_size=1, max_size=6))
-    query = QueryTemplate(tuple(draw(st.permutations([*fixed, *[MASK] * masked]))))
-    proposal = st.tuples(*[_slot_fills] * masked)
+    return QueryTemplate(tuple(draw(st.permutations([*fixed, *[MASK] * masked]))))
+
+
+@st.composite
+def _batches(draw):
+    """B = 1, 2 or 32 rows over one to three 1- to 4-slot templates (B = 32 always ties some lengths)."""
+    templates = [_template(draw) for _ in range(draw(st.integers(1, 3)))]
     size = draw(st.sampled_from([1, 2, 32]))
-    return query, draw(st.lists(proposal, min_size=size, max_size=size))
+    queries = draw(st.lists(st.sampled_from(templates), min_size=size, max_size=size))
+    proposals = [draw(st.tuples(*[_slot_fills] * query.masked_count)) for query in queries]
+    return queries, proposals
 
 
-def _assert_batch_matches_per_example(policy, query, proposals):
-    nll = policy.nll_batch(query, proposals)
-    grad_nll, grads = policy.nll_and_grad_batch(query, proposals)
+def _assert_batch_matches_per_example(policy, queries, proposals):
+    nll = policy.nll_batch(queries, proposals)
+    grad_nll, grads = policy.nll_and_grad_batch(queries, proposals)
     assert nll.shape == (len(proposals),)
     assert np.array_equal(grad_nll, nll)
     assert set(grads) == set(PARAM_NAMES)
-    for b, fills in enumerate(proposals):
-        ref_nll, ref_grads = policy.nll_and_grad(query, fills)
-        assert nll[b] == ref_nll == policy.nll(query, fills)
+    for b, (query, fills) in enumerate(zip(queries, proposals)):
+        ref_nll, ref_grads = _reference_nll_and_grad(policy, query, fills)
+        one_nll, one_grads = policy.nll_and_grad(query, fills)
+        assert nll[b] == ref_nll == one_nll == policy.nll(query, fills)
         for name in PARAM_NAMES:
             assert grads[name].shape == (len(proposals), *policy.p[name].shape)
             assert np.array_equal(grads[name][b], ref_grads[name]), (b, name)
+            assert np.array_equal(one_grads[name], ref_grads[name]), (b, name)
 
 
 @given(batch=_batches(), seed=st.integers(0, 2**16))
 @settings(max_examples=60)
 def test_batched_pass_matches_per_example_bit_for_bit(batch, seed):
-    query, proposals = batch
+    queries, proposals = batch
     policy = Policy.fresh(seed=seed)
     rng = np.random.default_rng(seed)
     for name in ("w_out", "b_out"):  # away from uniform, so every emission differs
         policy.p[name] = rng.normal(0, 0.5, policy.p[name].shape)
-    _assert_batch_matches_per_example(policy, query, proposals)
-    sampled = [policy.sample(query, rng) for _ in proposals]
-    _assert_batch_matches_per_example(policy, query, [s.fills for s in sampled])
-    assert policy.nll_batch(query, [s.fills for s in sampled]).tolist() == [-s.log_likelihood for s in sampled]
+    _assert_batch_matches_per_example(policy, queries, proposals)
+    sampled = [policy.sample(query, rng) for query in queries]
+    _assert_batch_matches_per_example(policy, queries, [s.fills for s in sampled])
+    assert policy.nll_batch(queries, [s.fills for s in sampled]).tolist() == [-s.log_likelihood for s in sampled]
 
 
 def test_batched_pass_on_a_trained_prior(tiny_prior):
     rng = np.random.default_rng(4)
     for query in make_queries(4, seed=6):
         proposals = [tiny_prior.sample(query, rng).fills for _ in range(32)]
-        _assert_batch_matches_per_example(tiny_prior, query, proposals)
+        _assert_batch_matches_per_example(tiny_prior, [query] * 32, proposals)
+
+
+def test_batch_needs_one_template_per_proposal(fresh_policy):
+    with pytest.raises(ValueError, match="1 templates for 2 proposals"):
+        fresh_policy.nll_batch([QUERY], [FILLS, FILLS])
 
 
 # -- pretraining -------------------------------------------------------------------
@@ -226,6 +294,30 @@ def test_single_example_overfit():
     corpus = [(QUERY, FILLS)]
     result = pretrain_prior(corpus, epochs=400, learning_rate=0.05, seed=0)
     assert result.policy.nll(QUERY, FILLS) < 0.1
+
+
+def test_pretraining_epoch_matches_per_example_reference_bit_for_bit(tiny_dataset):
+    seqs, _ = tiny_dataset.subset("train")
+    corpus = build_pretrain_corpus(seqs[:40], seed=2)
+    assert PRETRAIN_BATCH < len(corpus) < 2 * PRETRAIN_BATCH  # one full minibatch and one short one
+    learning_rate, seed = 1e-2, 3
+    result = pretrain_prior(corpus, epochs=1, learning_rate=learning_rate, seed=seed)
+
+    # the same start and shuffle; per-example gradients summed in row order from 0.0
+    policy = Policy.fresh(seed=np.random.SeedSequence([seed, 0]).generate_state(1)[0])
+    order = np.arange(len(corpus))
+    np.random.default_rng([seed, 1]).shuffle(order)
+    epoch_total = 0.0
+    for start in range(0, len(order), PRETRAIN_BATCH):
+        total_grads = {name: np.zeros_like(arr) for name, arr in policy.p.items()}
+        for i in order[start : start + PRETRAIN_BATCH]:
+            nll, grads = _reference_nll_and_grad(policy, *corpus[i])
+            epoch_total += nll
+            for name, g in grads.items():
+                total_grads[name] += g
+        policy.sgd_step(total_grads, learning_rate)
+    assert result.policy.params_equal(policy)
+    assert result.epoch_nll == [epoch_total / len(corpus)]
 
 
 def test_pretraining_curve_decreases_smoothed(tiny_dataset):
