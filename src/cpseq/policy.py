@@ -5,9 +5,9 @@ state update that also consumes a query encoding (mean embedding of the
 template, with the mask marker as its own symbol), and a linear projection
 produces logits over the fixed emission alphabet at every step. Likelihoods,
 sampling, and parameter gradients are all computed in closed form with numpy;
-there is no autodiff dependency. Likelihoods and gradients come from one
-padded teacher-forced pass over a batch of (template, fills) rows, and each
-row's values are the same bit for bit in any batch. The output projection
+there is no autodiff dependency. One recurrence step serves both a padded
+teacher-forced pass over a batch of (template, fills) rows, whose row values are
+the same bit for bit in any batch, and lockstep sampling. The output projection
 starts at zero, so a fresh policy is exactly uniform over the emission alphabet.
 """
 
@@ -59,6 +59,7 @@ TOKEN_ID = {t: i for i, t in enumerate(EMISSION_TOKENS)}
 MASK_ID = len(EMISSION_TOKENS)  # extra embedding row for the mask marker
 END_ID = TOKEN_ID[SLOT_END]
 BEGIN_ID = TOKEN_ID[BEGIN]
+_PADDED_TOKENS = np.array([*EMISSION_TOKENS, ""])  # token ids to text, the index past the alphabet to ""
 
 
 @dataclass(frozen=True)
@@ -70,8 +71,8 @@ class SampledProposal:
     tokens: tuple[str, ...]
 
 
-def _template_ids(query: QueryTemplate) -> np.ndarray:
-    return np.array([MASK_ID if t == MASK else TOKEN_ID[t] for t in query.positions], dtype=np.intp)
+def _template_ids(positions: Sequence[str]) -> np.ndarray:
+    return np.array([MASK_ID if t == MASK else TOKEN_ID[t] for t in positions], dtype=np.intp)
 
 
 def _stream_ids(fills: Sequence[str]) -> list[int]:
@@ -152,45 +153,50 @@ class Policy:
 
     # -- core math -----------------------------------------------------------
 
-    def _step(self, prev_id: int, wq_q: np.ndarray, h: np.ndarray):
-        """One recurrence step: returns (new hidden state, softmax probabilities)."""
-        a = self.p["w_in"] @ self.p["embed"][prev_id] + wq_q + self.p["w_rec"] @ h + self.p["b_rec"]
-        h_new = np.tanh(a)
-        logits = self.p["w_out"] @ h_new + self.p["b_out"]
-        logits = logits - logits.max()
+    def _cell(self, prev_ids: np.ndarray, wq_q: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One recurrence step of every row b from token ``prev_ids[b]``: the (B, H) states and (B, V) softmaxes."""
+        p = self.p
+        h = np.tanh(_matvecs(p["w_in"], p["embed"][prev_ids]) + wq_q + _matvecs(p["w_rec"], h) + p["b_rec"])
+        logits = _matvecs(p["w_out"], h) + p["b_out"]
+        logits = logits - logits.max(axis=1, keepdims=True)
         exp = np.exp(logits)
-        return h_new, exp / exp.sum()
+        return h, exp / exp.sum(axis=1, keepdims=True)
 
     def nll(self, query: QueryTemplate, fills: Sequence[str]) -> float:
         """Total negative log-likelihood of the emitted token stream."""
         return float(self.nll_batch([query], [fills])[0])
 
     def sample(self, query: QueryTemplate, rng: np.random.Generator) -> SampledProposal:
-        """Draw one fill per masked slot; a slot ends on the terminator or the cap.
+        """One proposal: :meth:`sample_batch` with a batch of one."""
+        return self.sample_batch(query, 1, rng)[0]
 
-        A cap-hit slot keeps its unterminated tokens, so the proposal later
-        fails assembly: that is the intended invalidity channel.
+    def sample_batch(self, query: QueryTemplate, n: int, rng: np.random.Generator) -> list[SampledProposal]:
+        """Draw ``n`` proposals in lockstep, one fill per masked slot each.
+
+        The rows move through the slots together. At each step the rows still in
+        the slot take one ``rng.random`` value each, in proposal order, and invert
+        their CDFs, so a batch of one draws as a token-by-token loop does. A row
+        leaves a slot on the terminator or at the cap. A cap-hit slot keeps its
+        unterminated tokens, so the proposal fails assembly: the invalidity channel.
         """
-        wq_q = self.p["w_query"] @ self.p["embed"][_template_ids(query)].mean(axis=0)
-        h = np.zeros(self.p["w_rec"].shape[0])
-        prev = BEGIN_ID
-        fills = []
-        trace = []
-        log_likelihood = 0.0
-        for _ in range(query.masked_count):
-            fill = []
-            for _ in range(MAX_TOKENS_PER_SLOT):
-                h, probs = self._step(prev, wq_q, h)
-                draw = min(int(np.searchsorted(np.cumsum(probs), rng.random(), side="right")), len(probs) - 1)
-                log_likelihood += float(np.log(probs[draw]))
-                tok = EMISSION_TOKENS[draw]
-                fill.append(tok)
-                trace.append(tok)
-                prev = draw
-                if draw == END_ID:
+        wq_q = self.p["w_query"] @ self.p["embed"][_template_ids(query.positions)].mean(axis=0)
+        h = np.zeros((n, HIDDEN_DIM))
+        prev = np.full(n, BEGIN_ID)
+        log_likelihood = np.zeros(n)
+        ids = np.full((n, query.masked_count, MAX_TOKENS_PER_SLOT), len(EMISSION_TOKENS))  # padded past the alphabet
+        for slot in range(query.masked_count):
+            live = np.arange(n)
+            for t in range(MAX_TOKENS_PER_SLOT):
+                if not live.size:
                     break
-            fills.append("".join(fill))
-        return SampledProposal(tuple(fills), log_likelihood, tuple(trace))
+                h[live], probs = self._cell(prev[live], wq_q, h[live])
+                u = rng.random(len(live))
+                draw = np.minimum((np.cumsum(probs, axis=1) <= u[:, None]).sum(axis=1), len(EMISSION_TOKENS) - 1)
+                log_likelihood[live] += np.log(probs[np.arange(len(live)), draw])
+                ids[live, slot, t] = prev[live] = draw
+                live = live[draw != END_ID]
+        fills = [tuple(map("".join, row)) for row in _PADDED_TOKENS[ids].tolist()]
+        return [SampledProposal(f, ll, tuple("".join(f))) for f, ll in zip(fills, log_likelihood.tolist())]
 
     def nll_and_grad(
         self, query: QueryTemplate, fills: Sequence[str], upstream_scale: float = 1.0
@@ -217,24 +223,18 @@ class Policy:
         sorted_lengths = lengths[order]
         active = [int(np.count_nonzero(sorted_lengths > i)) for i in range(n_steps)]
 
-        embed, w_in, w_rec, b_rec, w_out, b_out = (
-            self.p[k] for k in ("embed", "w_in", "w_rec", "b_rec", "w_out", "b_out")
-        )
-        distinct: dict[QueryTemplate, int] = {}  # each template's group, in order of first appearance
-        group = np.array([distinct.setdefault(q, len(distinct)) for q in queries], dtype=np.intp)[order]
-        templates = [_template_ids(q) for q in distinct]
-        encodings = [embed[ids].mean(axis=0) for ids in templates]
+        # each template's group, in order of first appearance; a positions key hashes in C, a QueryTemplate in Python
+        distinct: dict[tuple[str, ...], int] = {}
+        group = np.array([distinct.setdefault(q.positions, len(distinct)) for q in queries], dtype=np.intp)[order]
+        templates = [_template_ids(positions) for positions in distinct]
+        encodings = [self.p["embed"][ids].mean(axis=0) for ids in templates]
         q = np.array(encodings)[group]
         wq_q = np.array([self.p["w_query"] @ e for e in encodings])[group]
-        h = np.zeros((n_rows, w_rec.shape[0]))
+        h = np.zeros((n_rows, HIDDEN_DIM))
         states, probs_list = [h], []
         nll = np.zeros(n_rows)
         for i, n in enumerate(active):
-            h = np.tanh(_matvecs(w_in, embed[inputs[:n, i]]) + wq_q[:n] + _matvecs(w_rec, h[:n]) + b_rec)
-            logits = _matvecs(w_out, h) + b_out
-            logits = logits - logits.max(axis=1, keepdims=True)
-            exp = np.exp(logits)
-            probs = exp / exp.sum(axis=1, keepdims=True)
+            h, probs = self._cell(inputs[:n, i], wq_q[:n], h[:n])
             nll[:n] -= np.log(probs[np.arange(n), targets[:n, i]])
             states.append(h)
             probs_list.append(probs)
@@ -333,13 +333,13 @@ def build_pretrain_corpus(
 def fill_validity(
     policy: Policy, queries: Sequence[QueryTemplate], n_samples: int, rng: np.random.Generator
 ) -> float:
-    """Fraction of sampled proposals that assemble into valid sequences."""
+    """Fraction of valid proposals when proposal i fills ``queries[i % len(queries)]``, drawn a query at a time."""
+    if n_samples < 1 or not queries:
+        raise ValueError(f"fill-validity needs at least 1 sample and 1 query, got {n_samples} and {len(queries)}")
     valid = 0
-    for i in range(n_samples):
-        query = queries[i % len(queries)]
-        proposal = policy.sample(query, rng)
-        if assemble(query, proposal.fills) is not None:
-            valid += 1
+    for j, query in enumerate(queries):
+        for proposal in policy.sample_batch(query, len(range(j, n_samples, len(queries))), rng):
+            valid += assemble(query, proposal.fills) is not None
     return valid / n_samples
 
 

@@ -162,12 +162,12 @@ def rl_step(
 ) -> tuple[StepMetrics, dict[str, SequenceEval]]:
     """One sample-score-update cycle; returns metrics plus each distinct valid sequence's evaluation.
 
-    The prior's likelihoods and the agent's likelihoods and gradients each come
-    from one batched teacher-forced pass over the sampled proposals.
+    The batch is drawn in lockstep; the prior's likelihoods and the agent's
+    likelihoods and gradients each come from one batched teacher-forced pass.
 
     Raises FloatingPointError when the loss or an agent parameter is not finite after the update.
     """
-    proposals = [agent.sample(query, rng) for _ in range(config.batch_size)]
+    proposals = agent.sample_batch(query, config.batch_size, rng)
     assembled = [assemble(query, p.fills) for p in proposals]
     valid_seqs = [s for s in assembled if s is not None]
     evals = scorer.evaluate(valid_seqs) if valid_seqs else {}
@@ -217,7 +217,15 @@ def run_rl(
     prior: Policy,
     scorer: SequenceScorer,
 ) -> RunRecord:
-    """Run the full learning loop for one query; the prior stays frozen."""
+    """Run the full learning loop for one query; the prior stays frozen.
+
+    Raises ValueError when the scorer's kind or significance differs from the config's.
+    """
+    if (scorer.kind, scorer.significance) != (config.scoring, config.significance):
+        raise ValueError(
+            f"the config's scoring {config.scoring!r} at significance {config.significance} differs from "
+            f"the scorer's {scorer.kind!r} at {scorer.significance}"
+        )
     agent = prior.copy()
     rng = np.random.default_rng(config.seed)
     record = RunRecord(config=config, query=query)

@@ -185,6 +185,18 @@ def test_run_reports_a_corrupt_artifact_by_file_and_key(workdir, tmp_path, capsy
     assert not (tmp_path / "run.csv").exists()
 
 
+@pytest.mark.parametrize("samples, rows, got", [("0", 2, "0 and 2"), ("500", 0, "500 and 0")],
+                         ids=["no_samples", "no_queries"])
+def test_pretrain_with_nothing_to_gate_on_exits_with_a_message(workdir, tmp_path, capsys, samples, rows, got):
+    lines = (workdir / "queries.csv").read_text().splitlines()  # a header and two templates
+    (tmp_path / "gate.csv").write_text("\n".join(lines[: rows + 1]) + "\n")
+    args = ["pretrain", "--data", str(workdir / "data.csv"), "--corpus-size", "20", "--epochs", "1"]
+    args += ["--gate-queries", str(tmp_path / "gate.csv"), "--gate-samples", samples]
+    assert main(args + ["--out", str(tmp_path / "prior.json")]) == 1
+    assert capsys.readouterr().err == f"error: fill-validity needs at least 1 sample and 1 query, got {got}\n"
+    assert not (tmp_path / "prior.json").exists()
+
+
 def test_missing_input_exits_nonzero(tmp_path, capsys):
     code = main(["train-clf", "--data", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "x.json")])
     assert code == 1

@@ -31,20 +31,20 @@ GOLDEN = {
     "cal/acp.metrics.csv": "0bf7eaefd85871fe79625c5a8b8602050278f3c0353db450223eba055326ebf5",
     "clf.json": "236ba47b2d86823a3abcc8d3248e95347e90420ce1e7f878ce8a89ce410a6d71",
     "data.csv": "027acee8efb547b4330c935f7e76958fe5f6dc8c2ad6dfa8e3817b8b9acb814c",
-    "out/runs/q000_cp_soft.csv": "81907326e22e4752e2c38ad2423274de633d86a07acaeccae52ebbda157627cf",
-    "out/runs/q000_cp_soft.json": "c22c58aed7b809b8f826656695532c8d7ceb60a0bd8caafeff01310792588995",
-    "out/runs/q000_rm_p1.csv": "606872c40b8440ebad160bb39ab83ace768d36c9c39b3cd9a75b5cdca222fea5",
-    "out/runs/q000_rm_p1.json": "3fe6d52d6446626d2295541e8154825b52411f5b100bfabfdc961eedbf0e3bcf",
-    "out/runs/q001_cp_soft.csv": "5f33afb9047b20227f84bf2658c57ac4dd542a7e5840aaf3a0296cea90f62b4b",
-    "out/runs/q001_cp_soft.json": "22717c818fbbc52f943aa30866591148dd5da800a08a76d03fc1203e1f0f816d",
-    "out/runs/q001_rm_p1.csv": "0698f4ab19a1e45927280e3296fe54a113b7bee437361a0dde2c0dc6e889ed8d",
-    "out/runs/q001_rm_p1.json": "d3e485ac9da1a06e339ac9266fbcb3f52a62a2fea6cbb438439b528cc2373d01",
-    "out/summary.csv": "0b5248afb3f28e32629d4632702e03b0afd96058de638dde9dae41c4828fc86b",
-    "out/summary_by_length.csv": "8bba7f41d1893fcf00138ee98de03d6ebe3d9ad3ed3c3459934674b5c3ceedc1",
+    "out/runs/q000_cp_soft.csv": "d0c714e85fc080cc701fd1a37c2b26590b4140aae1f4a1073ed889dd625ee14b",
+    "out/runs/q000_cp_soft.json": "bbbab87d4f0d04572cf3f203b60d54093ffb054985c8c4855994cbe4e995dddf",
+    "out/runs/q000_rm_p1.csv": "3413a77dba3421d4575679e580238ca343d2852050f5a4afb730a6667be9e172",
+    "out/runs/q000_rm_p1.json": "10a3bd7e4bdf092f66843c246633cb4d1d4bf88f72cd3ad70628cdd04fd38e0e",
+    "out/runs/q001_cp_soft.csv": "630cd0f176ec3635726e7fbec8e8ba0a4df9118e382a2c5b37d52f7e96c74433",
+    "out/runs/q001_cp_soft.json": "f3344275a8217e75fb619e5075936d52be360690db2ad3bbbfaa17930108c3cb",
+    "out/runs/q001_rm_p1.csv": "bad54d0cbaa62f349c655915d4e7255ebc15d993fd4f574bbf62d3452ae49ddb",
+    "out/runs/q001_rm_p1.json": "99b90c4feed394160046b80120ba406f28e75273211b285b0f487f035a7f46c2",
+    "out/summary.csv": "856577492a3a8abfe0631506e5f062fb9f996ccc619c89105a9afd75277382aa",
+    "out/summary_by_length.csv": "670d8cb2df806a3e12fcc7172e02d6c592bffb667bcffc3990d377c0c424b6b6",
     "out/wilcoxon.csv": "e74b6d9b3fcca15403b0f155ad38df7e1733cf8738185a49511929f81ac0d534",
     "prior.json": "905757707045c3b1db2b76875dc51de5d9a7507144f239902b1aaf53d9ebaf38",
     "queries.csv": "97d593c9ea5f396ac242ae4b66da19295531960e82d8a19c210368c648dc5eb4",
-    "run/run.csv": "5731088797791342d83deb1126049e3433b33d36b05684fe20e482b4f49569e3",
+    "run/run.csv": "8ec25bbf14ac9a01e594e13d74ca02ba62b9eaf2b65ef5617c1a60b024ffa5aa",
     "train/clf.json": "497935a8f0204536b01da4bb712d01095706a75409c52284f1d13fe356f0023d",
 }
 

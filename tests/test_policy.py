@@ -17,10 +17,12 @@ from cpseq.domain import (
 )
 from cpseq.policy import (
     BEGIN_ID,
+    END_ID,
     MAX_TOKENS_PER_SLOT,
     PARAM_NAMES,
     PRETRAIN_BATCH,
     Policy,
+    SampledProposal,
     ValidityGateError,
     _stream_ids,
     _template_ids,
@@ -36,21 +38,30 @@ FILLS = ("KF$", "M$")
 # -- the per-example reference -------------------------------------------------------
 
 
+def _reference_step(p, prev, wq_q, h):
+    """One example's recurrence step: (new state, emission distribution)."""
+    h = np.tanh(p["w_in"] @ p["embed"][prev] + wq_q + p["w_rec"] @ h + p["b_rec"])
+    logits = p["w_out"] @ h + p["b_out"]
+    logits = logits - logits.max()
+    exp = np.exp(logits)
+    return h, exp / exp.sum()
+
+
+def _reference_start(policy, query):
+    """One example's query product ``w_query @ q`` and zero state."""
+    p = policy.p
+    return p["w_query"] @ p["embed"][_template_ids(query.positions)].mean(axis=0), np.zeros(p["w_rec"].shape[0])
+
+
 def _reference_forward(policy, query, stream):
     """One example's teacher-forced pass, a step at a time: (inputs, states, probs, nll)."""
-    p = policy.p
-    wq_q = p["w_query"] @ p["embed"][_template_ids(query)].mean(axis=0)
-    h = np.zeros(p["w_rec"].shape[0])
+    wq_q, h = _reference_start(policy, query)
     prev = BEGIN_ID
     inputs, states, probs_list = [], [h], []
     total = 0.0
     for t in stream:
         inputs.append(prev)
-        h = np.tanh(p["w_in"] @ p["embed"][prev] + wq_q + p["w_rec"] @ h + p["b_rec"])
-        logits = p["w_out"] @ h + p["b_out"]
-        logits = logits - logits.max()
-        exp = np.exp(logits)
-        probs = exp / exp.sum()
+        h, probs = _reference_step(policy.p, prev, wq_q, h)
         states.append(h)
         probs_list.append(probs)
         total -= np.log(probs[t])
@@ -58,12 +69,35 @@ def _reference_forward(policy, query, stream):
     return inputs, states, probs_list, float(total)
 
 
+def _reference_sample(policy, query, rng):
+    """One proposal drawn a token at a time: one ``rng.random()`` and a search of the CDF per token."""
+    wq_q, h = _reference_start(policy, query)
+    prev = BEGIN_ID
+    fills = []
+    trace = []
+    log_likelihood = 0.0
+    for _ in range(query.masked_count):
+        fill = []
+        for _ in range(MAX_TOKENS_PER_SLOT):
+            h, probs = _reference_step(policy.p, prev, wq_q, h)
+            draw = min(int(np.searchsorted(np.cumsum(probs), rng.random(), side="right")), len(probs) - 1)
+            log_likelihood += float(np.log(probs[draw]))
+            tok = EMISSION_TOKENS[draw]
+            fill.append(tok)
+            trace.append(tok)
+            prev = draw
+            if draw == END_ID:
+                break
+        fills.append("".join(fill))
+    return SampledProposal(tuple(fills), log_likelihood, tuple(trace))
+
+
 def _reference_nll_and_grad(policy, query, fills):
     """One example's NLL and its gradient by backpropagation through time, a step at a time."""
     p = policy.p
     stream = _stream_ids(fills)
     inputs, states, probs, nll = _reference_forward(policy, query, stream)
-    template_ids = _template_ids(query)
+    template_ids = _template_ids(query.positions)
     q = p["embed"][template_ids].mean(axis=0)
     grads = {name: np.zeros_like(p[name]) for name in PARAM_NAMES}
     dq = np.zeros_like(q)
@@ -143,6 +177,40 @@ def test_sample_emits_one_fill_per_slot(fresh_policy):
     assert proposal.tokens == tuple("".join(proposal.fills))
 
 
+ACCEPTANCE_QUERIES = make_queries(10, lengths=(6, 7, 10), seed=33)
+
+
+@pytest.mark.parametrize("trained", [False, True], ids=["fresh", "trained"])
+def test_sample_equals_the_token_by_token_reference(request, trained):
+    policy = request.getfixturevalue("tiny_prior") if trained else Policy.fresh(seed=3)
+    rng, reference_rng = np.random.default_rng(21), np.random.default_rng(21)
+    for query in ACCEPTANCE_QUERIES:
+        for _ in range(100):
+            assert policy.sample(query, rng) == _reference_sample(policy, query, reference_rng)
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def test_lockstep_rows_are_proposals_scored_by_the_batched_pass(tiny_prior):
+    rng = np.random.default_rng(8)
+    for query in ACCEPTANCE_QUERIES:
+        proposals = tiny_prior.sample_batch(query, 32, rng)
+        nll = tiny_prior.nll_batch([query] * 32, [p.fills for p in proposals])
+        assert [p.log_likelihood for p in proposals] == (-nll).tolist()
+        for proposal in proposals:
+            assert len(proposal.fills) == query.masked_count
+            assert proposal.tokens == tuple("".join(proposal.fills))
+            for fill in proposal.fills:  # ends on the terminator, or unterminated at the cap
+                assert SLOT_END not in fill[:-1]
+                assert fill.endswith(SLOT_END) or len(fill) == MAX_TOKENS_PER_SLOT
+
+
+def test_empty_batch_draws_nothing(fresh_policy):
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    assert fresh_policy.sample_batch(QUERY, 0, rng) == []
+    assert rng.bit_generator.state == before
+
+
 def test_uniform_policy_validity_matches_independent_monte_carlo(fresh_policy):
     # independent simulator: uniform draws over the alphabet with the same cap rule
     rng = np.random.default_rng(123)
@@ -164,12 +232,8 @@ def test_uniform_policy_validity_matches_independent_monte_carlo(fresh_policy):
     sim_valid = sum(
         1 for _ in range(n) if all(simulate_slot() for _ in range(QUERY.masked_count))
     )
-    rng2 = np.random.default_rng(456)
-    sampled_valid = sum(
-        1
-        for _ in range(n)
-        if assemble(QUERY, fresh_policy.sample(QUERY, rng2).fills) is not None
-    )
+    sampled = fresh_policy.sample_batch(QUERY, n, np.random.default_rng(456))
+    sampled_valid = sum(1 for proposal in sampled if assemble(QUERY, proposal.fills) is not None)
     assert abs(sim_valid / n - sampled_valid / n) <= 0.02
 
 
@@ -270,7 +334,8 @@ def test_batched_pass_matches_per_example_bit_for_bit(batch, seed):
     for name in ("w_out", "b_out"):  # away from uniform, so every emission differs
         policy.p[name] = rng.normal(0, 0.5, policy.p[name].shape)
     _assert_batch_matches_per_example(policy, queries, proposals)
-    sampled = [policy.sample(query, rng) for query in queries]
+    batches = {query: iter(policy.sample_batch(query, queries.count(query), rng)) for query in dict.fromkeys(queries)}
+    sampled = [next(batches[query]) for query in queries]
     _assert_batch_matches_per_example(policy, queries, [s.fills for s in sampled])
     assert policy.nll_batch(queries, [s.fills for s in sampled]).tolist() == [-s.log_likelihood for s in sampled]
 
@@ -278,7 +343,7 @@ def test_batched_pass_matches_per_example_bit_for_bit(batch, seed):
 def test_batched_pass_on_a_trained_prior(tiny_prior):
     rng = np.random.default_rng(4)
     for query in make_queries(4, seed=6):
-        proposals = [tiny_prior.sample(query, rng).fills for _ in range(32)]
+        proposals = [p.fills for p in tiny_prior.sample_batch(query, 32, rng)]
         _assert_batch_matches_per_example(tiny_prior, [query] * 32, proposals)
 
 
@@ -345,6 +410,20 @@ def test_validity_gate_raises_when_unmet(tiny_dataset):
         # one epoch on a tiny corpus leaves the policy near uniform
         pretrain_prior(corpus, epochs=1, learning_rate=1e-5, seed=0,
                        gate_queries=queries, gate_samples=200)
+
+
+def test_gate_draws_each_query_share_in_one_batch(fresh_policy):
+    # proposal i fills queries[i % 3], so 7 proposals split 3, 2, 2
+    calls = []
+
+    class Recording(Policy):
+        def sample_batch(self, query, n, rng):
+            calls.append((query, n))
+            return super().sample_batch(query, n, rng)
+
+    queries = make_queries(3, seed=1)
+    fill_validity(Recording(fresh_policy.p), queries, 7, np.random.default_rng(0))
+    assert calls == [(queries[0], 3), (queries[1], 2), (queries[2], 2)]
 
 
 def test_gate_passes_for_trained_prior(tiny_prior):

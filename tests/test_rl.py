@@ -129,7 +129,7 @@ def test_zero_valid_step_yields_finite_metrics(tiny_models):
 
 def _per_proposal_rl_step(agent, prior, query, scorer, config, rng, step_index):
     """The reference: rl_step with one prior.nll and one agent.nll_and_grad call per proposal."""
-    proposals = [agent.sample(query, rng) for _ in range(config.batch_size)]
+    proposals = agent.sample_batch(query, config.batch_size, rng)
     assembled = [assemble(query, p.fills) for p in proposals]
     valid_seqs = [s for s in assembled if s is not None]
     evals = scorer.evaluate(valid_seqs) if valid_seqs else {}
@@ -217,6 +217,15 @@ def test_run_deterministic(tiny_models, tiny_prior):
     assert a.steps == b.steps
     assert a.unique_valid == b.unique_valid
     assert a.conf_eff_unique == b.conf_eff_unique
+
+
+@pytest.mark.parametrize("kind, significance", [("rm_p1", 0.2), ("cp_soft", 0.1)], ids=["kind", "significance"])
+def test_run_rejects_a_scorer_that_differs_from_its_config(tiny_models, tiny_prior, kind, significance):
+    clf, acp = tiny_models
+    config = RLConfig(scoring="cp_soft", significance=0.2, steps=1)
+    expected = f"'cp_soft' at significance 0.2 differs from the scorer's {kind!r} at {significance}"
+    with pytest.raises(ValueError, match=expected):
+        run_rl(QUERY, config, tiny_prior, SequenceScorer(kind, clf, acp, significance))
 
 
 def test_prior_parameters_frozen_through_run(tiny_models, tiny_prior):
