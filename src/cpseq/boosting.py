@@ -3,8 +3,12 @@
 A small reference classifier over integer count features (the bigram
 fingerprints), exposing ``fit`` / ``predict_proba`` so the conformal layer can
 swap in any probabilistic binary classifier with the same surface. Split
-finding is histogram-based and exploits the sparsity of count features, which
-keeps full fits under a few seconds at 5k x 2048.
+finding is histogram-based and exploits the sparsity of count features: each
+node's histograms are accumulated over the nonzero entries only, and splits
+are searched only over the columns that hold a nonzero somewhere in the
+training matrix (at most 400 of the 2048 fingerprint buckets, one per residue
+bigram), which picks the same splits, bit for bit, as a search over every
+column.
 
 Trees are fixed-depth heap arrays from ``fit`` to file, and loading checks
 them. Prediction evaluates every tree on a block of rows with a few numpy
@@ -62,21 +66,24 @@ def _sigmoid(margin: np.ndarray) -> np.ndarray:
 
 
 class _SparseBins:
-    """Nonzero (row, feature, bin) triplets of the clipped training matrix.
+    """Nonzero (row, column, bin) triplets of the clipped training matrix.
 
     Count features are overwhelmingly zero, so per-node gradient histograms are
     accumulated over nonzeros only; the zero bin is recovered from node totals.
+    Columns with no nonzero can never split (every row would go left), so the
+    histograms cover only ``columns``, the ascending columns that hold a
+    nonzero, and a triplet's column is its position in that array.
     """
 
     def __init__(self, X: np.ndarray):
-        self.n_rows, self.n_features = X.shape
-        binned = np.minimum(X, _BIN_COUNT - 1).astype(np.int64)
-        self.rows, feats = np.nonzero(binned)
-        self.flat = feats * _BIN_COUNT + binned[self.rows, feats]
+        self.rows, feats = np.nonzero(X)
+        self.columns, ids = np.unique(feats, return_inverse=True)
+        values = np.minimum(X[self.rows, feats], _BIN_COUNT - 1).astype(np.int64)
+        self.flat = ids * _BIN_COUNT + values
 
     def histograms(self, node_mask, g, h):
-        """Per-(feature, bin) sums of gradients, hessians and counts in a node."""
-        size = self.n_features * _BIN_COUNT
+        """Per-(used column, bin) sums of gradients, hessians and counts in a node."""
+        size = len(self.columns) * _BIN_COUNT
         member = node_mask[self.rows]
         rows = self.rows[member]
         flat = self.flat[member]
@@ -93,7 +100,9 @@ class _SparseBins:
 
 
 def _best_split(G, H, C, g_tot, h_tot, reg_lambda):
-    """Pick (feature, threshold, gain) maximizing the usual boosting gain."""
+    """Pick (histogram row, threshold, gain) maximizing the usual boosting gain; gain is -inf when none is usable."""
+    if len(G) == 0:
+        return 0, 0, -np.inf
     GL = np.cumsum(G, axis=1)[:, :-1]
     HL = np.cumsum(H, axis=1)[:, :-1]
     CL = np.cumsum(C, axis=1)[:, :-1]
@@ -105,8 +114,8 @@ def _best_split(G, H, C, g_tot, h_tot, reg_lambda):
     usable = (CL >= 1) & (CR >= 1) & (HL >= _MIN_CHILD_HESSIAN) & (HR >= _MIN_CHILD_HESSIAN)
     gain = np.where(usable, gain, -np.inf)
     idx = int(np.argmax(gain))
-    feature, threshold = divmod(idx, _BIN_COUNT - 1)
-    return feature, threshold, float(gain.flat[idx])
+    row, threshold = divmod(idx, _BIN_COUNT - 1)
+    return row, threshold, float(gain.flat[idx])
 
 
 class _Trees(NamedTuple):
@@ -176,6 +185,23 @@ def _add_trees(trees: _Trees, X: np.ndarray, margins: np.ndarray) -> None:
         margins[rows] = np.add.accumulate(values, axis=1)[:, -1]
 
 
+def _check_counts(X: np.ndarray) -> None:
+    """Raise ValueError naming the first entry of ``X`` that is negative or not a whole number.
+
+    Split search bins each entry as a count (``min(x, 15)``), while routing
+    compares the raw value, so only non-negative whole numbers are learned as given.
+    """
+    bad = X < 0
+    if X.dtype.kind == "f":
+        bad |= X != np.floor(X)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        kind = "negative" if X[row, col] < 0 else "not a whole number"
+        raise ValueError(
+            f"X[{row}, {col}] = {X[row, col]} is {kind}; features must be non-negative integer counts"
+        )
+
+
 class BoostedTreeClassifier:
     """Boosted regression trees with Newton leaf values on logistic loss."""
 
@@ -192,6 +218,7 @@ class BoostedTreeClassifier:
             raise ValueError("X must be (n, d) with one label per row")
         if len(y) < 2 or len(np.unique(y)) < 2:
             raise ValueError("training data must contain both labels")
+        _check_counts(X)
 
         cfg = self.config
         rng = np.random.default_rng(cfg.seed)
@@ -231,8 +258,9 @@ class BoostedTreeClassifier:
         node_mask = route & active
         if level < cfg.max_depth and node_mask.sum() >= 2:
             G, H, C, g_tot, h_tot = bins.histograms(node_mask, g, h)
-            f, t, gain = _best_split(G, H, C, g_tot, h_tot, cfg.reg_lambda)
+            row, t, gain = _best_split(G, H, C, g_tot, h_tot, cfg.reg_lambda)
             if gain > _MIN_GAIN:
+                f = bins.columns[row]
                 feature[node], threshold[node] = f, t
                 goes_left = route & (X[:, f] <= t)
                 self._build_node(bins, X, goes_left, active, g, h, margins, tree, 2 * node + 1, level + 1)

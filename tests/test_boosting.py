@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -37,6 +37,21 @@ def test_single_label_training_rejected():
 def test_too_few_examples_rejected():
     with pytest.raises(ValueError):
         BoostedTreeClassifier().fit(np.ones((1, 3)), np.array([1]))
+
+
+@pytest.mark.parametrize(
+    "shift, match",
+    [(-1, r"X\[\d+, 2\] = -\d+ is negative"), (0.5, r"X\[\d+, \d+\] = \d+\.5 is not a whole number"),
+     (np.nan, r"X\[\d+, \d+\] = nan is not a whole number")],
+    ids=["negative", "fractional", "nan"],
+)
+def test_features_that_are_not_counts_rejected(shift, match):
+    # split search bins entries as counts while routing reads the raw values, so
+    # a negative or fractional entry would be learned as some other value
+    X, y = _toy_separable()
+    X = np.concatenate([X, -X[:, :1]], axis=1) if shift == -1 else X + shift
+    with pytest.raises(ValueError, match=match):
+        BoostedTreeClassifier(ClassifierConfig(n_rounds=3)).fit(X, y)
 
 
 def test_untrained_model_predicts_half_everywhere():
@@ -251,3 +266,114 @@ def test_narrower_input_than_the_splits_read_fails_loudly():
     assert np.array_equal(model.predict_margin(np.array([[0, 1], [0, 3]])), [0.3 - 0.5, 0.3 + 0.5])
     with pytest.raises(ValueError, match=r"\btree 1 splits on column 1, but X has 1 columns"):
         model.predict_margin(np.zeros((2, 1), dtype=np.int64))
+
+
+# -- split search over the used columns ------------------------------------------------
+
+
+class _DenseBins:
+    """The split search over every column: a (n_features, 16) histogram grid per node."""
+
+    def __init__(self, X):
+        self.n_features = X.shape[1]
+        self.columns = np.arange(self.n_features)  # histogram row f is column f
+        binned = np.minimum(X, boosting._BIN_COUNT - 1).astype(np.int64)
+        self.rows, feats = np.nonzero(binned)
+        self.flat = feats * boosting._BIN_COUNT + binned[self.rows, feats]
+
+    def histograms(self, node_mask, g, h):
+        size = self.n_features * boosting._BIN_COUNT
+        member = node_mask[self.rows]
+        rows = self.rows[member]
+        flat = self.flat[member]
+        G = np.bincount(flat, weights=g[rows], minlength=size).reshape(-1, boosting._BIN_COUNT)
+        H = np.bincount(flat, weights=h[rows], minlength=size).reshape(-1, boosting._BIN_COUNT)
+        C = np.bincount(flat, minlength=size).reshape(-1, boosting._BIN_COUNT).astype(np.float64)
+        g_tot = g[node_mask].sum()
+        h_tot = h[node_mask].sum()
+        c_tot = float(node_mask.sum())
+        G[:, 0] = g_tot - G.sum(axis=1)
+        H[:, 0] = h_tot - H.sum(axis=1)
+        C[:, 0] = c_tot - C.sum(axis=1)
+        return G, H, C, g_tot, h_tot
+
+
+def _dense_best_split(G, H, C, g_tot, h_tot, reg_lambda):
+    GL = np.cumsum(G, axis=1)[:, :-1]
+    HL = np.cumsum(H, axis=1)[:, :-1]
+    CL = np.cumsum(C, axis=1)[:, :-1]
+    GR = g_tot - GL
+    HR = h_tot - HL
+    CR = C.sum(axis=1, keepdims=True) - CL
+    parent = g_tot * g_tot / (h_tot + reg_lambda)
+    gain = GL**2 / (HL + reg_lambda) + GR**2 / (HR + reg_lambda) - parent
+    usable = (CL >= 1) & (CR >= 1) & (HL >= boosting._MIN_CHILD_HESSIAN) & (HR >= boosting._MIN_CHILD_HESSIAN)
+    gain = np.where(usable, gain, -np.inf)
+    idx = int(np.argmax(gain))
+    feature, threshold = divmod(idx, boosting._BIN_COUNT - 1)
+    return feature, threshold, float(gain.flat[idx])
+
+
+def _assert_fit_matches_dense_reference(config, X, y):
+    got = BoostedTreeClassifier(config).fit(X, y)
+    with mock.patch.object(boosting, "_SparseBins", _DenseBins), \
+            mock.patch.object(boosting, "_best_split", _dense_best_split):
+        want = BoostedTreeClassifier(config).fit(X, y)
+    for name in ("feature", "threshold", "leaf"):
+        assert getattr(got.trees, name).tobytes() == getattr(want.trees, name).tobytes(), name
+    assert got.train_losses_ == want.train_losses_
+    return got
+
+
+@st.composite
+def _count_matrices(draw):
+    """Sparse counts over 1-8 columns, some never nonzero, with both labels."""
+    n_rows = draw(st.integers(2, 30))
+    n_cols = draw(st.integers(1, 8))
+    X = np.zeros((n_rows, n_cols), dtype=np.int64)
+    for col in draw(st.lists(st.integers(0, n_cols - 1), unique=True, max_size=n_cols)):
+        X[:, col] = draw(arrays(np.int64, n_rows, elements=st.sampled_from([0, 0, 0, 1, 1, 2, 3, 14, 15, 16, 40])))
+    y = draw(arrays(np.int8, n_rows, elements=st.integers(0, 1)))
+    y[:2] = (0, 1)
+    return X, y
+
+
+_ONLY_LAST_COLUMN = (np.array([[0, 0, 0, 2], [0, 0, 0, 0], [0, 0, 0, 17], [0, 0, 0, 1]]), np.array([1, 0, 1, 0]))
+_ONLY_FIRST_COLUMN = (np.array([[16, 0], [0, 0], [40, 0], [3, 0], [15, 0]]), np.array([1, 0, 1, 0, 1]))
+
+
+@settings(max_examples=150)
+@given(
+    data=_count_matrices(),
+    max_depth=st.integers(1, 3),
+    subsample=st.sampled_from([1.0, 0.8, 0.5]),
+    n_rounds=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+)
+@example(data=_ONLY_LAST_COLUMN, max_depth=2, subsample=1.0, n_rounds=3, seed=0)
+@example(data=_ONLY_FIRST_COLUMN, max_depth=3, subsample=0.8, n_rounds=4, seed=1)
+def test_used_column_split_search_equals_dense_reference_bit_for_bit(data, max_depth, subsample, n_rounds, seed):
+    X, y = data
+    config = ClassifierConfig(n_rounds=n_rounds, max_depth=max_depth, subsample=subsample, seed=seed)
+    _assert_fit_matches_dense_reference(config, X, y)
+
+
+@pytest.mark.parametrize("subsample", [1.0, 0.7])
+def test_fingerprint_fit_equals_dense_reference_bit_for_bit(tiny_dataset, subsample):
+    # 2048 columns of which most are never nonzero, as in every real fit
+    seqs, labels = tiny_dataset.subset("train")
+    X = fingerprints(seqs)
+    assert 0 < np.count_nonzero(X.any(axis=0)) < X.shape[1]
+    config = ClassifierConfig(n_rounds=15, max_depth=3, subsample=subsample, seed=2)
+    _assert_fit_matches_dense_reference(config, X, labels)
+
+
+@pytest.mark.parametrize("max_depth, subsample", [(1, 1.0), (2, 0.6)])
+def test_matrix_with_no_nonzero_gives_leaf_only_trees(max_depth, subsample):
+    # no column can split, so every tree is one leaf over placeholder splits
+    X = np.zeros((12, 5), dtype=np.int64)
+    y = np.array([0, 1] * 4 + [1] * 4)
+    config = ClassifierConfig(n_rounds=6, max_depth=max_depth, subsample=subsample, seed=4)
+    clf = _assert_fit_matches_dense_reference(config, X, y)
+    assert not clf.trees.feature.any() and not clf.trees.threshold.any()
+    assert (clf.trees.leaf == clf.trees.leaf[:, :1]).all()

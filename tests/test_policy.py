@@ -325,8 +325,10 @@ def _assert_batch_matches_per_example(policy, queries, proposals):
             assert np.array_equal(one_grads[name], ref_grads[name]), (b, name)
 
 
+# derandomize: the examples drawn set this test's run time (2-7 s), so a fixed set
+# keeps it comparable from one run of the suite to the next
 @given(batch=_batches(), seed=st.integers(0, 2**16))
-@settings(max_examples=60)
+@settings(max_examples=60, derandomize=True)
 def test_batched_pass_matches_per_example_bit_for_bit(batch, seed):
     queries, proposals = batch
     policy = Policy.fresh(seed=seed)
