@@ -163,6 +163,8 @@ def _cmd_run(args) -> int:
         validate_template(query)
     else:
         queries = read_queries_csv(args.queries)
+        if not 0 <= args.index < len(queries):
+            raise ValueError(f"--index {args.index} is out of range: {args.queries} holds {len(queries)} queries")
         query = queries[args.index]
     prior = Policy.load(args.prior)
     classifier = BoostedTreeClassifier.load(args.classifier)

@@ -181,11 +181,11 @@ def predict_set(pv: PValuePair, significance: float) -> PredictionSet:
 
 
 def is_confident_positive(pv: PValuePair, significance: float = DEFAULT_SIGNIFICANCE) -> bool:
-    """Hit flag: confident single-label positive call, p1 >= eps and p0 <= eps.
+    """Hit flag: confident single-label positive call, p1 >= eps and p0 <= eps; elementwise on arrays.
 
     Boundaries are inclusive on both sides, matching the binary reward rule.
     """
-    return pv.p1 >= significance and pv.p0 <= significance
+    return (pv.p1 >= significance) & (pv.p0 <= significance)
 
 
 @dataclass(frozen=True)

@@ -233,6 +233,19 @@ class CampaignConfig:
         for kind in self.scoring:
             if kind not in SCORING_KINDS:
                 raise ValueError(f"unknown scoring kind {kind!r}")
+        self.run_settings()  # a bad sigma, steps, batch size, significance or rate fails here, before any build
+
+    def run_settings(self) -> RLConfig:
+        """The settings every cell shares; a cell replaces the scoring kind and the seed."""
+        return RLConfig(
+            scoring=self.scoring[0],
+            sigma=self.sigma,
+            batch_size=self.batch_size,
+            steps=self.steps,
+            significance=self.significance,
+            learning_rate=self.rl_learning_rate,
+            seed=self.seed,
+        )
 
 
 def _config_value(hint, text: str, base: Path):
@@ -264,7 +277,10 @@ def parse_campaign_config(path: str | Path) -> CampaignConfig:
         key = key.strip()
         if key not in hints:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _config_value(hints[key], value.strip(), path.parent)
+        try:
+            values[key] = _config_value(hints[key], value.strip(), path.parent)
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: key {key!r}: {err}") from None
     for required in ("dataset", "queries"):
         if required not in values:
             raise ValueError(f"config {path} is missing required key {required!r}")
@@ -355,34 +371,26 @@ def run_campaign(
 
     A failing run is recorded with status ``error`` and excluded from the
     aggregates; it never aborts the campaign. Its sidecar keeps the error and
-    its traceback, and one line naming the run goes to stderr.
+    its traceback, and one line naming the run goes to stderr. Nothing is
+    written when the models cannot score fingerprints (see ``SequenceScorer``).
     """
-    out = Path(out_dir)
-    runs_dir = out / "runs"
-    runs_dir.mkdir(parents=True, exist_ok=True)
     queries = read_queries_csv(config.queries)
     if not queries:
         raise ValueError("query file contains no templates")
     if artifacts is None:
         artifacts = build_campaign_artifacts(config)
+    base = config.run_settings()
+    scorer = SequenceScorer(base.scoring, artifacts.classifier, artifacts.acp, base.significance)
+    scorers = {kind: scorer.for_kind(kind) for kind in config.scoring}  # one memo: each sequence is evaluated once
+    out = Path(out_dir)
+    runs_dir = out / "runs"
+    runs_dir.mkdir(parents=True, exist_ok=True)
 
-    scorers = {
-        kind: SequenceScorer(kind, artifacts.classifier, artifacts.acp, config.significance)
-        for kind in config.scoring
-    }
     rows: list[RunSummary] = []
     for query_id, query in enumerate(queries):
         for kind in config.scoring:
             name = _run_name(query_id, kind)
-            rl_config = RLConfig(
-                scoring=kind,
-                sigma=config.sigma,
-                batch_size=config.batch_size,
-                steps=config.steps,
-                significance=config.significance,
-                learning_rate=config.rl_learning_rate,
-                seed=run_seed_for(config.seed, query_id, kind),
-            )
+            rl_config = replace(base, scoring=kind, seed=run_seed_for(config.seed, query_id, kind))
             sidecar: dict[str, object] = {
                 "query_id": query_id,
                 "length": query.length,

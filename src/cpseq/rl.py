@@ -17,7 +17,7 @@ import numpy as np
 
 from .boosting import BoostedTreeClassifier
 from .conformal import Acp, DEFAULT_SIGNIFICANCE, PValuePair, is_confident_positive
-from .domain import QueryTemplate, assemble, fingerprints
+from .domain import FINGERPRINT_BUCKETS, QueryTemplate, assemble, fingerprints
 from .policy import Policy
 from .scoring import SCORING_KINDS, score
 from .tables import write_table
@@ -72,8 +72,11 @@ class SequenceEval:
 class SequenceScorer:
     """Scores assembled sequences for one (kind, classifier, ACP, eps) binding.
 
-    Results are memoized per sequence: a sequence's score depends only on the
-    binding, never on step index or batch context.
+    Each sequence's (p0, p1, p1_raw, hit), which does not depend on the kind,
+    is memoized in one memo that every scorer from :meth:`for_kind` shares.
+
+    Raises ValueError when the classifier or an ICP's model splits on a column
+    the fingerprints do not have.
     """
 
     def __init__(
@@ -85,29 +88,38 @@ class SequenceScorer:
     ):
         if kind not in SCORING_KINDS:
             raise ValueError(f"scoring kind must be one of {SCORING_KINDS}")
+        models = {"the classifier": classifier, **{f"ICP {i}'s model": icp.model for i, icp in enumerate(acp.icps)}}
+        for name, model in models.items():
+            columns = model.trees.columns
+            if columns.size and columns[-1] >= FINGERPRINT_BUCKETS:
+                raise ValueError(
+                    f"{name} splits on column {columns[-1]}, but fingerprints have {FINGERPRINT_BUCKETS} columns"
+                )
         self.kind = kind
         self.classifier = classifier
         self.acp = acp
         self.significance = significance
-        self._cache: dict[str, SequenceEval] = {}
+        self._memo: dict[str, tuple[float, float, float, bool]] = {}  # sequence -> (p0, p1, p1_raw, hit)
+
+    def for_kind(self, kind: str) -> SequenceScorer:
+        """A scorer of ``kind`` over this scorer's models and memo."""
+        other = SequenceScorer(kind, self.classifier, self.acp, self.significance)
+        other._memo = self._memo
+        return other
 
     def evaluate(self, sequences: list[str]) -> dict[str, SequenceEval]:
-        fresh = sorted(set(s for s in sequences if s not in self._cache))
+        """Each distinct sequence's evaluation, in order of first appearance."""
+        memo = self._memo
+        fresh = sorted(set(s for s in sequences if s not in memo))
         if fresh:
             X = fingerprints(fresh)
-            p0s, p1s = self.acp.p_values_batch(X)
-            raws = self.classifier.predict_proba(X)
-            for seq, p0, p1, raw in zip(fresh, p0s, p1s, raws):
-                pv = PValuePair(float(p0), float(p1))
-                self._cache[seq] = SequenceEval(
-                    sequence=seq,
-                    p0=pv.p0,
-                    p1=pv.p1,
-                    p1_raw=float(raw),
-                    score=score(self.kind, pv, float(raw), self.significance),
-                    hit=is_confident_positive(pv, self.significance),
-                )
-        return {s: self._cache[s] for s in sequences}
+            pv = PValuePair(*self.acp.p_values_batch(X))
+            columns = (pv.p0, pv.p1, self.classifier.predict_proba(X), is_confident_positive(pv, self.significance))
+            memo.update(zip(fresh, zip(*(c.tolist() for c in columns))))
+        distinct = list(dict.fromkeys(sequences))
+        p0, p1, raw, _ = np.array([memo[s] for s in distinct]).reshape(-1, 4).T
+        scores = score(self.kind, PValuePair(p0, p1), raw, self.significance).tolist()
+        return {s: SequenceEval(s, *memo[s][:3], score=value, hit=memo[s][3]) for s, value in zip(distinct, scores)}
 
 
 @dataclass

@@ -2,12 +2,13 @@
 
 Every function is pure and stateless; no transformation is applied beyond the
 stated formulas. ``rm_p1`` consumes the raw classifier probability, the five
-``cp_*`` kinds consume the conformal p-value pair.
+``cp_*`` kinds consume the conformal p-value pair. Each formula works
+elementwise, on floats and arrays alike, by the same IEEE operations.
 """
 
 from __future__ import annotations
 
-from .conformal import DEFAULT_SIGNIFICANCE, PValuePair
+from .conformal import DEFAULT_SIGNIFICANCE, PValuePair, is_confident_positive
 
 
 def score_rm(p1_raw: float) -> float:
@@ -30,18 +31,12 @@ def score_diff(pv: PValuePair) -> float:
 
 def score_harsh(pv: PValuePair, significance: float = DEFAULT_SIGNIFICANCE) -> float:
     """1 when both confident-positive conditions hold, else 0."""
-    return 1.0 if pv.p0 <= significance and pv.p1 >= significance else 0.0
+    return is_confident_positive(pv, significance) * 1.0
 
 
 def score_soft(pv: PValuePair, significance: float = DEFAULT_SIGNIFICANCE) -> float:
     """Like the harsh reward but granting 0.5 when exactly one condition holds."""
-    low_p0 = pv.p0 <= significance
-    high_p1 = pv.p1 >= significance
-    if low_p0 and high_p1:
-        return 1.0
-    if low_p0 or high_p1:
-        return 0.5
-    return 0.0
+    return 0.5 * (pv.p0 <= significance) + 0.5 * (pv.p1 >= significance)
 
 
 _BY_KIND = {

@@ -236,7 +236,8 @@ def test_criterion_6_directional_reproduction(clf5k, acp5k, prior5k):
 
     queries = make_queries(14, lengths=(6, 7, 10), seed=33)
     kinds = ("rm_p1", "cp_harsh", "cp_soft")
-    scorers = {k: SequenceScorer(k, clf5k, acp5k.acp) for k in kinds}
+    scorer = SequenceScorer("rm_p1", clf5k, acp5k.acp)
+    scorers = {k: scorer.for_kind(k) for k in kinds}  # one memo, as run_campaign keeps
     hits: dict[str, list[int]] = {k: [] for k in kinds}
     reach: dict[str, list[int]] = {k: [] for k in kinds}
     for qi, query in enumerate(queries):

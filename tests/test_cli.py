@@ -4,9 +4,10 @@ import json
 import pytest
 
 from cpseq.boosting import ClassifierConfig
+from cpseq import harness
 from cpseq.cli import build_parser, main
 from cpseq.conformal import build_acp
-from cpseq.domain import make_dataset, make_queries, read_dataset_csv, read_queries_csv
+from cpseq.domain import FINGERPRINT_BUCKETS, make_dataset, make_queries, read_dataset_csv, read_queries_csv
 from cpseq.harness import CampaignConfig
 from cpseq.policy import DEFAULT_PRETRAIN_CORPUS_SIZE, pretrain_prior
 
@@ -117,6 +118,72 @@ def test_campaign_and_report_round_trip(workdir, tmp_path):
     assert (out / "summary.csv").exists()
     assert main(["report", "--dir", str(out), "--out", str(tmp_path / "rep")]) == 0
     assert (tmp_path / "rep" / "summary.csv").read_bytes() == (out / "summary.csv").read_bytes()
+
+
+@pytest.mark.parametrize("index", ["2", "-1"])
+def test_run_rejects_an_index_outside_the_query_file(workdir, tmp_path, capsys, index):
+    args = ["run", "--queries", str(workdir / "queries.csv"), "--index", index, "--steps", "2", "--batch-size", "4"]
+    args += ["--prior", str(workdir / "prior.json"), "--classifier", str(workdir / "clf.json")]
+    args += ["--acp", str(workdir / "acp.json"), "--out", str(tmp_path / "run.csv")]
+    assert main(args) == 1
+    expected = f"error: --index {index} is out of range: {workdir / 'queries.csv'} holds 2 queries\n"
+    assert capsys.readouterr().err == expected
+    assert not (tmp_path / "run.csv").exists()
+
+
+def _campaign_config(workdir, path, *extra, classifier=None):
+    path.write_text(
+        "\n".join(
+            [
+                f"dataset = {workdir / 'data.csv'}",
+                f"queries = {workdir / 'queries.csv'}",
+                f"prior = {workdir / 'prior.json'}",
+                f"classifier = {classifier or workdir / 'clf.json'}",
+                f"acp = {workdir / 'acp.json'}",
+                "steps = 2",
+                "batch_size = 4",
+                *extra,
+            ]
+        )
+        + "\n"
+    )
+    return path
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("sigma = 0", "sigma must be > 0"),
+        ("steps = 0", "batch_size and steps must be >= 1"),
+        ("batch_size = 0", "batch_size and steps must be >= 1"),
+        ("significance = 1.5", "significance must be in (0, 1)"),
+        ("rl_learning_rate = -0.1", "learning_rate must be > 0"),
+    ],
+)
+def test_campaign_with_bad_run_settings_fails_before_any_build(workdir, tmp_path, capsys, monkeypatch, line, message):
+    built = []
+
+    def build(config):
+        built.append(config)
+        raise RuntimeError("artifacts built")
+
+    monkeypatch.setattr(harness, "build_campaign_artifacts", build)
+    config = _campaign_config(workdir, tmp_path / "c.cfg", line)
+    assert main(["campaign", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert built == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_campaign_rejects_a_classifier_that_splits_past_the_fingerprint(workdir, tmp_path, capsys):
+    payload = json.loads((workdir / "clf.json").read_text())
+    payload["feature"][0][0] = FINGERPRINT_BUCKETS
+    (tmp_path / "clf.json").write_text(json.dumps(payload))
+    config = _campaign_config(workdir, tmp_path / "c.cfg", classifier=tmp_path / "clf.json")
+    assert main(["campaign", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    expected = f"the classifier splits on column {FINGERPRINT_BUCKETS}, but fingerprints have {FINGERPRINT_BUCKETS} columns"
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_report_names_a_sidecar_missing_a_key(tmp_path, capsys):

@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cpseq import harness
+from cpseq import harness, rl
 from cpseq.conformal import save_acp
-from cpseq.domain import make_dataset, make_queries, write_dataset_csv, write_queries_csv
+from cpseq.domain import QueryTemplate, make_dataset, make_queries, write_dataset_csv, write_queries_csv
 from cpseq.harness import (
     CampaignArtifacts,
     CampaignConfig,
@@ -262,6 +262,35 @@ def test_parse_campaign_config_requires_dataset(tmp_path):
         parse_campaign_config(tmp_path / "c.cfg")
 
 
+def test_parse_campaign_config_names_the_line_and_key_of_a_bad_value(tmp_path):
+    (tmp_path / "c.cfg").write_text("dataset = a\nqueries = b\n\n# the run length\nsteps = 1.5\n")
+    with pytest.raises(ValueError) as info:
+        parse_campaign_config(tmp_path / "c.cfg")
+    assert str(info.value) == f"{tmp_path / 'c.cfg'}:5: key 'steps': invalid literal for int() with base 10: '1.5'"
+
+
+def test_campaign_cells_derive_from_the_config_run_settings(tmp_path, monkeypatch, tiny_models, tiny_prior):
+    clf, acp = tiny_models
+    write_queries_csv(make_queries(2, seed=5), tmp_path / "queries.csv")
+    config = CampaignConfig(
+        dataset=tmp_path / "data.csv", queries=tmp_path / "queries.csv", scoring=("cp_soft", "rm_p1"),
+        steps=3, batch_size=4, sigma=20.0, significance=0.3, rl_learning_rate=1e-3, seed=7,
+    )
+    seen = []
+
+    def run(query, rl_config, prior, scorer):
+        seen.append(rl_config)
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(harness, "run_rl", run)
+    run_campaign(config, tmp_path / "out", CampaignArtifacts(tiny_prior, clf, acp))
+    assert config.run_settings() == rl.RLConfig("cp_soft", 20.0, 4, 3, 0.3, 1e-3, 7)
+    assert seen == [
+        rl.RLConfig(kind, 20.0, 4, 3, 0.3, 1e-3, run_seed_for(7, qid, kind))
+        for qid in range(2) for kind in ("cp_soft", "rm_p1")
+    ]
+
+
 def test_campaign_config_rejects_unknown_scoring():
     with pytest.raises(ValueError):
         CampaignConfig(dataset="d", queries="q", scoring=("nope",))
@@ -454,3 +483,20 @@ def test_built_prior_is_gated_on_the_default_sample_count(tmp_path, monkeypatch,
     assert len(calls) == 1
     assert calls[0]["gate_samples"] == DEFAULT_GATE_SAMPLES
     assert len(calls[0]["gate_queries"]) == 2
+
+
+def test_campaign_fingerprints_each_distinct_sequence_once(tmp_path, monkeypatch, tiny_models, tiny_prior):
+    clf, acp = tiny_models
+    # one masked slot each, so the kinds propose many of the same sequences
+    write_queries_csv([QueryTemplate.from_text(t) for t in ("TFYAIQ?FAE", "MKTA?LV")], tmp_path / "queries.csv")
+    config = CampaignConfig(
+        dataset=tmp_path / "data.csv", queries=tmp_path / "queries.csv",
+        scoring=("rm_p1", "cp_harsh", "cp_soft"), steps=4, batch_size=8,
+    )
+    fingerprinted: list[str] = []
+    real = rl.fingerprints
+    monkeypatch.setattr(rl, "fingerprints", lambda seqs: fingerprinted.extend(seqs) or real(seqs))
+    result = run_campaign(config, tmp_path / "out", CampaignArtifacts(tiny_prior, clf, acp))
+    assert [r.status for r in result.rows] == ["ok"] * 6
+    assert sum(r.n_unique_valid for r in result.rows) > len(fingerprinted) > 0  # the kinds share sequences
+    assert len(fingerprinted) == len(set(fingerprinted))

@@ -3,7 +3,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from cpseq.domain import QueryTemplate, assemble
+from cpseq import rl
+from cpseq.boosting import BoostedTreeClassifier
+from cpseq.conformal import Acp, Icp, PValuePair, is_confident_positive
+from cpseq.domain import FINGERPRINT_BUCKETS, QueryTemplate, assemble, fingerprints
 from cpseq.policy import PARAM_SHAPES, Policy
 from cpseq.rl import (
     RLConfig,
@@ -15,6 +18,7 @@ from cpseq.rl import (
     run_rl,
     squared_loss,
 )
+from cpseq.scoring import SCORING_KINDS, score
 
 QUERY = QueryTemplate.from_text("TFY?IQSF?E")
 
@@ -56,13 +60,89 @@ def test_rl_config_validation():
 # -- scorer ------------------------------------------------------------------------
 
 
-def test_scorer_memoizes_and_is_pure(tiny_models):
+def _fingerprinted(monkeypatch) -> list[str]:
+    """Every sequence the scorers fingerprint from now on, in call order."""
+    seen: list[str] = []
+    real = rl.fingerprints
+
+    def counting(seqs):
+        seen.extend(seqs)
+        return real(seqs)
+
+    monkeypatch.setattr(rl, "fingerprints", counting)
+    return seen
+
+
+def test_scorer_memoizes_and_is_pure(tiny_models, monkeypatch):
     clf, acp = tiny_models
     scorer = SequenceScorer("cp_soft", clf, acp)
+    fingerprinted = _fingerprinted(monkeypatch)
     first = scorer.evaluate(["TFYAIQSFAE"])["TFYAIQSFAE"]
     second = scorer.evaluate(["TFYAIQSFAE"])["TFYAIQSFAE"]
-    assert first is second
+    assert fingerprinted == ["TFYAIQSFAE"]  # the second call evaluates nothing
+    assert first == second
+    assert scorer.evaluate([]) == {}
     assert 0.0 <= first.score <= 1.0
+
+
+SEQS = ["TFYAIQSFAE", "TFYCIQSFCE", "TFYWIQSFLE", "TFYAIQSFAE"]
+
+
+@pytest.mark.parametrize("kind", SCORING_KINDS)
+def test_evaluate_equals_a_per_row_scalar_reference(tiny_models, kind):
+    clf, acp = tiny_models
+    evals = SequenceScorer(kind, clf, acp, 0.3).evaluate(SEQS)
+    assert list(evals) == SEQS[:3]  # distinct sequences, in order of first appearance
+    for seq, e in evals.items():
+        X = fingerprints([seq])
+        p0, p1 = acp.p_values_batch(X)
+        pv = PValuePair(float(p0[0]), float(p1[0]))
+        raw = float(clf.predict_proba(X)[0])
+        expected = (seq, pv.p0, pv.p1, raw, score(kind, pv, raw, 0.3), is_confident_positive(pv, 0.3))
+        assert (e.sequence, e.p0, e.p1, e.p1_raw, e.score, e.hit) == expected
+        assert [type(v) for v in (e.p0, e.p1, e.p1_raw, e.score, e.hit)] == [float] * 4 + [bool]
+
+
+def test_for_kind_scorers_share_one_memo(tiny_models, monkeypatch):
+    clf, acp = tiny_models
+    soft = SequenceScorer("cp_soft", clf, acp, 0.3)
+    fingerprinted = _fingerprinted(monkeypatch)
+    first = soft.evaluate(SEQS)
+    harsh = soft.for_kind("cp_harsh")
+    second = harsh.evaluate(SEQS)
+    assert sorted(fingerprinted) == sorted(set(SEQS))  # the second kind fingerprints nothing
+    assert (harsh.kind, harsh.classifier, harsh.acp, harsh.significance) == ("cp_harsh", clf, acp, 0.3)
+    for seq in SEQS:
+        assert (second[seq].p0, second[seq].p1, second[seq].p1_raw, second[seq].hit) == (
+            first[seq].p0, first[seq].p1, first[seq].p1_raw, first[seq].hit
+        )
+    assert second == SequenceScorer("cp_harsh", clf, acp, 0.3).evaluate(SEQS)  # as a scorer of its own would
+    soft.evaluate(["TFYDIQSFDE"])
+    harsh.evaluate(["TFYDIQSFDE"])
+    assert fingerprinted.count("TFYDIQSFDE") == 1  # the memo is shared both ways
+    with pytest.raises(ValueError, match="scoring kind"):
+        soft.for_kind("nope")
+
+
+def _splitting_past_the_fingerprint(model: BoostedTreeClassifier) -> BoostedTreeClassifier:
+    payload = model.to_json_dict()
+    payload["feature"][1][0] = FINGERPRINT_BUCKETS + 3
+    return BoostedTreeClassifier.from_json_dict(payload)
+
+
+def test_scorer_rejects_a_classifier_that_splits_past_the_fingerprint(tiny_models):
+    clf, acp = tiny_models
+    expected = f"the classifier splits on column {FINGERPRINT_BUCKETS + 3}, but fingerprints have {FINGERPRINT_BUCKETS} columns"
+    with pytest.raises(ValueError, match=expected):
+        SequenceScorer("rm_p1", _splitting_past_the_fingerprint(clf), acp)
+
+
+def test_scorer_rejects_an_icp_model_that_splits_past_the_fingerprint(tiny_models):
+    clf, acp = tiny_models
+    icps = list(acp.icps)
+    icps[1] = Icp(_splitting_past_the_fingerprint(icps[1].model), icps[1].alphas_0, icps[1].alphas_1)
+    with pytest.raises(ValueError, match=f"ICP 1's model splits on column {FINGERPRINT_BUCKETS + 3}"):
+        SequenceScorer("cp_soft", clf, Acp(tuple(icps)))
 
 
 def test_tracking_identical_across_scoring_kinds(tiny_models):

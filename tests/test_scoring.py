@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,8 @@ from cpseq.scoring import (
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 pairs = st.builds(PValuePair, unit, unit)
+levels = st.sampled_from([0.05, 0.2, 0.5])  # significances that the p-values below hit exactly
+on_or_off_level = st.one_of(unit, levels, st.sampled_from([0.0, 1.0]))
 
 
 def test_rm_is_identity():
@@ -90,3 +93,25 @@ def test_dispatch_matches_direct_calls():
 def test_dispatch_rejects_unknown_kind():
     with pytest.raises(ValueError):
         score("p1_rm", PValuePair(0.5, 0.5), 0.5)
+
+
+@given(
+    rows=st.lists(st.tuples(on_or_off_level, on_or_off_level, on_or_off_level), min_size=2, max_size=30),
+    significance=st.one_of(levels, st.floats(0.01, 0.99)),
+)
+@settings(max_examples=200)
+def test_array_score_equals_scalar_score_bit_for_bit(rows, significance):
+    p0, p1, raw = (np.array(column, dtype=np.float64) for column in zip(*rows))
+    for kind in SCORING_KINDS:
+        got = score(kind, PValuePair(p0, p1), raw, significance)
+        want = [score(kind, PValuePair(a, b), r, significance) for a, b, r in rows]
+        assert got.dtype == np.float64, kind
+        assert got.tobytes() == np.array(want, dtype=np.float64).tobytes(), kind
+        assert all(type(value) is float for value in want), kind
+
+
+def test_hit_rule_works_elementwise():
+    pv = PValuePair(np.array([0.1, 0.3, 0.2, 0.1]), np.array([0.5, 0.5, 0.2, 0.1]))
+    assert is_confident_positive(pv).tolist() == [True, False, True, False]
+    assert score_harsh(pv).tolist() == [1.0, 0.0, 1.0, 0.0]
+    assert score_soft(pv).tolist() == [1.0, 0.5, 1.0, 0.5]
