@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import statistics
 import sys
 import traceback
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence, get_args, get_type_hints
+from typing import Callable, Iterable, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -262,11 +263,13 @@ def parse_campaign_config(path: str | Path) -> CampaignConfig:
 
     Each key is a :class:`CampaignConfig` field and is read as that field's
     type. Blank lines and ``#`` comments are ignored; relative paths resolve
-    against the config file's directory.
+    against the config file's directory. An unknown or repeated key, or a value
+    the config rejects, raises ValueError naming the file and the line.
     """
     path = Path(path)
     hints = get_type_hints(CampaignConfig)
     values: dict[str, object] = {}
+    linenos: dict[str, int] = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -277,14 +280,26 @@ def parse_campaign_config(path: str | Path) -> CampaignConfig:
         key = key.strip()
         if key not in hints:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: repeated config key {key!r}")
         try:
             values[key] = _config_value(hints[key], value.strip(), path.parent)
         except ValueError as err:
             raise ValueError(f"{path}:{lineno}: key {key!r}: {err}") from None
+        linenos[key] = lineno
     for required in ("dataset", "queries"):
         if required not in values:
             raise ValueError(f"config {path} is missing required key {required!r}")
-    return CampaignConfig(**values)  # type: ignore[arg-type]
+    try:
+        return CampaignConfig(**values)  # type: ignore[arg-type]
+    except ValueError as err:
+        # name the first key, in file order, whose value the config rejects on its own
+        for key, lineno in linenos.items():
+            try:
+                CampaignConfig(**{"dataset": values["dataset"], "queries": values["queries"], key: values[key]})
+            except ValueError as key_err:
+                raise ValueError(f"{path}:{lineno}: key {key!r}: {key_err}") from None
+        raise ValueError(f"{path}: {err}") from None
 
 
 # -- campaign execution ----------------------------------------------------------
@@ -362,6 +377,16 @@ def _run_name(query_id: int, kind: str) -> str:
     return f"q{query_id:03d}_{kind}"
 
 
+def _write_whole(path: Path, write: Callable[[Path], object]) -> None:
+    """``write`` a temporary file beside ``path``, then rename it to ``path``, so ``path`` is whole or absent."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def run_campaign(
     config: CampaignConfig,
     out_dir: str | Path,
@@ -369,6 +394,7 @@ def run_campaign(
 ) -> CampaignResult:
     """Execute every (query x scoring kind) run and write all output files.
 
+    Each run's CSV and sidecar are written whole or not at all (see :func:`_write_whole`).
     A failing run is recorded with status ``error`` and excluded from the
     aggregates; it never aborts the campaign. Its sidecar keeps the error and
     its traceback, and one line naming the run goes to stderr. Nothing is
@@ -399,7 +425,7 @@ def run_campaign(
             steps_to_half = None
             try:
                 record = run_rl(query, rl_config, artifacts.prior, scorers[kind])
-                record.write_csv(runs_dir / f"{name}.csv")
+                _write_whole(runs_dir / f"{name}.csv", record.write_csv)
                 steps_to_half = steps_to_threshold(record.steps)
                 sidecar.update(status="ok", n_unique_valid=len(record.unique_valid),
                                n_conf_eff=len(record.conf_eff_unique))
@@ -407,7 +433,7 @@ def run_campaign(
                 error = f"{type(err).__name__}: {err}"
                 sidecar.update(status="error", error=error, traceback=traceback.format_exc())
                 print(f"cpseq campaign: run {name} failed: {error}", file=sys.stderr)
-            (runs_dir / f"{name}.json").write_text(json.dumps(sidecar))
+            _write_whole(runs_dir / f"{name}.json", lambda tmp: tmp.write_text(json.dumps(sidecar)))
             rows.append(replace(_sidecar_summary(sidecar), steps_to_half=steps_to_half))
     return _write_summaries(rows, out)
 

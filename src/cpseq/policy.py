@@ -6,9 +6,10 @@ template, with the mask marker as its own symbol), and a linear projection
 produces logits over the fixed emission alphabet at every step. Likelihoods,
 sampling, and parameter gradients are all computed in closed form with numpy;
 there is no autodiff dependency. One recurrence step serves both a padded
-teacher-forced pass over a batch of (template, fills) rows, whose row values are
-the same bit for bit in any batch, and lockstep sampling. The output projection
-starts at zero, so a fresh policy is exactly uniform over the emission alphabet.
+teacher-forced pass over a batch of (template, fills) rows, whose row NLLs are
+the same bit for bit in any batch, and lockstep sampling. One backward pass over
+that batched pass returns the gradient of a weighted sum of its rows' NLLs. The output
+projection starts at zero, so a fresh policy is exactly uniform over the emission alphabet.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -151,6 +152,10 @@ class Policy:
     def params_equal(self, other: "Policy") -> bool:
         return all(np.array_equal(self.p[k], other.p[k]) for k in PARAM_NAMES)
 
+    def non_finite_params(self) -> list[str]:
+        """The names of the parameters holding a NaN or an infinity."""
+        return [name for name in PARAM_NAMES if not np.isfinite(self.p[name]).all()]
+
     # -- core math -----------------------------------------------------------
 
     def _cell(self, prev_ids: np.ndarray, wq_q: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -202,8 +207,8 @@ class Policy:
         self, query: QueryTemplate, fills: Sequence[str], upstream_scale: float = 1.0
     ) -> tuple[float, dict[str, np.ndarray]]:
         """NLL plus the analytic gradient of (upstream_scale * NLL), from a batch of one."""
-        nll, grads = self.nll_and_grad_batch([query], [fills])
-        return float(nll[0]), {name: upstream_scale * g[0] for name, g in grads.items()}
+        nll, backward = self.nll_and_backward([query], [fills])
+        return float(nll[0]), backward(np.array([upstream_scale]))
 
     def _forward_batch(
         self, queries: Sequence[QueryTemplate], proposals: Sequence[Sequence[str]]
@@ -245,45 +250,54 @@ class Policy:
         fwd = self._forward_batch(queries, proposals)
         return _proposal_order(fwd.order, fwd.nll)
 
-    def nll_and_grad_batch(
+    def nll_and_backward(
         self, queries: Sequence[QueryTemplate], proposals: Sequence[Sequence[str]]
-    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """Each row's NLL and its analytic gradient from one batched pass.
+    ) -> tuple[np.ndarray, Callable[[np.ndarray], dict[str, np.ndarray]]]:
+        """Each row's NLL from one batched pass, and ``backward(weights)`` over that pass.
 
-        Returns the (B,) NLLs and per-row gradients ``{name: (B, *shape)}``.
-        Backpropagation through time runs over the padded streams; a row whose
-        stream has ended leaves its accumulators and ``dh`` untouched. The
-        query encoding passes gradients to the embedding rows of every
+        ``backward`` takes (B,) row weights and returns the analytic gradient of
+        ``sum_b weights[b] * nll[b]``, summed over the rows: ``{name: shape}``; it may
+        be called more than once while the parameters stay as they were. The
+        pass's (step, live row) pairs are stacked, so each product over rows and
+        steps is one matrix product and only the state gradient runs back in time.
+        The query encoding passes gradients to the embedding rows of every
         template entry (mask marker included) through the mean.
         """
         fwd = self._forward_batch(queries, proposals)
-        embed, w_in, w_query, w_rec, w_out = (self.p[k] for k in ("embed", "w_in", "w_query", "w_rec", "w_out"))
-        n_rows = len(fwd.order)
-        grads = {name: np.zeros((n_rows, *self.p[name].shape)) for name in PARAM_NAMES}
-        g_embed = grads["embed"]
-        q, states, rows = fwd.query_encoding, fwd.states, np.arange(n_rows)
-        dq = np.zeros_like(q)
-        dh = np.zeros((n_rows, w_rec.shape[0]))
-        for i in range(len(fwd.active) - 1, -1, -1):
-            n = fwd.active[i]
-            ids = fwd.inputs[:n, i]
-            dlogits = fwd.probs[i]  # not read again, so updated in place
-            dlogits[rows[:n], fwd.targets[:n, i]] -= 1.0
-            grads["w_out"][:n] += dlogits[:, :, None] * states[i + 1][:, None, :]
-            grads["b_out"][:n] += dlogits
-            dh[:n] = dh[:n] + _matvecs(w_out.T, dlogits)
-            da = dh[:n] * (1.0 - states[i + 1] ** 2)
-            grads["w_in"][:n] += da[:, :, None] * embed[ids][:, None, :]
-            g_embed[rows[:n], ids] += _matvecs(w_in.T, da)
-            grads["w_query"][:n] += da[:, :, None] * q[:n, None, :]
-            dq[:n] += _matvecs(w_query.T, da)
-            grads["w_rec"][:n] += da[:, :, None] * states[i][:n, None, :]
-            grads["b_rec"][:n] += da
-            dh[:n] = _matvecs(w_rec.T, da)
-        for g, ids in enumerate(fwd.templates):
-            members = np.flatnonzero(fwd.group == g)
-            np.add.at(g_embed, (members[:, None], ids), (dq[members] / len(ids))[:, None, :])
-        return _proposal_order(fwd.order, fwd.nll), {k: _proposal_order(fwd.order, g) for k, g in grads.items()}
+        nll, p = _proposal_order(fwd.order, fwd.nll), self.p
+        if not fwd.active:  # every stream is empty
+            return nll, lambda weights: {name: np.zeros(shape) for name, shape in PARAM_SHAPES.items()}
+        rows = np.concatenate([np.arange(n) for n in fwd.active])  # each pair's row
+        steps = np.repeat(np.arange(len(fwd.active)), fwd.active)
+        ids, pair_group = fwd.inputs[rows, steps], fwd.group[rows]
+        h_out = np.concatenate(fwd.states[1:])
+        h_in = np.concatenate([h[:n] for h, n in zip(fwd.states, fwd.active)])
+        tanh_slope = 1.0 - h_out**2
+        emission = np.concatenate(fwd.probs)  # softmax minus one-hot target: d(nll)/d(logits)
+        emission[np.arange(len(rows)), fwd.targets[rows, steps]] -= 1.0
+
+        def backward(weights: np.ndarray) -> dict[str, np.ndarray]:
+            weights = np.asarray(weights, dtype=np.float64)
+            if weights.shape != fwd.order.shape:
+                raise ValueError(f"weights of shape {weights.shape} for {len(fwd.order)} rows")
+            dlogits = emission * weights[fwd.order][rows, None]
+            da = dlogits @ p["w_out"]  # the output's part of each pair's state gradient, then the pre-tanh gradient
+            dh = np.zeros((len(fwd.order), HIDDEN_DIM))
+            end = len(rows)
+            for n in reversed(fwd.active):
+                pairs = slice(end - n, end)
+                da[pairs] = (dh[:n] + da[pairs]) * tanh_slope[pairs]
+                dh[:n] = da[pairs] @ p["w_rec"]
+                end -= n
+            grads = {"embed": np.zeros_like(p["embed"]), "w_in": da.T @ p["embed"][ids],
+                     "w_query": da.T @ fwd.query_encoding[rows], "w_rec": da.T @ h_in, "b_rec": da.sum(axis=0),
+                     "w_out": dlogits.T @ h_out, "b_out": dlogits.sum(axis=0)}
+            np.add.at(grads["embed"], ids, da @ p["w_in"])
+            for g, template in enumerate(fwd.templates):
+                np.add.at(grads["embed"], template, da[pair_group == g].sum(axis=0) @ p["w_query"] / len(template))
+            return grads
+
+        return nll, backward
 
     def sgd_step(self, grads: dict[str, np.ndarray], learning_rate: float) -> None:
         for name in PARAM_NAMES:
@@ -301,13 +315,18 @@ class Policy:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "Policy":
-        """The policy a :meth:`to_json_dict` payload holds; raises ValueError on any other alphabet or shape."""
+        """The policy a :meth:`to_json_dict` payload holds; raises ValueError on any other alphabet or shape,
+        or on a parameter that is not finite."""
         saved = (json_field(payload, "tokens", tuple), json_field(payload, "end_token", str),
                  json_field(payload, "begin_token", str))
         fixed = (EMISSION_TOKENS, SLOT_END, BEGIN)
         if saved != fixed:
             raise ValueError(f"policy alphabet (tokens, end, begin) {saved} is not the fixed one {fixed}")
-        return cls(json_field(payload, "params", _saved_params))
+        policy = cls(json_field(payload, "params", _saved_params))
+        non_finite = policy.non_finite_params()
+        if non_finite:
+            raise ValueError(f"key 'params': key {non_finite[0]!r}: holds a NaN or an infinity")
+        return policy
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict()))
@@ -368,7 +387,8 @@ def pretrain_prior(
     of each run of :data:`PRETRAIN_BATCH` examples (the last run may be shorter).
     When ``gate_queries`` are supplied the returned prior must reach the
     fill-validity gate (:data:`GATE_THRESHOLD`) on them, otherwise :class:`ValidityGateError` is raised;
-    downstream reinforcement runs assume a gate-passed prior.
+    downstream reinforcement runs assume a gate-passed prior. A prior whose
+    parameters or mean NLL are not finite after an epoch raises FloatingPointError naming the epoch.
     """
     if not corpus:
         raise ValueError("corpus must be nonempty")
@@ -376,17 +396,21 @@ def pretrain_prior(
     shuffle_rng = np.random.default_rng([seed, 1])
     history = []
     order = np.arange(len(corpus))
-    for _ in range(epochs):
+    for epoch in range(1, epochs + 1):
         shuffle_rng.shuffle(order)
         epoch_total = 0.0
         for start in range(0, len(order), PRETRAIN_BATCH):
             queries, fills = zip(*(corpus[i] for i in order[start : start + PRETRAIN_BATCH]))
-            nll, grads = policy.nll_and_grad_batch(queries, fills)
-            # from 0.0 in row order, so a -0.0 total reads 0.0 as in a summing loop
-            policy.sgd_step({k: np.add.reduce(g, axis=0, initial=0.0) for k, g in grads.items()}, learning_rate)
+            nll, backward = policy.nll_and_backward(queries, fills)
+            policy.sgd_step(backward(np.ones(len(nll))), learning_rate)
             for value in nll.tolist():
                 epoch_total += value
         history.append(epoch_total / len(corpus))
+        non_finite = policy.non_finite_params()
+        if non_finite or not np.isfinite(history[-1]):
+            raise FloatingPointError(
+                f"epoch {epoch}: the prior is not finite (mean NLL {history[-1]}, non-finite parameters {non_finite})"
+            )
 
     gate_validity = None
     if gate_queries is not None:

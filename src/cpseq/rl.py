@@ -152,17 +152,6 @@ class RunRecord:
         write_table(path, StepMetrics, self.steps)
 
 
-def _weighted_sum(weights: np.ndarray, grads: np.ndarray) -> np.ndarray:
-    """``sum_b weights[b] * grads[b]`` added in row order from 0.0, as a loop of ``+=`` would, bit for bit.
-
-    A reduction over the first axis of a C-ordered array adds one row at a
-    time in order (numpy sums pairwise only along the contiguous axis); it
-    measured faster than both the loop and ``np.add.accumulate``.
-    """
-    terms = weights.reshape(-1, *(1,) * (grads.ndim - 1)) * grads
-    return np.add.reduce(terms, axis=0, initial=0.0)  # from 0.0, so a -0.0 total reads 0.0 as in the loop
-
-
 def rl_step(
     agent: Policy,
     prior: Policy,
@@ -175,7 +164,8 @@ def rl_step(
     """One sample-score-update cycle; returns metrics plus each distinct valid sequence's evaluation.
 
     The batch is drawn in lockstep; the prior's likelihoods and the agent's
-    likelihoods and gradients each come from one batched teacher-forced pass.
+    likelihoods each come from one batched teacher-forced pass, and the agent's
+    update from one backward pass over its pass, weighted by each row's loss gradient.
 
     Raises FloatingPointError when the loss or an agent parameter is not finite after the update.
     """
@@ -187,7 +177,7 @@ def rl_step(
     fills = [p.fills for p in proposals]
     queries = [query] * config.batch_size
     log_p_prior = (-prior.nll_batch(queries, fills)).tolist()  # Python floats, so the metrics CSV reads plain numbers
-    agent_nll, grads = agent.nll_and_grad_batch(queries, fills)
+    agent_nll, backward = agent.nll_and_backward(queries, fills)
     log_p_agent = (-agent_nll).tolist()
     weights = np.empty(config.batch_size)
     loss_total = 0.0
@@ -198,9 +188,9 @@ def rl_step(
         loss_total += delta * delta
         # d(mean squared loss)/dtheta = mean of 2*delta * d(NLL)/dtheta
         weights[b] = 2.0 * delta / config.batch_size
-    agent.sgd_step({name: _weighted_sum(weights, g) for name, g in grads.items()}, config.learning_rate)
+    agent.sgd_step(backward(weights), config.learning_rate)
     loss = loss_total / config.batch_size
-    non_finite = [name for name, arr in agent.p.items() if not np.isfinite(arr).all()]
+    non_finite = agent.non_finite_params()
     if non_finite or not np.isfinite(loss):
         raise FloatingPointError(
             f"step {step_index}: the agent is not finite (loss {loss}, non-finite parameters {non_finite})"

@@ -132,21 +132,20 @@ def test_run_rejects_an_index_outside_the_query_file(workdir, tmp_path, capsys, 
 
 
 def _campaign_config(workdir, path, *extra, classifier=None):
-    path.write_text(
-        "\n".join(
-            [
-                f"dataset = {workdir / 'data.csv'}",
-                f"queries = {workdir / 'queries.csv'}",
-                f"prior = {workdir / 'prior.json'}",
-                f"classifier = {classifier or workdir / 'clf.json'}",
-                f"acp = {workdir / 'acp.json'}",
-                "steps = 2",
-                "batch_size = 4",
-                *extra,
-            ]
-        )
-        + "\n"
-    )
+    """A campaign config over the workspace; an extra ``key = value`` line takes the place of its key's line."""
+    settings = {
+        "dataset": workdir / "data.csv",
+        "queries": workdir / "queries.csv",
+        "prior": workdir / "prior.json",
+        "classifier": classifier or workdir / "clf.json",
+        "acp": workdir / "acp.json",
+        "steps": 2,
+        "batch_size": 4,
+    }
+    for line in extra:
+        key, _, value = line.partition("=")
+        settings[key.strip()] = value.strip()
+    path.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
     return path
 
 
@@ -170,7 +169,10 @@ def test_campaign_with_bad_run_settings_fails_before_any_build(workdir, tmp_path
     monkeypatch.setattr(harness, "build_campaign_artifacts", build)
     config = _campaign_config(workdir, tmp_path / "c.cfg", line)
     assert main(["campaign", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    # the message names the file, the line and the key
+    lineno = config.read_text().splitlines().index(line) + 1
+    key = line.partition(" =")[0]
+    assert capsys.readouterr().err == f"error: {config}:{lineno}: key {key!r}: {message}\n"
     assert built == []
     assert not (tmp_path / "out").exists()
 

@@ -7,7 +7,7 @@ change only with a change that alters outputs on purpose, and CHANGES.md says
 why.
 
 Covered: the tiny classifier, ACP and prior artifacts (the prior is pretrained
-in minibatches through ``Policy.nll_and_grad_batch``), the dataset and query
+in minibatches through ``Policy.nll_and_backward``), the dataset and query
 CSVs, every file of the
 criterion-8 campaign, the ACP and metrics CSV of a small ``cpseq
 calibrate``, the classifier of a small ``cpseq train-clf`` and the metrics CSV
@@ -35,14 +35,14 @@ GOLDEN = {
     "out/runs/q000_cp_soft.json": "bbbab87d4f0d04572cf3f203b60d54093ffb054985c8c4855994cbe4e995dddf",
     "out/runs/q000_rm_p1.csv": "3413a77dba3421d4575679e580238ca343d2852050f5a4afb730a6667be9e172",
     "out/runs/q000_rm_p1.json": "10a3bd7e4bdf092f66843c246633cb4d1d4bf88f72cd3ad70628cdd04fd38e0e",
-    "out/runs/q001_cp_soft.csv": "630cd0f176ec3635726e7fbec8e8ba0a4df9118e382a2c5b37d52f7e96c74433",
+    "out/runs/q001_cp_soft.csv": "e8d760341688008a195267581d17b3771d801dd1b42d1afba7f5ca8f3ced922b",
     "out/runs/q001_cp_soft.json": "f3344275a8217e75fb619e5075936d52be360690db2ad3bbbfaa17930108c3cb",
-    "out/runs/q001_rm_p1.csv": "bad54d0cbaa62f349c655915d4e7255ebc15d993fd4f574bbf62d3452ae49ddb",
+    "out/runs/q001_rm_p1.csv": "d6dfa89c6d2c6496f8e5d87763d6b40eb3e62fd3af9cdf742589aabaf20b6690",
     "out/runs/q001_rm_p1.json": "99b90c4feed394160046b80120ba406f28e75273211b285b0f487f035a7f46c2",
     "out/summary.csv": "856577492a3a8abfe0631506e5f062fb9f996ccc619c89105a9afd75277382aa",
     "out/summary_by_length.csv": "670d8cb2df806a3e12fcc7172e02d6c592bffb667bcffc3990d377c0c424b6b6",
     "out/wilcoxon.csv": "e74b6d9b3fcca15403b0f155ad38df7e1733cf8738185a49511929f81ac0d534",
-    "prior.json": "905757707045c3b1db2b76875dc51de5d9a7507144f239902b1aaf53d9ebaf38",
+    "prior.json": "53107e49c74af6dc66b3c4e97827bc320da3650d3a310aa049a40b5bd01e86aa",
     "queries.csv": "97d593c9ea5f396ac242ae4b66da19295531960e82d8a19c210368c648dc5eb4",
     "run/run.csv": "8ec25bbf14ac9a01e594e13d74ca02ba62b9eaf2b65ef5617c1a60b024ffa5aa",
     "train/clf.json": "497935a8f0204536b01da4bb712d01095706a75409c52284f1d13fe356f0023d",

