@@ -290,16 +290,12 @@ def parse_campaign_config(path: str | Path) -> CampaignConfig:
     for required in ("dataset", "queries"):
         if required not in values:
             raise ValueError(f"config {path} is missing required key {required!r}")
-    try:
-        return CampaignConfig(**values)  # type: ignore[arg-type]
-    except ValueError as err:
-        # name the first key, in file order, whose value the config rejects on its own
-        for key, lineno in linenos.items():
-            try:
-                CampaignConfig(**{"dataset": values["dataset"], "queries": values["queries"], key: values[key]})
-            except ValueError as key_err:
-                raise ValueError(f"{path}:{lineno}: key {key!r}: {key_err}") from None
-        raise ValueError(f"{path}: {err}") from None
+    for key, lineno in linenos.items():  # each value on its own, so a rejected one names its line
+        try:
+            CampaignConfig(**{"dataset": values["dataset"], "queries": values["queries"], key: values[key]})
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: key {key!r}: {err}") from None
+    return CampaignConfig(**values)  # type: ignore[arg-type]
 
 
 # -- campaign execution ----------------------------------------------------------
