@@ -7,7 +7,7 @@ from cpseq import rl
 from cpseq.boosting import BoostedTreeClassifier
 from cpseq.conformal import Acp, Icp, PValuePair, is_confident_positive
 from cpseq.domain import FINGERPRINT_BUCKETS, QueryTemplate, assemble, fingerprints
-from cpseq.policy import PARAM_NAMES, Policy
+from cpseq.policy import PARAM_NAMES, PARAM_SHAPES, Policy
 from cpseq.rl import (
     RLConfig,
     SequenceScorer,
@@ -264,6 +264,50 @@ def test_step_matches_per_proposal_reference(tiny_models, tiny_prior, query_text
             got, want = batched.p[name], reference.p[name]
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (step, name)
     assert not batched.params_equal(tiny_prior)
+
+
+def _ragged_mixed_batch(policy, n_rows, rng):
+    """``n_rows`` proposals sampled from ``policy``, alternating between two templates of different slot counts."""
+    templates = [QUERY, QueryTemplate.from_text("?DM???K")]
+    queries = [templates[b % 2] for b in range(n_rows)]
+    fills = [policy.sample_batch(q, 1, rng)[0].fills for q in queries]
+    return queries, fills
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_weighted_sum_matches_a_loop_of_additions_byte_for_byte(seed):
+    # the step's sum over rows happens inside the backward pass; its output-bias gradient is a
+    # plain weighted sum of per-pair terms, so it must equal a loop of += over the pass's
+    # (step, row) pairs, each pair's softmax-minus-one-hot scaled by its own row's weight.
+    # Batch sizes up to 32 over two templates with ragged streams; zero and -0.0 weights are
+    # where the sign of a zero total shows
+    rng = np.random.default_rng(seed)
+    n_rows = int(rng.integers(1, 33))
+    weights = rng.normal(size=n_rows) * 10.0 ** rng.integers(-20, 5, size=n_rows)
+    weights[rng.random(n_rows) < 0.3] = rng.choice([0.0, -0.0])
+    policy = Policy.fresh(seed=seed)
+    queries, fills = _ragged_mixed_batch(policy, n_rows, rng)
+    _, backward = policy.nll_and_backward(queries, fills)
+    fwd = policy._forward_batch(queries, fills)
+    expected = np.zeros(PARAM_SHAPES["b_out"])
+    for step, n_live in enumerate(fwd.active):
+        for row in range(n_live):
+            emission = fwd.probs[step][row].copy()
+            emission[fwd.targets[row, step]] -= 1.0
+            expected += emission * weights[fwd.order[row]]
+    assert backward(weights)["b_out"].tobytes() == expected.tobytes()
+
+
+def test_weighted_sum_of_negative_zero_terms_is_positive_zero():
+    # a loop of += starts from 0.0, and 0.0 + -0.0 is 0.0: zero weights of either sign give
+    # every parameter a gradient of positive zeros, so such a row moves nothing
+    policy = Policy.fresh(seed=2)
+    queries, fills = _ragged_mixed_batch(policy, 6, np.random.default_rng(2))
+    _, backward = policy.nll_and_backward(queries, fills)
+    for weights in ([-0.0] * 6, [0.0, -0.0] * 3):
+        grads = backward(np.array(weights))
+        for name, shape in PARAM_SHAPES.items():
+            assert grads[name].tobytes() == np.zeros(shape).tobytes(), (weights, name)
 
 
 # -- full runs ----------------------------------------------------------------------
