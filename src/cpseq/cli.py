@@ -2,7 +2,8 @@
 conformal calibration, single runs, campaigns, and report regeneration.
 
 All randomness flows from explicit ``--seed`` arguments. Exit code 0 on
-success; configuration or IO failures exit nonzero with a message on stderr.
+success; configuration or IO failures, and a model whose parameters stop being
+finite, exit nonzero with a message on stderr.
 """
 
 from __future__ import annotations
@@ -297,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, RuntimeError) as err:
+    except (OSError, ValueError, RuntimeError, FloatingPointError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

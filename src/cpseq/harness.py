@@ -31,6 +31,7 @@ from .policy import (
     DEFAULT_PRETRAIN_LEARNING_RATE,
     Policy,
     build_pretrain_corpus,
+    check_pretrain_settings,
     pretrain_prior,
 )
 from .rl import RLConfig, SequenceScorer, StepMetrics, run_rl
@@ -234,7 +235,24 @@ class CampaignConfig:
         for kind in self.scoring:
             if kind not in SCORING_KINDS:
                 raise ValueError(f"unknown scoring kind {kind!r}")
-        self.run_settings()  # a bad sigma, steps, batch size, significance or rate fails here, before any build
+        # a bad run or build setting fails here, before any build
+        self.run_settings()
+        self.classifier_settings()
+        if self.acp_k < 1:
+            raise ValueError("acp_k must be >= 1")
+        check_pretrain_settings(self.pretrain_epochs, self.pretrain_learning_rate)
+        if self.pretrain_corpus_size < 1:
+            raise ValueError("pretrain_corpus_size must be >= 1")
+
+    def classifier_settings(self) -> ClassifierConfig:
+        """The classifier settings of the built classifier and, re-seeded per ICP by ``build_acp``, of the ACP."""
+        return ClassifierConfig(
+            n_rounds=self.clf_rounds,
+            learning_rate=self.clf_learning_rate,
+            max_depth=self.clf_depth,
+            subsample=self.clf_subsample,
+            seed=_derived_seed(self.seed, 9001),
+        )
 
     def run_settings(self) -> RLConfig:
         """The settings every cell shares; a cell replaces the scoring kind and the seed."""
@@ -323,14 +341,7 @@ def build_campaign_artifacts(config: CampaignConfig) -> CampaignArtifacts:
     train_seqs, train_labels = dataset.subset("train")
     if config.classifier is None or config.acp is None:
         X_train = fingerprints(train_seqs)
-        # one config for both: build_acp re-seeds each ICP's classifier with its own seed
-        clf_config = ClassifierConfig(
-            n_rounds=config.clf_rounds,
-            learning_rate=config.clf_learning_rate,
-            max_depth=config.clf_depth,
-            subsample=config.clf_subsample,
-            seed=_derived_seed(config.seed, 9001),
-        )
+        clf_config = config.classifier_settings()
 
     if config.classifier is not None:
         classifier = BoostedTreeClassifier.load(config.classifier)
@@ -390,7 +401,8 @@ def run_campaign(
 ) -> CampaignResult:
     """Execute every (query x scoring kind) run and write all output files.
 
-    Each run's CSV and sidecar are written whole or not at all (see :func:`_write_whole`).
+    Each run's CSV and sidecar are written whole or not at all (see :func:`_write_whole`),
+    and its summary row is read back from them as :func:`regenerate_report` reads it.
     A failing run is recorded with status ``error`` and excluded from the
     aggregates; it never aborts the campaign. Its sidecar keeps the error and
     its traceback, and one line naming the run goes to stderr. Nothing is
@@ -418,11 +430,9 @@ def run_campaign(
                 "length": query.length,
                 "scoring_fn": kind,
             }
-            steps_to_half = None
             try:
                 record = run_rl(query, rl_config, artifacts.prior, scorers[kind])
                 _write_whole(runs_dir / f"{name}.csv", record.write_csv)
-                steps_to_half = steps_to_threshold(record.steps)
                 sidecar.update(status="ok", n_unique_valid=len(record.unique_valid),
                                n_conf_eff=len(record.conf_eff_unique))
             except Exception as err:  # per-run isolation
@@ -430,7 +440,7 @@ def run_campaign(
                 sidecar.update(status="error", error=error, traceback=traceback.format_exc())
                 print(f"cpseq campaign: run {name} failed: {error}", file=sys.stderr)
             _write_whole(runs_dir / f"{name}.json", lambda tmp: tmp.write_text(json.dumps(sidecar)))
-            rows.append(replace(_sidecar_summary(sidecar), steps_to_half=steps_to_half))
+            rows.append(_read_run_summary(runs_dir / f"{name}.json"))  # as the report reads it back
     return _write_summaries(rows, out)
 
 
@@ -450,7 +460,8 @@ def write_length_summary_csv(rows: Sequence[LengthSummary], path: str | Path) ->
 
 
 def _write_summaries(rows: list[RunSummary], out: Path) -> CampaignResult:
-    """Write summary.csv, wilcoxon.csv and summary_by_length.csv for the run rows."""
+    """Write summary.csv, wilcoxon.csv and summary_by_length.csv for the run rows, sorted by query and kind."""
+    rows = sorted(rows, key=lambda r: (r.query_id, _KIND_CODE[r.scoring_fn]))
     wilcoxon_rows = wilcoxon_vs_baseline(rows)
     write_summary_csv(rows, out / "summary.csv")
     write_wilcoxon_csv(wilcoxon_rows, out / "wilcoxon.csv")
@@ -474,6 +485,14 @@ def _sidecar_summary(meta: dict) -> RunSummary:
     return RunSummary(*key, json_field(meta, "n_unique_valid", int), json_field(meta, "n_conf_eff", int), None, "ok")
 
 
+def _read_run_summary(sidecar_path: Path) -> RunSummary:
+    """A run's summary row from its sidecar and, for an ok run, its metrics CSV's steps to half."""
+    row = read_json(sidecar_path, _sidecar_summary)
+    if row.status != "ok":
+        return row
+    return replace(row, steps_to_half=steps_to_threshold(read_table(sidecar_path.with_suffix(".csv"), StepMetrics)))
+
+
 def regenerate_report(runs_dir: str | Path, out_dir: str | Path) -> CampaignResult:
     """Rebuild summary/wilcoxon/length CSVs purely from per-run outputs.
 
@@ -486,12 +505,4 @@ def regenerate_report(runs_dir: str | Path, out_dir: str | Path) -> CampaignResu
     sidecars = sorted(runs.glob("q*_*.json"))
     if not sidecars:
         raise FileNotFoundError(f"no run sidecars found under {runs}")
-    rows = []
-    for sidecar_path in sidecars:
-        row = read_json(sidecar_path, _sidecar_summary)
-        if row.status == "ok":
-            steps = read_table(sidecar_path.with_suffix(".csv"), StepMetrics)
-            row = replace(row, steps_to_half=steps_to_threshold(steps))
-        rows.append(row)
-    rows.sort(key=lambda r: (r.query_id, _KIND_CODE[r.scoring_fn]))
-    return _write_summaries(rows, out)
+    return _write_summaries([_read_run_summary(path) for path in sidecars], out)

@@ -5,11 +5,13 @@ state update that also consumes a query encoding (mean embedding of the
 template, with the mask marker as its own symbol), and a linear projection
 produces logits over the fixed emission alphabet at every step. Likelihoods,
 sampling, and parameter gradients are all computed in closed form with numpy;
-there is no autodiff dependency. One recurrence step serves both a padded
-teacher-forced pass over a batch of (template, fills) rows, whose row NLLs are
-the same bit for bit in any batch, and lockstep sampling. One backward pass over
-that batched pass returns the gradient of a weighted sum of its rows' NLLs. The output
-projection starts at zero, so a fresh policy is exactly uniform over the emission alphabet.
+there is no autodiff dependency. One driver moves a batch of rows through the
+recurrence in lockstep, drawing their tokens (sampling) or reading them
+(teacher forcing), and records one tape either way; each row's NLL is the same
+bit for bit in any batch. One backward pass over a tape returns the gradient of
+a weighted sum of its rows' NLLs, so a learning step backpropagates through the
+pass that drew its batch. The output projection starts at zero, so a fresh
+policy is exactly uniform over the emission alphabet.
 """
 
 from __future__ import annotations
@@ -83,24 +85,19 @@ def _stream_ids(fills: Sequence[str]) -> list[int]:
         raise ValueError(f"proposal token {err.args[0]!r} not in the emission alphabet")
 
 
-class _BatchForward(NamedTuple):
-    """What a batched teacher-forced pass computes, kept for backpropagation.
+class _Tape(NamedTuple):
+    """What one :meth:`Policy._unroll` pass computes, kept for backpropagation.
 
-    Row r of the padded arrays holds proposal ``order[r]``; rows are sorted by
-    decreasing stream length, so the streams still running at step i are the
-    first ``active[i]`` rows. Row r's template is ``templates[group[r]]``.
+    Each step is ``(rows, inputs, targets, h_in, h_out, probs)``: the live rows, in
+    proposal order, went from states ``h_in`` on tokens ``inputs`` to states ``h_out``
+    and softmaxes ``probs``, and emitted ``targets``. Row b's template is ``templates[group[b]]``.
     """
 
     templates: list[np.ndarray]  # template token ids of each distinct template
     group: np.ndarray  # (B,) index into templates
     query_encoding: np.ndarray  # (B, E) mean template embedding of each row
-    order: np.ndarray
-    targets: np.ndarray  # (B, T) emitted token ids, padded with 0
-    inputs: np.ndarray  # (B, T) token ids fed in, BEGIN_ID first
-    active: list[int]
-    states: list[np.ndarray]  # (B, H) zeros first; step i maps states[i][:active[i]] to states[i + 1]
-    probs: list[np.ndarray]  # (active[i], V) emission distributions at step i
-    nll: np.ndarray  # (B,) in row order
+    steps: list[tuple[np.ndarray, ...]]
+    nll: np.ndarray  # (B,)
 
 
 def _matvecs(w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -120,13 +117,6 @@ def _saved_params(saved: dict) -> dict[str, np.ndarray]:
         if params[name].shape != shape:
             raise ValueError(f"key {name!r}: shape {params[name].shape} is not {shape}")
     return params
-
-
-def _proposal_order(order: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Rows of a batched pass put back in proposal order."""
-    out = np.empty_like(rows)
-    out[order] = rows
-    return out
 
 
 class Policy:
@@ -176,32 +166,24 @@ class Policy:
         return self.sample_batch(query, 1, rng)[0]
 
     def sample_batch(self, query: QueryTemplate, n: int, rng: np.random.Generator) -> list[SampledProposal]:
-        """Draw ``n`` proposals in lockstep, one fill per masked slot each.
+        """Draw ``n`` proposals in lockstep, one fill per masked slot each (see :meth:`sample_and_backward`)."""
+        return self.sample_and_backward(query, n, rng)[0]
 
-        The rows move through the slots together. At each step the rows still in
-        the slot take one ``rng.random`` value each, in proposal order, and invert
-        their CDFs, so a batch of one draws as a token-by-token loop does. A row
-        leaves a slot on the terminator or at the cap. A cap-hit slot keeps its
-        unterminated tokens, so the proposal fails assembly: the invalidity channel.
+    def sample_and_backward(
+        self, query: QueryTemplate, n: int, rng: np.random.Generator
+    ) -> tuple[list[SampledProposal], Callable[[np.ndarray], dict[str, np.ndarray]]]:
+        """``n`` proposals drawn in lockstep, and ``backward(weights)`` over the pass that drew them.
+
+        Each step draws as :meth:`_unroll` does, so a batch of one draws as a
+        token-by-token loop does. A row leaves a slot on the terminator or at the
+        cap. A cap-hit slot keeps its unterminated tokens, so the proposal fails
+        assembly: the invalidity channel. ``backward`` is :meth:`nll_and_backward`'s.
         """
-        wq_q = self.p["w_query"] @ self.p["embed"][_template_ids(query.positions)].mean(axis=0)
-        h = np.zeros((n, HIDDEN_DIM))
-        prev = np.full(n, BEGIN_ID)
-        log_likelihood = np.zeros(n)
         ids = np.full((n, query.masked_count, MAX_TOKENS_PER_SLOT), len(EMISSION_TOKENS))  # padded past the alphabet
-        for slot in range(query.masked_count):
-            live = np.arange(n)
-            for t in range(MAX_TOKENS_PER_SLOT):
-                if not live.size:
-                    break
-                h[live], probs = self._cell(prev[live], wq_q, h[live])
-                u = rng.random(len(live))
-                draw = np.minimum((np.cumsum(probs, axis=1) <= u[:, None]).sum(axis=1), len(EMISSION_TOKENS) - 1)
-                log_likelihood[live] += np.log(probs[np.arange(len(live)), draw])
-                ids[live, slot, t] = prev[live] = draw
-                live = live[draw != END_ID]
+        tape = self._unroll([query] * n, ids, np.full(ids.shape[:2], MAX_TOKENS_PER_SLOT), rng)
         fills = [tuple(map("".join, row)) for row in _PADDED_TOKENS[ids].tolist()]
-        return [SampledProposal(f, ll, tuple("".join(f))) for f, ll in zip(fills, log_likelihood.tolist())]
+        proposals = [SampledProposal(f, ll, tuple("".join(f))) for f, ll in zip(fills, (-tape.nll).tolist())]
+        return proposals, partial(self._backward, tape)
 
     def nll_and_grad(
         self, query: QueryTemplate, fills: Sequence[str], upstream_scale: float = 1.0
@@ -210,45 +192,62 @@ class Policy:
         nll, backward = self.nll_and_backward([query], [fills])
         return float(nll[0]), backward(np.array([upstream_scale]))
 
-    def _forward_batch(
-        self, queries: Sequence[QueryTemplate], proposals: Sequence[Sequence[str]]
-    ) -> _BatchForward:
-        """Teacher-forced pass over rows b filling ``queries[b]`` with ``proposals[b]`` (see :class:`_BatchForward`)."""
+    def _unroll(
+        self, queries: Sequence[QueryTemplate], ids: np.ndarray, lengths: np.ndarray, rng: np.random.Generator | None = None
+    ) -> _Tape:
+        """Move rows b filling ``queries[b]`` through the (B, S, T) slots of ``ids`` in lockstep.
+
+        Row b takes ``lengths[b, s]`` steps in slot s, each from the token it
+        emitted last (BEGIN_ID first), its state carried across slots. Without
+        ``rng`` step t of slot s emits ``ids[b, s, t]``. With ``rng`` the rows
+        live at a step take one ``rng.random`` value each, in proposal order,
+        and invert their CDFs; the draw is written to ``ids``, and a terminator
+        ends the row's slot by writing ``lengths``. Each row's NLL is the same
+        bit for bit in any batch (see :func:`_matvecs`).
+        """
+        n_rows, n_slots, cap = ids.shape
+        # each template's group, in order of first appearance; a positions key hashes in C, a QueryTemplate in Python
+        distinct: dict[tuple[str, ...], int] = {}
+        group = np.array([distinct.setdefault(q.positions, len(distinct)) for q in queries], dtype=np.intp)
+        templates = [_template_ids(positions) for positions in distinct]
+        encodings = [self.p["embed"][template].mean(axis=0) for template in templates]
+        wq_q = np.array([self.p["w_query"] @ e for e in encodings])[group]
+        h, prev, nll = np.zeros((n_rows, HIDDEN_DIM)), np.full(n_rows, BEGIN_ID), np.zeros(n_rows)
+        tape = _Tape(templates, group, np.array(encodings)[group], [], nll)
+        for slot in range(n_slots):
+            live = np.arange(n_rows)
+            for t in range(cap):
+                live = live[lengths[live, slot] > t]
+                if not live.size:
+                    break
+                h_in, inputs = h[live], prev[live]
+                h_out, probs = self._cell(inputs, wq_q[live], h_in)
+                if rng is None:
+                    target = ids[live, slot, t]
+                else:
+                    u = rng.random(len(live))
+                    target = np.minimum((np.cumsum(probs, axis=1) <= u[:, None]).sum(axis=1), len(EMISSION_TOKENS) - 1)
+                    ids[live, slot, t] = target
+                    lengths[live[target == END_ID], slot] = t + 1
+                nll[live] -= np.log(probs[np.arange(len(live)), target])
+                tape.steps.append((live, inputs, target, h_in, h_out, probs))
+                h[live], prev[live] = h_out, target
+        return tape
+
+    def _teacher_forced(self, queries: Sequence[QueryTemplate], proposals: Sequence[Sequence[str]]) -> _Tape:
+        """The pass over rows b filling ``queries[b]`` with ``proposals[b]``, each row's stream one slot."""
         if len(queries) != len(proposals):
             raise ValueError(f"{len(queries)} templates for {len(proposals)} proposals")
         streams = [_stream_ids(fills) for fills in proposals]
-        lengths = np.array([len(s) for s in streams], dtype=np.intp)
-        order = np.argsort(-lengths, kind="stable")
-        n_rows, n_steps = len(streams), int(lengths.max(initial=0))
-        targets = np.zeros((n_rows, n_steps), dtype=np.intp)
-        for row, b in enumerate(order):
-            targets[row, : lengths[b]] = streams[b]
-        inputs = np.full_like(targets, BEGIN_ID)
-        inputs[:, 1:] = targets[:, :-1]
-        sorted_lengths = lengths[order]
-        active = [int(np.count_nonzero(sorted_lengths > i)) for i in range(n_steps)]
-
-        # each template's group, in order of first appearance; a positions key hashes in C, a QueryTemplate in Python
-        distinct: dict[tuple[str, ...], int] = {}
-        group = np.array([distinct.setdefault(q.positions, len(distinct)) for q in queries], dtype=np.intp)[order]
-        templates = [_template_ids(positions) for positions in distinct]
-        encodings = [self.p["embed"][ids].mean(axis=0) for ids in templates]
-        q = np.array(encodings)[group]
-        wq_q = np.array([self.p["w_query"] @ e for e in encodings])[group]
-        h = np.zeros((n_rows, HIDDEN_DIM))
-        states, probs_list = [h], []
-        nll = np.zeros(n_rows)
-        for i, n in enumerate(active):
-            h, probs = self._cell(inputs[:n, i], wq_q[:n], h[:n])
-            nll[:n] -= np.log(probs[np.arange(n), targets[:n, i]])
-            states.append(h)
-            probs_list.append(probs)
-        return _BatchForward(templates, group, q, order, targets, inputs, active, states, probs_list, nll)
+        lengths = np.array([len(s) for s in streams], dtype=np.intp).reshape(-1, 1)
+        ids = np.zeros((len(streams), 1, int(lengths.max(initial=0))), dtype=np.intp)
+        for b, stream in enumerate(streams):
+            ids[b, 0, : len(stream)] = stream
+        return self._unroll(queries, ids, lengths)
 
     def nll_batch(self, queries: Sequence[QueryTemplate], proposals: Sequence[Sequence[str]]) -> np.ndarray:
         """Each row's negative log-likelihood from one batched pass; shape (B,)."""
-        fwd = self._forward_batch(queries, proposals)
-        return _proposal_order(fwd.order, fwd.nll)
+        return self._teacher_forced(queries, proposals).nll
 
     def nll_and_backward(
         self, queries: Sequence[QueryTemplate], proposals: Sequence[Sequence[str]]
@@ -257,47 +256,45 @@ class Policy:
 
         ``backward`` takes (B,) row weights and returns the analytic gradient of
         ``sum_b weights[b] * nll[b]``, summed over the rows: ``{name: shape}``; it may
-        be called more than once while the parameters stay as they were. The
-        pass's (step, live row) pairs are stacked, so each product over rows and
+        be called more than once while the parameters stay as they were.
+        """
+        tape = self._teacher_forced(queries, proposals)
+        return tape.nll, partial(self._backward, tape)
+
+    def _backward(self, tape: _Tape, weights: np.ndarray) -> dict[str, np.ndarray]:
+        """The gradient of ``sum_b weights[b] * tape.nll[b]`` over the tape's pass.
+
+        The pass's (step, live row) pairs are stacked, so each product over rows and
         steps is one matrix product and only the state gradient runs back in time.
         The query encoding passes gradients to the embedding rows of every
         template entry (mask marker included) through the mean.
         """
-        fwd = self._forward_batch(queries, proposals)
-        nll, p = _proposal_order(fwd.order, fwd.nll), self.p
-        if not fwd.active:  # every stream is empty
-            return nll, lambda weights: {name: np.zeros(shape) for name, shape in PARAM_SHAPES.items()}
-        rows = np.concatenate([np.arange(n) for n in fwd.active])  # each pair's row
-        steps = np.repeat(np.arange(len(fwd.active)), fwd.active)
-        ids, pair_group = fwd.inputs[rows, steps], fwd.group[rows]
-        h_out = np.concatenate(fwd.states[1:])
-        h_in = np.concatenate([h[:n] for h, n in zip(fwd.states, fwd.active)])
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != tape.nll.shape:
+            raise ValueError(f"weights of shape {weights.shape} for {len(tape.nll)} rows")
+        if not tape.steps:  # every stream is empty
+            return {name: np.zeros(shape) for name, shape in PARAM_SHAPES.items()}
+        p = self.p
+        rows, ids, targets, h_in, h_out, dlogits = map(np.concatenate, zip(*tape.steps))
+        dlogits[np.arange(len(rows)), targets] -= 1.0  # softmax minus one-hot target: d(nll)/d(logits)
+        dlogits *= weights[rows, None]
+        da = dlogits @ p["w_out"]  # the output's part of each pair's state gradient, then the pre-tanh gradient
         tanh_slope = 1.0 - h_out**2
-        emission = np.concatenate(fwd.probs)  # softmax minus one-hot target: d(nll)/d(logits)
-        emission[np.arange(len(rows)), fwd.targets[rows, steps]] -= 1.0
-
-        def backward(weights: np.ndarray) -> dict[str, np.ndarray]:
-            weights = np.asarray(weights, dtype=np.float64)
-            if weights.shape != fwd.order.shape:
-                raise ValueError(f"weights of shape {weights.shape} for {len(fwd.order)} rows")
-            dlogits = emission * weights[fwd.order][rows, None]
-            da = dlogits @ p["w_out"]  # the output's part of each pair's state gradient, then the pre-tanh gradient
-            dh = np.zeros((len(fwd.order), HIDDEN_DIM))
-            end = len(rows)
-            for n in reversed(fwd.active):
-                pairs = slice(end - n, end)
-                da[pairs] = (dh[:n] + da[pairs]) * tanh_slope[pairs]
-                dh[:n] = da[pairs] @ p["w_rec"]
-                end -= n
-            grads = {"embed": np.zeros_like(p["embed"]), "w_in": da.T @ p["embed"][ids],
-                     "w_query": da.T @ fwd.query_encoding[rows], "w_rec": da.T @ h_in, "b_rec": da.sum(axis=0),
-                     "w_out": dlogits.T @ h_out, "b_out": dlogits.sum(axis=0)}
-            np.add.at(grads["embed"], ids, da @ p["w_in"])
-            for g, template in enumerate(fwd.templates):
-                np.add.at(grads["embed"], template, da[pair_group == g].sum(axis=0) @ p["w_query"] / len(template))
-            return grads
-
-        return nll, backward
+        dh = np.zeros((len(weights), HIDDEN_DIM))
+        end = len(rows)
+        for live, *_ in reversed(tape.steps):
+            pairs = slice(end - len(live), end)
+            da[pairs] = (dh[live] + da[pairs]) * tanh_slope[pairs]
+            dh[live] = da[pairs] @ p["w_rec"]
+            end -= len(live)
+        grads = {"embed": np.zeros_like(p["embed"]), "w_in": da.T @ p["embed"][ids],
+                 "w_query": da.T @ tape.query_encoding[rows], "w_rec": da.T @ h_in,
+                 "b_rec": da.sum(axis=0), "w_out": dlogits.T @ h_out, "b_out": dlogits.sum(axis=0)}
+        np.add.at(grads["embed"], ids, da @ p["w_in"])
+        pair_group = tape.group[rows]
+        for g, template in enumerate(tape.templates):
+            np.add.at(grads["embed"], template, da[pair_group == g].sum(axis=0) @ p["w_query"] / len(template))
+        return grads
 
     def sgd_step(self, grads: dict[str, np.ndarray], learning_rate: float) -> None:
         for name in PARAM_NAMES:
@@ -373,6 +370,14 @@ class ValidityGateError(RuntimeError):
     """Raised when a pretrained prior misses the fill-validity gate."""
 
 
+def check_pretrain_settings(epochs: int, learning_rate: float) -> None:
+    """Raises ValueError unless there is at least one epoch and the learning rate is positive."""
+    if epochs < 1:
+        raise ValueError("epochs must be >= 1")
+    if not learning_rate > 0:
+        raise ValueError("learning_rate must be > 0")
+
+
 def pretrain_prior(
     corpus: Sequence[tuple[QueryTemplate, Sequence[str]]],
     epochs: int = DEFAULT_PRETRAIN_EPOCHS,
@@ -387,11 +392,13 @@ def pretrain_prior(
     of each run of :data:`PRETRAIN_BATCH` examples (the last run may be shorter).
     When ``gate_queries`` are supplied the returned prior must reach the
     fill-validity gate (:data:`GATE_THRESHOLD`) on them, otherwise :class:`ValidityGateError` is raised;
-    downstream reinforcement runs assume a gate-passed prior. A prior whose
-    parameters or mean NLL are not finite after an epoch raises FloatingPointError naming the epoch.
+    downstream reinforcement runs assume a gate-passed prior. An empty corpus, or
+    settings :func:`check_pretrain_settings` rejects, raise ValueError before any step; a prior
+    whose parameters or mean NLL are not finite after an epoch raises FloatingPointError naming the epoch.
     """
     if not corpus:
         raise ValueError("corpus must be nonempty")
+    check_pretrain_settings(epochs, learning_rate)
     policy = Policy.fresh(seed=np.random.SeedSequence([seed, 0]).generate_state(1)[0])
     shuffle_rng = np.random.default_rng([seed, 1])
     history = []

@@ -163,28 +163,25 @@ def rl_step(
 ) -> tuple[StepMetrics, dict[str, SequenceEval]]:
     """One sample-score-update cycle; returns metrics plus each distinct valid sequence's evaluation.
 
-    The batch is drawn in lockstep; the prior's likelihoods and the agent's
-    likelihoods each come from one batched teacher-forced pass, and the agent's
-    update from one backward pass over its pass, weighted by each row's loss gradient.
+    The batch is drawn in lockstep, and the agent's update is one backward pass
+    over the pass that drew it, each row weighted by its loss gradient; the
+    prior's likelihoods come from one batched teacher-forced pass.
 
     Raises FloatingPointError when the loss or an agent parameter is not finite after the update.
     """
-    proposals = agent.sample_batch(query, config.batch_size, rng)
+    proposals, backward = agent.sample_and_backward(query, config.batch_size, rng)
     assembled = [assemble(query, p.fills) for p in proposals]
     valid_seqs = [s for s in assembled if s is not None]
     evals = scorer.evaluate(valid_seqs) if valid_seqs else {}
 
-    fills = [p.fills for p in proposals]
-    queries = [query] * config.batch_size
-    log_p_prior = (-prior.nll_batch(queries, fills)).tolist()  # Python floats, so the metrics CSV reads plain numbers
-    agent_nll, backward = agent.nll_and_backward(queries, fills)
-    log_p_agent = (-agent_nll).tolist()
+    # Python floats, so the metrics CSV reads plain numbers
+    log_p_prior = (-prior.nll_batch([query] * config.batch_size, [p.fills for p in proposals])).tolist()
     weights = np.empty(config.batch_size)
     loss_total = 0.0
-    for b, seq in enumerate(assembled):
+    for b, (proposal, seq) in enumerate(zip(proposals, assembled)):
         score_value = evals[seq].score if seq is not None else 0.0
         log_p_aug = augmented_log_likelihood(log_p_prior[b], score_value, config.sigma)
-        delta = log_p_aug - log_p_agent[b]
+        delta = log_p_aug - proposal.log_likelihood
         loss_total += delta * delta
         # d(mean squared loss)/dtheta = mean of 2*delta * d(NLL)/dtheta
         weights[b] = 2.0 * delta / config.batch_size

@@ -1,15 +1,16 @@
 import inspect
 import json
 
+import numpy as np
 import pytest
 
 from cpseq.boosting import ClassifierConfig
-from cpseq import harness
+from cpseq import cli, harness
 from cpseq.cli import build_parser, main
 from cpseq.conformal import build_acp
 from cpseq.domain import FINGERPRINT_BUCKETS, make_dataset, make_queries, read_dataset_csv, read_queries_csv
 from cpseq.harness import CampaignConfig
-from cpseq.policy import DEFAULT_PRETRAIN_CORPUS_SIZE, pretrain_prior
+from cpseq.policy import DEFAULT_PRETRAIN_CORPUS_SIZE, build_pretrain_corpus, pretrain_prior
 
 
 @pytest.fixture(scope="module")
@@ -101,23 +102,27 @@ def test_run_subcommand(workdir, tmp_path, capsys):
 
 
 def test_campaign_and_report_round_trip(workdir, tmp_path):
-    config = tmp_path / "c.cfg"
-    config.write_text(
-        f"dataset = {workdir / 'data.csv'}\n"
-        f"queries = {workdir / 'queries.csv'}\n"
-        f"prior = {workdir / 'prior.json'}\n"
-        f"classifier = {workdir / 'clf.json'}\n"
-        f"acp = {workdir / 'acp.json'}\n"
-        "scoring = rm_p1, cp_soft\n"
-        "steps = 8\n"
-        "batch_size = 8\n"
-        "seed = 6\n"
-    )
-    out = tmp_path / "out"
-    assert main(["campaign", "--config", str(config), "--out", str(out)]) == 0
-    assert (out / "summary.csv").exists()
-    assert main(["report", "--dir", str(out), "--out", str(tmp_path / "rep")]) == 0
-    assert (tmp_path / "rep" / "summary.csv").read_bytes() == (out / "summary.csv").read_bytes()
+    # kinds listed out of their canonical order too: both sort the rows by query and canonical kind
+    for i, scoring in enumerate(("rm_p1, cp_soft", "cp_soft, rm_p1")):
+        config = tmp_path / f"c{i}.cfg"
+        config.write_text(
+            f"dataset = {workdir / 'data.csv'}\n"
+            f"queries = {workdir / 'queries.csv'}\n"
+            f"prior = {workdir / 'prior.json'}\n"
+            f"classifier = {workdir / 'clf.json'}\n"
+            f"acp = {workdir / 'acp.json'}\n"
+            f"scoring = {scoring}\n"
+            "steps = 8\n"
+            "batch_size = 8\n"
+            "seed = 6\n"
+        )
+        out, rep = tmp_path / f"out{i}", tmp_path / f"rep{i}"
+        assert main(["campaign", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["report", "--dir", str(out), "--out", str(rep)]) == 0
+        for name in ("summary.csv", "wilcoxon.csv", "summary_by_length.csv"):
+            assert (rep / name).read_bytes() == (out / name).read_bytes(), (scoring, name)
+        kinds = [line.split(",")[2] for line in (out / "summary.csv").read_text().splitlines()[1:]]
+        assert kinds == ["rm_p1", "cp_soft"] * 2
 
 
 @pytest.mark.parametrize("index", ["2", "-1"])
@@ -157,6 +162,14 @@ def _campaign_config(workdir, path, *extra, classifier=None):
         ("batch_size = 0", "batch_size and steps must be >= 1"),
         ("significance = 1.5", "significance must be in (0, 1)"),
         ("rl_learning_rate = -0.1", "learning_rate must be > 0"),
+        ("acp_k = 0", "acp_k must be >= 1"),
+        ("clf_rounds = 0", "n_rounds must be >= 1"),
+        ("clf_learning_rate = 1.5", "learning_rate must be in (0, 1]"),
+        ("clf_depth = 0", "max_depth must be >= 1"),
+        ("clf_subsample = 0", "subsample must be in (0, 1]"),
+        ("pretrain_epochs = 0", "epochs must be >= 1"),
+        ("pretrain_learning_rate = -0.001", "learning_rate must be > 0"),
+        ("pretrain_corpus_size = 0", "pretrain_corpus_size must be >= 1"),
     ],
 )
 def test_campaign_with_bad_run_settings_fails_before_any_build(workdir, tmp_path, capsys, monkeypatch, line, message):
@@ -175,6 +188,17 @@ def test_campaign_with_bad_run_settings_fails_before_any_build(workdir, tmp_path
     assert capsys.readouterr().err == f"error: {config}:{lineno}: key {key!r}: {message}\n"
     assert built == []
     assert not (tmp_path / "out").exists()
+
+
+def test_campaign_seed_flag_takes_the_place_of_the_config_seed(workdir, tmp_path):
+    flagged, configured = tmp_path / "flagged", tmp_path / "configured"
+    config = _campaign_config(workdir, tmp_path / "six.cfg", "seed = 6", "scoring = rm_p1, cp_soft")
+    assert main(["campaign", "--config", str(config), "--out", str(flagged), "--seed", "9"]) == 0
+    config = _campaign_config(workdir, tmp_path / "nine.cfg", "seed = 9", "scoring = rm_p1, cp_soft")
+    assert main(["campaign", "--config", str(config), "--out", str(configured)]) == 0
+    files = sorted(path.relative_to(configured) for path in configured.rglob("*.*"))
+    assert len(files) == 11  # four runs' CSVs and sidecars, and three summaries
+    assert all((flagged / f).read_bytes() == (configured / f).read_bytes() for f in files)
 
 
 def test_campaign_rejects_a_classifier_that_splits_past_the_fingerprint(workdir, tmp_path, capsys):
@@ -264,6 +288,44 @@ def test_pretrain_with_nothing_to_gate_on_exits_with_a_message(workdir, tmp_path
     assert main(args + ["--out", str(tmp_path / "prior.json")]) == 1
     assert capsys.readouterr().err == f"error: fill-validity needs at least 1 sample and 1 query, got {got}\n"
     assert not (tmp_path / "prior.json").exists()
+
+
+def test_pretrain_gates_on_masked_test_sequences_without_gate_queries(workdir, tmp_path, monkeypatch, capsys):
+    gated = []
+
+    def recording(corpus, **settings):
+        gated.append(settings["gate_queries"])
+        return pretrain_prior(corpus, **settings)
+
+    monkeypatch.setattr(cli, "pretrain_prior", recording)
+    args = ["pretrain", "--data", str(workdir / "data.csv"), "--corpus-size", "150", "--epochs", "30"]
+    assert main(args + ["--learning-rate", "0.003", "--seed", "4", "--out", str(tmp_path / "prior.json")]) == 0
+    test_seqs, _ = read_dataset_csv(workdir / "data.csv").subset("test")
+    assert gated == [[query for query, _ in build_pretrain_corpus(test_seqs[:50], seed=5)]]
+    assert "fill-validity" in capsys.readouterr().out
+    assert (tmp_path / "prior.json").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [("--epochs", "0", "epochs must be >= 1"),
+                                                  ("--learning-rate", "-0.5", "learning_rate must be > 0")])
+def test_pretrain_rejects_bad_settings(workdir, tmp_path, capsys, flag, value, message):
+    args = ["pretrain", "--data", str(workdir / "data.csv"), "--corpus-size", "20", flag, value]
+    assert main(args + ["--out", str(tmp_path / "prior.json")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "prior.json").exists()
+
+
+def test_a_model_that_stops_being_finite_exits_with_a_message(workdir, tmp_path, capsys):
+    args = ["pretrain", "--data", str(workdir / "data.csv"), "--corpus-size", "20", "--learning-rate", "1e300"]
+    with np.errstate(all="ignore"):
+        assert main(args + ["--out", str(tmp_path / "prior.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: epoch 2: the prior is not finite (mean NLL ")
+    args = ["run", "--query", "AC?DE?G", "--steps", "3", "--batch-size", "8", "--learning-rate", "1e300"]
+    args += ["--prior", str(workdir / "prior.json"), "--classifier", str(workdir / "clf.json")]
+    with np.errstate(all="ignore"):
+        assert main(args + ["--acp", str(workdir / "acp.json"), "--out", str(tmp_path / "run.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: step 2: the agent is not finite (loss ")
+    assert not (tmp_path / "prior.json").exists() and not (tmp_path / "run.csv").exists()
 
 
 def test_missing_input_exits_nonzero(tmp_path, capsys):

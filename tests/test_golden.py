@@ -42,7 +42,7 @@ GOLDEN = {
     "out/summary.csv": "856577492a3a8abfe0631506e5f062fb9f996ccc619c89105a9afd75277382aa",
     "out/summary_by_length.csv": "670d8cb2df806a3e12fcc7172e02d6c592bffb667bcffc3990d377c0c424b6b6",
     "out/wilcoxon.csv": "e74b6d9b3fcca15403b0f155ad38df7e1733cf8738185a49511929f81ac0d534",
-    "prior.json": "53107e49c74af6dc66b3c4e97827bc320da3650d3a310aa049a40b5bd01e86aa",
+    "prior.json": "65371e6403619aba68f906560179715544577519ea5f5cffc560ab5063d7fd8c",
     "queries.csv": "97d593c9ea5f396ac242ae4b66da19295531960e82d8a19c210368c648dc5eb4",
     "run/run.csv": "8ec25bbf14ac9a01e594e13d74ca02ba62b9eaf2b65ef5617c1a60b024ffa5aa",
     "train/clf.json": "497935a8f0204536b01da4bb712d01095706a75409c52284f1d13fe356f0023d",

@@ -355,7 +355,12 @@ def test_summed_backward_matches_weighted_per_example_reference(batch, seed):
     for name in ("w_out", "b_out"):  # away from uniform, so every emission differs
         policy.p[name] = rng.normal(0, 0.5, policy.p[name].shape)
     _assert_batch_matches_per_example(policy, queries, proposals, weights)
-    batches = {query: iter(policy.sample_batch(query, queries.count(query), rng)) for query in dict.fromkeys(queries)}
+    drawn = {query: policy.sample_and_backward(query, queries.count(query), rng) for query in dict.fromkeys(queries)}
+    for query, (proposals, backward) in drawn.items():  # the backward pass over the pass that drew the proposals
+        rows = [b for b, q in enumerate(queries) if q == query]
+        references = [_reference_nll_and_grad(policy, query, p.fills)[1] for p in proposals]
+        _assert_weighted_sum_close(backward(weights[rows]), weights[rows], references)
+    batches = {query: iter(proposals) for query, (proposals, _) in drawn.items()}
     sampled = [next(batches[query]) for query in queries]
     _assert_batch_matches_per_example(policy, queries, [s.fills for s in sampled], weights)
     assert policy.nll_batch(queries, [s.fills for s in sampled]).tolist() == [-s.log_likelihood for s in sampled]
@@ -370,6 +375,18 @@ def test_backward_can_run_again_with_other_weights(fresh_policy):
     assert all(np.array_equal(first[name], again[name]) for name in PARAM_NAMES)
     with pytest.raises(ValueError, match=r"weights of shape \(3,\) for 2 rows"):
         backward(np.ones(3))
+
+
+def test_a_pass_of_no_steps_has_a_zero_gradient(fresh_policy):
+    # two rows of empty streams, and a sampled batch of no rows: neither tape records a step
+    nll, forced = fresh_policy.nll_and_backward([QUERY, QUERY], [("", "")] * 2)
+    proposals, sampled = fresh_policy.sample_and_backward(QUERY, 0, np.random.default_rng(0))
+    assert (nll.tolist(), proposals) == ([0.0, 0.0], [])
+    for backward, weights in ((forced, [1.0, -2.0]), (sampled, [])):
+        grads = backward(np.array(weights))
+        assert all(grads[name].tobytes() == np.zeros(shape).tobytes() for name, shape in PARAM_SHAPES.items())
+        with pytest.raises(ValueError, match="weights of shape"):
+            backward(np.ones(3))
 
 
 def test_batched_pass_on_a_trained_prior(tiny_prior):
@@ -478,6 +495,16 @@ def test_gate_passes_for_trained_prior(tiny_prior):
 def test_empty_corpus_rejected():
     with pytest.raises(ValueError):
         pretrain_prior([], epochs=1)
+
+
+@pytest.mark.parametrize("epochs, learning_rate, message", [
+    (0, 1e-3, "epochs must be >= 1"), (1, 0.0, "learning_rate must be > 0"), (1, -0.5, "learning_rate must be > 0"),
+    (1, float("nan"), "learning_rate must be > 0"),
+])
+def test_pretraining_rejects_bad_settings_before_any_step(monkeypatch, epochs, learning_rate, message):
+    monkeypatch.setattr(Policy, "fresh", None)  # nothing is built
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        pretrain_prior([(QUERY, FILLS)], epochs=epochs, learning_rate=learning_rate)
 
 
 # -- copying and persistence ---------------------------------------------------------

@@ -277,8 +277,8 @@ def _ragged_mixed_batch(policy, n_rows, rng):
 @pytest.mark.parametrize("seed", range(40))
 def test_weighted_sum_matches_a_loop_of_additions_byte_for_byte(seed):
     # the step's sum over rows happens inside the backward pass; its output-bias gradient is a
-    # plain weighted sum of per-pair terms, so it must equal a loop of += over the pass's
-    # (step, row) pairs, each pair's softmax-minus-one-hot scaled by its own row's weight.
+    # plain weighted sum of per-pair terms, so it must equal a loop of += over the tape's
+    # steps and each step's live rows, each pair's softmax-minus-one-hot scaled by its own row's weight.
     # Batch sizes up to 32 over two templates with ragged streams; zero and -0.0 weights are
     # where the sign of a zero total shows
     rng = np.random.default_rng(seed)
@@ -288,13 +288,13 @@ def test_weighted_sum_matches_a_loop_of_additions_byte_for_byte(seed):
     policy = Policy.fresh(seed=seed)
     queries, fills = _ragged_mixed_batch(policy, n_rows, rng)
     _, backward = policy.nll_and_backward(queries, fills)
-    fwd = policy._forward_batch(queries, fills)
+    tape = policy._teacher_forced(queries, fills)
     expected = np.zeros(PARAM_SHAPES["b_out"])
-    for step, n_live in enumerate(fwd.active):
-        for row in range(n_live):
-            emission = fwd.probs[step][row].copy()
-            emission[fwd.targets[row, step]] -= 1.0
-            expected += emission * weights[fwd.order[row]]
+    for rows, _, targets, _, _, probs in tape.steps:
+        for row, target, row_probs in zip(rows, targets, probs):
+            emission = row_probs.copy()
+            emission[target] -= 1.0
+            expected += emission * weights[row]
     assert backward(weights)["b_out"].tobytes() == expected.tobytes()
 
 
@@ -308,6 +308,26 @@ def test_weighted_sum_of_negative_zero_terms_is_positive_zero():
         grads = backward(np.array(weights))
         for name, shape in PARAM_SHAPES.items():
             assert grads[name].tobytes() == np.zeros(shape).tobytes(), (weights, name)
+
+
+def test_step_runs_two_policy_passes(tiny_models, tiny_prior, monkeypatch):
+    # the agent's sampling pass, whose tape the update backpropagates through, and the prior's teacher-forced pass
+    clf, acp = tiny_models
+    passes = []
+    unroll = Policy._unroll
+
+    def recording(policy, queries, ids, lengths, rng=None):
+        passes.append((policy, rng is not None))
+        return unroll(policy, queries, ids, lengths, rng)
+
+    monkeypatch.setattr(Policy, "_unroll", recording)
+    agent = tiny_prior.copy()
+    config = RLConfig(scoring="cp_soft", batch_size=8, steps=2)
+    rng = np.random.default_rng(1)
+    for step in (1, 2):
+        rl_step(agent, tiny_prior, QUERY, SequenceScorer("cp_soft", clf, acp), config, rng, step)
+        assert passes == [(agent, True), (tiny_prior, False)] * step
+    assert not agent.params_equal(tiny_prior)
 
 
 # -- full runs ----------------------------------------------------------------------
