@@ -4,10 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from cpseq.boosting import ClassifierConfig
+from cpseq.boosting import BoostedTreeClassifier, ClassifierConfig
 from cpseq import cli, harness
 from cpseq.cli import build_parser, main
-from cpseq.conformal import build_acp
+from cpseq.conformal import acp_to_json_dict, build_acp, load_acp
 from cpseq.domain import FINGERPRINT_BUCKETS, make_dataset, make_queries, read_dataset_csv, read_queries_csv
 from cpseq.harness import CampaignConfig
 from cpseq.policy import DEFAULT_PRETRAIN_CORPUS_SIZE, build_pretrain_corpus, pretrain_prior
@@ -326,6 +326,20 @@ def test_a_model_that_stops_being_finite_exits_with_a_message(workdir, tmp_path,
         assert main(args + ["--acp", str(workdir / "acp.json"), "--out", str(tmp_path / "run.csv")]) == 1
     assert capsys.readouterr().err.startswith("error: step 2: the agent is not finite (loss ")
     assert not (tmp_path / "prior.json").exists() and not (tmp_path / "run.csv").exists()
+
+
+def test_campaign_builds_the_classifier_and_acp_the_cli_builds(workdir, tmp_path):
+    config = CampaignConfig(dataset=workdir / "data.csv", queries=workdir / "queries.csv",
+                            prior=workdir / "prior.json", clf_rounds=25, acp_k=2, seed=6)
+    built = harness.build_campaign_artifacts(config)
+    data = ["--data", str(workdir / "data.csv"), "--rounds", "25"]
+    # the campaign seeds its classifier with derived seed 9001 and its ACP's bootstraps with 9002
+    assert main(["train-clf", *data, "--seed", str(harness._derived_seed(6, 9001)),
+                 "--out", str(tmp_path / "clf.json")]) == 0
+    assert main(["calibrate", *data, "--k", "2", "--seed", str(harness._derived_seed(6, 9002)),
+                 "--out", str(tmp_path / "acp.json")]) == 0
+    assert BoostedTreeClassifier.load(tmp_path / "clf.json").to_json_dict() == built.classifier.to_json_dict()
+    assert acp_to_json_dict(load_acp(tmp_path / "acp.json")) == acp_to_json_dict(built.acp)
 
 
 def test_missing_input_exits_nonzero(tmp_path, capsys):

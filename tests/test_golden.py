@@ -13,7 +13,10 @@ criterion-8 campaign, the ACP and metrics CSV of a small ``cpseq
 calibrate``, the classifier of a small ``cpseq train-clf`` and the metrics CSV
 of a short ``cpseq run`` on the tiny artifacts; and the raw float64 bytes of
 the tiny classifier's margins and the tiny ACP's p-values on the tiny test
-split.
+split. ``test_built_artifacts_match_golden_hashes`` covers the build path:
+every file of a campaign whose config names no ``prior``, ``classifier`` or
+``acp``, so it builds all three, and the priors of two ``cpseq pretrain`` runs,
+one gated on ``--gate-queries`` and one on masked test sequences.
 """
 
 from __future__ import annotations
@@ -24,6 +27,18 @@ from cpseq.cli import main
 from cpseq.conformal import save_acp
 from cpseq.domain import fingerprints, make_dataset, make_queries, write_dataset_csv, write_queries_csv
 from cpseq.harness import parse_campaign_config, run_campaign
+
+
+def _assert_golden(root, golden):
+    """Every file under ``root`` but the configs has the SHA-256 ``golden`` gives its relative path."""
+    got = {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*"))
+        if path.is_file() and path.suffix != ".cfg"
+    }
+    differ = sorted(name for name in set(golden) | set(got) if golden.get(name) != got.get(name))
+    assert not differ, f"outputs differ from the golden hashes: {differ}\n{got}"
+
 
 GOLDEN = {
     "acp.json": "646a3b20cfb8d55a198548ea17f074100c6f7facb16fae1e086a312426fdb1ef",
@@ -79,13 +94,7 @@ def test_outputs_match_golden_hashes(tmp_path, tiny_models, tiny_prior):
     run += ["--prior", str(tmp_path / "prior.json"), "--classifier", str(tmp_path / "clf.json")]
     assert main(run + ["--acp", str(tmp_path / "acp.json"), "--out", str(tmp_path / "run" / "run.csv")]) == 0
 
-    got = {
-        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(tmp_path.rglob("*"))
-        if path.is_file() and path.suffix != ".cfg"
-    }
-    differ = sorted(name for name in set(GOLDEN) | set(got) if GOLDEN.get(name) != got.get(name))
-    assert not differ, f"outputs differ from the golden hashes: {differ}\n{got}"
+    _assert_golden(tmp_path, GOLDEN)
 
 
 PREDICTIONS_GOLDEN = {
@@ -103,3 +112,50 @@ def test_predictions_match_golden_hashes(tiny_dataset, tiny_models):
         "acp p0 then p1": hashlib.sha256(p0.tobytes() + p1.tobytes()).hexdigest(),
     }
     assert got == PREDICTIONS_GOLDEN
+
+
+BUILD_GOLDEN = {
+    "data.csv": "027acee8efb547b4330c935f7e76958fe5f6dc8c2ad6dfa8e3817b8b9acb814c",
+    "gate_queries/prior.json": "a2b67c890a60cc3203e40c37c31a11e3f8e03b72d0e15c06a153a2b44e251ce2",
+    "out/runs/q000_cp_soft.csv": "01edf9b100bd72f2fdd5970d9d122461eff426bd32d48b962838ff1b8d1f453b",
+    "out/runs/q000_cp_soft.json": "bbc635e2f485a66cd5e29425abc4c12c9f33a5fb7962affb499f19d78418abb8",
+    "out/runs/q000_rm_p1.csv": "5c5ff865535f8ff75e9f0c7fd2f9a0bdb14c7a17b16aa562ff2bc3935c477b72",
+    "out/runs/q000_rm_p1.json": "232678c3cdad777cdae30f788b50fb158c10a52cc6d48b0f6b15a585e2300ffc",
+    "out/runs/q001_cp_soft.csv": "fd30834352394b5baf635d4f520e0528b9862f4c4f57ba6aa664e747db0f9eff",
+    "out/runs/q001_cp_soft.json": "c211f7a38a8be2a92f637b26f122b9ae3b7edc96731135c93f3832c227a0be5e",
+    "out/runs/q001_rm_p1.csv": "b7df5005700ff2e1fe4573dbfb29ff5f3810458f0a01308cc3d205ed3aafb4a3",
+    "out/runs/q001_rm_p1.json": "ba3db68cd35c5714782e183ed4d3d65904a41fc7414245f6073a599132fd4060",
+    "out/summary.csv": "fdb52eb652a7521f1008950957ea2de689c122a9f869a5712e80ddcb1f523ced",
+    "out/summary_by_length.csv": "f0027b4033b86e6e4310d8ddd9178a19c656ce000c95cff38c0259fbf87e7cba",
+    "out/wilcoxon.csv": "e74b6d9b3fcca15403b0f155ad38df7e1733cf8738185a49511929f81ac0d534",
+    "queries.csv": "97d593c9ea5f396ac242ae4b66da19295531960e82d8a19c210368c648dc5eb4",
+    "test_gate/prior.json": "7668068988d70dfb13d695c715e50da87c56bf0bf2443cf7aab0f548ebd77f0f",
+}
+
+
+def test_built_artifacts_match_golden_hashes(tmp_path):
+    write_dataset_csv(make_dataset(400, seed=3), tmp_path / "data.csv")
+    write_queries_csv(make_queries(2, seed=5), tmp_path / "queries.csv")
+    (tmp_path / "c.cfg").write_text(
+        "dataset = data.csv\n"
+        "queries = queries.csv\n"
+        "scoring = rm_p1, cp_soft\n"
+        "steps = 12\n"
+        "batch_size = 8\n"
+        "seed = 2\n"
+        "clf_rounds = 25\n"
+        "acp_k = 2\n"
+        "pretrain_epochs = 30\n"
+        "pretrain_learning_rate = 0.003\n"
+        "pretrain_corpus_size = 150\n"
+    )
+    run_campaign(parse_campaign_config(tmp_path / "c.cfg"), tmp_path / "out")
+    pretrain = ["pretrain", "--data", str(tmp_path / "data.csv"), "--corpus-size", "150", "--epochs", "30"]
+    pretrain += ["--learning-rate", "0.003", "--gate-samples", "200"]
+    (tmp_path / "gate_queries").mkdir()
+    gate = ["--gate-queries", str(tmp_path / "queries.csv"), "--seed", "0"]
+    assert main(pretrain + gate + ["--out", str(tmp_path / "gate_queries" / "prior.json")]) == 0
+    (tmp_path / "test_gate").mkdir()
+    assert main(pretrain + ["--seed", "4", "--out", str(tmp_path / "test_gate" / "prior.json")]) == 0
+
+    _assert_golden(tmp_path, BUILD_GOLDEN)
