@@ -21,7 +21,6 @@ from .conformal import (
     DEFAULT_ICP_COUNT,
     DEFAULT_SIGNIFICANCE,
     PValuePair,
-    build_acp,
     load_acp,
     predict_set,
     save_acp,
@@ -48,7 +47,6 @@ from .policy import (
     DEFAULT_PRETRAIN_LEARNING_RATE,
     Policy,
     build_pretrain_corpus,
-    pretrain_prior,
 )
 from .rl import RLConfig, SequenceScorer, run_rl
 from .scoring import SCORING_KINDS
@@ -64,14 +62,10 @@ class LabelMetrics:
     efficiency: float
 
 
-def _classifier_config(args) -> ClassifierConfig:
-    return ClassifierConfig(
-        n_rounds=args.rounds,
-        learning_rate=args.learning_rate,
-        max_depth=args.depth,
-        subsample=args.subsample,
-        seed=args.seed,
-    )
+def _config(cls, args):
+    """A ``cls`` whose fields that have flags of the same names take the parsed values."""
+    flags = vars(args)
+    return cls(**{f.name: flags[f.name] for f in dataclasses.fields(cls) if f.name in flags})
 
 
 def _cmd_gen_data(args) -> int:
@@ -91,16 +85,14 @@ def _cmd_gen_queries(args) -> int:
 
 def _cmd_pretrain(args) -> int:
     dataset = read_dataset_csv(args.data)
-    train_seqs, _ = dataset.subset("train")
-    corpus = build_pretrain_corpus(train_seqs[: args.corpus_size], seed=args.seed)
     if args.gate_queries is not None:
         gate_queries = read_queries_csv(args.gate_queries)
     else:
         test_seqs, _ = dataset.subset("test")
         gate_corpus = build_pretrain_corpus(test_seqs[:50], seed=args.seed + 1)
         gate_queries = [query for query, _ in gate_corpus]
-    result = pretrain_prior(
-        corpus,
+    result = harness.build_prior(
+        dataset, args.corpus_size, args.seed,
         epochs=args.epochs,
         learning_rate=args.learning_rate,
         seed=args.seed,
@@ -109,7 +101,7 @@ def _cmd_pretrain(args) -> int:
     )
     result.policy.save(args.out)
     print(
-        f"pretrained prior over {len(corpus)} examples: "
+        f"pretrained prior over {min(args.corpus_size, dataset.splits.count('train'))} examples: "
         f"mean NLL {result.epoch_nll[0]:.3f} -> {result.epoch_nll[-1]:.3f}, "
         f"fill-validity {result.gate_validity:.3f}; saved to {args.out}"
     )
@@ -118,8 +110,7 @@ def _cmd_pretrain(args) -> int:
 
 def _cmd_train_clf(args) -> int:
     dataset = read_dataset_csv(args.data)
-    train_seqs, train_labels = dataset.subset("train")
-    model = BoostedTreeClassifier(_classifier_config(args)).fit(fingerprints(train_seqs), train_labels)
+    model = harness.build_classifier(dataset, _config(ClassifierConfig, args))
     model.save(args.out)
     test_seqs, test_labels = dataset.subset("test")
     if test_seqs:
@@ -134,10 +125,7 @@ def _cmd_train_clf(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     dataset = read_dataset_csv(args.data)
-    train_seqs, train_labels = dataset.subset("train")
-    # build_acp re-seeds each ICP's classifier, so --seed only picks the bootstrap seeds
-    config = _classifier_config(args)
-    acp = build_acp(fingerprints(train_seqs), train_labels, k=args.k, config=config, seed=args.seed)
+    acp = harness.build_conformal_predictor(dataset, args.k, _config(ClassifierConfig, args), args.seed)
     save_acp(acp, args.out)
     test_seqs, test_labels = dataset.subset("test")
     p0, p1 = acp.p_values_batch(fingerprints(test_seqs))
@@ -170,15 +158,7 @@ def _cmd_run(args) -> int:
     prior = Policy.load(args.prior)
     classifier = BoostedTreeClassifier.load(args.classifier)
     acp = load_acp(args.acp)
-    config = RLConfig(
-        scoring=args.scoring,
-        sigma=args.sigma,
-        batch_size=args.batch_size,
-        steps=args.steps,
-        significance=args.significance,
-        learning_rate=args.learning_rate,
-        seed=args.seed,
-    )
+    config = _config(RLConfig, args)
     scorer = SequenceScorer(args.scoring, classifier, acp, args.significance)
     record = run_rl(query, config, prior, scorer)
     record.write_csv(args.out)
@@ -210,9 +190,9 @@ def _cmd_report(args) -> int:
 
 def _add_classifier_flags(p: argparse.ArgumentParser) -> None:
     """The classifier settings train-clf and calibrate share; defaults are ClassifierConfig's."""
-    p.add_argument("--rounds", type=int, default=ClassifierConfig.n_rounds)
+    p.add_argument("--rounds", dest="n_rounds", metavar="ROUNDS", type=int, default=ClassifierConfig.n_rounds)
     p.add_argument("--learning-rate", type=float, default=ClassifierConfig.learning_rate)
-    p.add_argument("--depth", type=int, default=ClassifierConfig.max_depth)
+    p.add_argument("--depth", dest="max_depth", metavar="DEPTH", type=int, default=ClassifierConfig.max_depth)
     p.add_argument("--subsample", type=float, default=ClassifierConfig.subsample)
 
 

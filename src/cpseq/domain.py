@@ -256,6 +256,8 @@ def make_queries(
     seed: int = 0,
 ) -> list[QueryTemplate]:
     """Draw n random templates with 1..max_masked masked positions each."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     lengths = sorted(set(lengths))
     if not lengths or any(L < 6 or L > 12 for L in lengths):
         raise ValueError("query lengths must lie in [6, 12]")

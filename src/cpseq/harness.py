@@ -23,13 +23,14 @@ import numpy as np
 
 from .boosting import BoostedTreeClassifier, ClassifierConfig
 from .conformal import DEFAULT_ICP_COUNT, DEFAULT_SIGNIFICANCE, Acp, build_acp, load_acp
-from .domain import fingerprints, read_dataset_csv, read_queries_csv
+from .domain import LabeledDataset, fingerprints, read_dataset_csv, read_queries_csv
 from .policy import (
     DEFAULT_GATE_SAMPLES,
     DEFAULT_PRETRAIN_CORPUS_SIZE,
     DEFAULT_PRETRAIN_EPOCHS,
     DEFAULT_PRETRAIN_LEARNING_RATE,
     Policy,
+    PretrainResult,
     build_pretrain_corpus,
     check_pretrain_settings,
     pretrain_prior,
@@ -334,42 +335,52 @@ class CampaignArtifacts:
     acp: Acp
 
 
+def build_classifier(dataset: LabeledDataset, config: ClassifierConfig) -> BoostedTreeClassifier:
+    """The classifier fitted on the fingerprints of the dataset's train split."""
+    train_seqs, train_labels = dataset.subset("train")
+    return BoostedTreeClassifier(config).fit(fingerprints(train_seqs), train_labels)
+
+
+def build_conformal_predictor(dataset: LabeledDataset, k: int, config: ClassifierConfig, seed: int) -> Acp:
+    """The ACP of ``k`` ICPs over the dataset's train split; ``seed`` picks the bootstraps, as ICPs are re-seeded."""
+    train_seqs, train_labels = dataset.subset("train")
+    return build_acp(fingerprints(train_seqs), train_labels, k=k, config=config, seed=seed)
+
+
+def build_prior(dataset: LabeledDataset, corpus_size: int, corpus_seed: int, **settings) -> PretrainResult:
+    """:func:`pretrain_prior` with ``settings`` on the first ``corpus_size`` train sequences masked with
+    ``corpus_seed``; raises ValueError when ``corpus_size`` is below 1."""
+    if corpus_size < 1:
+        raise ValueError("corpus_size must be >= 1")
+    train_seqs, _ = dataset.subset("train")
+    return pretrain_prior(build_pretrain_corpus(train_seqs[:corpus_size], seed=corpus_seed), **settings)
+
+
 def build_campaign_artifacts(config: CampaignConfig) -> CampaignArtifacts:
     """Load the prior/classifier/ACP artifacts, building any that lack a path."""
     dataset = read_dataset_csv(config.dataset)
-    queries = read_queries_csv(config.queries)
-    train_seqs, train_labels = dataset.subset("train")
-    if config.classifier is None or config.acp is None:
-        X_train = fingerprints(train_seqs)
-        clf_config = config.classifier_settings()
-
+    clf_config = config.classifier_settings()
     if config.classifier is not None:
         classifier = BoostedTreeClassifier.load(config.classifier)
     else:
-        classifier = BoostedTreeClassifier(clf_config).fit(X_train, train_labels)
+        classifier = build_classifier(dataset, clf_config)
 
     if config.acp is not None:
         acp = load_acp(config.acp)
     else:
-        acp = build_acp(
-            X_train, train_labels, k=config.acp_k, config=clf_config,
-            seed=_derived_seed(config.seed, 9002),
-        )
+        acp = build_conformal_predictor(dataset, config.acp_k, clf_config, _derived_seed(config.seed, 9002))
 
     if config.prior is not None:
         prior = Policy.load(config.prior)
     else:
-        corpus_seqs = train_seqs[: config.pretrain_corpus_size]
-        corpus = build_pretrain_corpus(corpus_seqs, seed=_derived_seed(config.seed, 9003))
-        result = pretrain_prior(
-            corpus,
+        prior = build_prior(
+            dataset, config.pretrain_corpus_size, _derived_seed(config.seed, 9003),
             epochs=config.pretrain_epochs,
             learning_rate=config.pretrain_learning_rate,
             seed=_derived_seed(config.seed, 9004),
-            gate_queries=queries,
+            gate_queries=read_queries_csv(config.queries),
             gate_samples=DEFAULT_GATE_SAMPLES,
-        )
-        prior = result.policy
+        ).policy
     return CampaignArtifacts(prior=prior, classifier=classifier, acp=acp)
 
 

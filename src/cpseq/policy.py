@@ -403,21 +403,23 @@ def pretrain_prior(
     shuffle_rng = np.random.default_rng([seed, 1])
     history = []
     order = np.arange(len(corpus))
-    for epoch in range(1, epochs + 1):
-        shuffle_rng.shuffle(order)
-        epoch_total = 0.0
-        for start in range(0, len(order), PRETRAIN_BATCH):
-            queries, fills = zip(*(corpus[i] for i in order[start : start + PRETRAIN_BATCH]))
-            nll, backward = policy.nll_and_backward(queries, fills)
-            policy.sgd_step(backward(np.ones(len(nll))), learning_rate)
-            for value in nll.tolist():
-                epoch_total += value
-        history.append(epoch_total / len(corpus))
-        non_finite = policy.non_finite_params()
-        if non_finite or not np.isfinite(history[-1]):
-            raise FloatingPointError(
-                f"epoch {epoch}: the prior is not finite (mean NLL {history[-1]}, non-finite parameters {non_finite})"
-            )
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # each epoch checks finiteness below
+        for epoch in range(1, epochs + 1):
+            shuffle_rng.shuffle(order)
+            epoch_total = 0.0
+            for start in range(0, len(order), PRETRAIN_BATCH):
+                queries, fills = zip(*(corpus[i] for i in order[start : start + PRETRAIN_BATCH]))
+                nll, backward = policy.nll_and_backward(queries, fills)
+                policy.sgd_step(backward(np.ones(len(nll))), learning_rate)
+                for value in nll.tolist():
+                    epoch_total += value
+            history.append(epoch_total / len(corpus))
+            non_finite = policy.non_finite_params()
+            if non_finite or not np.isfinite(history[-1]):
+                raise FloatingPointError(
+                    f"epoch {epoch}: the prior is not finite "
+                    f"(mean NLL {history[-1]}, non-finite parameters {non_finite})"
+                )
 
     gate_validity = None
     if gate_queries is not None:

@@ -228,9 +228,10 @@ def run_rl(
     agent = prior.copy()
     rng = np.random.default_rng(config.seed)
     record = RunRecord(config=config, query=query)
-    for step_index in range(1, config.steps + 1):
-        metrics, evals = rl_step(agent, prior, query, scorer, config, rng, step_index)
-        record.steps.append(metrics)
-        record.unique_valid.update(evals)
-        record.conf_eff_unique.update(seq for seq, e in evals.items() if e.hit)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # rl_step checks finiteness itself
+        for step_index in range(1, config.steps + 1):
+            metrics, evals = rl_step(agent, prior, query, scorer, config, rng, step_index)
+            record.steps.append(metrics)
+            record.unique_valid.update(evals)
+            record.conf_eff_unique.update(seq for seq, e in evals.items() if e.hit)
     return record

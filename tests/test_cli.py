@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cpseq.boosting import BoostedTreeClassifier, ClassifierConfig
-from cpseq import cli, harness
+from cpseq import harness
 from cpseq.cli import build_parser, main
 from cpseq.conformal import acp_to_json_dict, build_acp, load_acp
 from cpseq.domain import FINGERPRINT_BUCKETS, make_dataset, make_queries, read_dataset_csv, read_queries_csv
@@ -278,6 +278,13 @@ def test_run_reports_a_corrupt_artifact_by_file_and_key(workdir, tmp_path, capsy
     assert not (tmp_path / "run.csv").exists()
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_gen_queries_rejects_fewer_than_one_query(tmp_path, capsys, n):
+    assert main(["gen-queries", "--n", n, "--out", str(tmp_path / "queries.csv")]) == 1
+    assert capsys.readouterr().err == "error: n must be >= 1\n"
+    assert not (tmp_path / "queries.csv").exists()
+
+
 @pytest.mark.parametrize("samples, rows, got", [("0", 2, "0 and 2"), ("500", 0, "500 and 0")],
                          ids=["no_samples", "no_queries"])
 def test_pretrain_with_nothing_to_gate_on_exits_with_a_message(workdir, tmp_path, capsys, samples, rows, got):
@@ -297,7 +304,7 @@ def test_pretrain_gates_on_masked_test_sequences_without_gate_queries(workdir, t
         gated.append(settings["gate_queries"])
         return pretrain_prior(corpus, **settings)
 
-    monkeypatch.setattr(cli, "pretrain_prior", recording)
+    monkeypatch.setattr(harness, "pretrain_prior", recording)
     args = ["pretrain", "--data", str(workdir / "data.csv"), "--corpus-size", "150", "--epochs", "30"]
     assert main(args + ["--learning-rate", "0.003", "--seed", "4", "--out", str(tmp_path / "prior.json")]) == 0
     test_seqs, _ = read_dataset_csv(workdir / "data.csv").subset("test")
@@ -307,7 +314,9 @@ def test_pretrain_gates_on_masked_test_sequences_without_gate_queries(workdir, t
 
 
 @pytest.mark.parametrize("flag, value, message", [("--epochs", "0", "epochs must be >= 1"),
-                                                  ("--learning-rate", "-0.5", "learning_rate must be > 0")])
+                                                  ("--learning-rate", "-0.5", "learning_rate must be > 0"),
+                                                  ("--corpus-size", "0", "corpus_size must be >= 1"),
+                                                  ("--corpus-size", "-340", "corpus_size must be >= 1")])
 def test_pretrain_rejects_bad_settings(workdir, tmp_path, capsys, flag, value, message):
     args = ["pretrain", "--data", str(workdir / "data.csv"), "--corpus-size", "20", flag, value]
     assert main(args + ["--out", str(tmp_path / "prior.json")]) == 1
@@ -317,13 +326,11 @@ def test_pretrain_rejects_bad_settings(workdir, tmp_path, capsys, flag, value, m
 
 def test_a_model_that_stops_being_finite_exits_with_a_message(workdir, tmp_path, capsys):
     args = ["pretrain", "--data", str(workdir / "data.csv"), "--corpus-size", "20", "--learning-rate", "1e300"]
-    with np.errstate(all="ignore"):
-        assert main(args + ["--out", str(tmp_path / "prior.json")]) == 1
+    assert main(args + ["--out", str(tmp_path / "prior.json")]) == 1
     assert capsys.readouterr().err.startswith("error: epoch 2: the prior is not finite (mean NLL ")
     args = ["run", "--query", "AC?DE?G", "--steps", "3", "--batch-size", "8", "--learning-rate", "1e300"]
     args += ["--prior", str(workdir / "prior.json"), "--classifier", str(workdir / "clf.json")]
-    with np.errstate(all="ignore"):
-        assert main(args + ["--acp", str(workdir / "acp.json"), "--out", str(tmp_path / "run.csv")]) == 1
+    assert main(args + ["--acp", str(workdir / "acp.json"), "--out", str(tmp_path / "run.csv")]) == 1
     assert capsys.readouterr().err.startswith("error: step 2: the agent is not finite (loss ")
     assert not (tmp_path / "prior.json").exists() and not (tmp_path / "run.csv").exists()
 
@@ -391,4 +398,4 @@ def test_parser_defaults_are_the_library_defaults():
 
     calibrate = parse(["calibrate", "--data", "d.csv", "--out", "a.json"])
     assert calibrate.k == _defaults(build_acp)["k"] == CampaignConfig.acp_k
-    assert calibrate.rounds == ClassifierConfig.n_rounds == CampaignConfig.clf_rounds
+    assert calibrate.n_rounds == ClassifierConfig.n_rounds == CampaignConfig.clf_rounds

@@ -457,7 +457,6 @@ def test_summary_tables_read_back_exactly(small_campaign):
     assert any(row.steps_to_half is None for row in result.rows)  # empty cells read back as None
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_non_finite_prior_records_error_cells(small_campaign, tmp_path, tiny_models, tiny_prior, capsys):
     _, config, _ = small_campaign
     clf, acp = tiny_models

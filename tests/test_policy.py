@@ -441,7 +441,7 @@ def test_pretraining_epoch_matches_per_example_reference(tiny_dataset):
 def test_pretraining_fails_loudly_on_a_non_finite_prior(tiny_dataset):
     seqs, _ = tiny_dataset.subset("train")
     corpus = build_pretrain_corpus(seqs[:40], seed=2)
-    with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match=r"^epoch 1: the prior is not finite"):
+    with pytest.raises(FloatingPointError, match=r"^epoch 1: the prior is not finite"):
         pretrain_prior(corpus, epochs=3, learning_rate=1e300, seed=0)
 
 
