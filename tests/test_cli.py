@@ -1,7 +1,6 @@
 import inspect
 import json
 
-import numpy as np
 import pytest
 
 from cpseq.boosting import BoostedTreeClassifier, ClassifierConfig
