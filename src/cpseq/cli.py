@@ -126,16 +126,16 @@ def _cmd_train_clf(args) -> int:
 def _cmd_calibrate(args) -> int:
     dataset = read_dataset_csv(args.data)
     acp = harness.build_conformal_predictor(dataset, args.k, _config(ClassifierConfig, args), args.seed)
-    save_acp(acp, args.out)
     test_seqs, test_labels = dataset.subset("test")
     p0, p1 = acp.p_values_batch(fingerprints(test_seqs))
     sets = [predict_set(PValuePair(a, b), args.significance) for a, b in zip(p0, p1)]
-    metrics = validity_efficiency(sets, test_labels.tolist())
+    metrics = validity_efficiency(sets, test_labels.tolist())  # scored before saving, so a failure writes nothing
     metrics_path = Path(args.out).with_suffix(".metrics.csv")
     rows = [
         LabelMetrics(0, metrics.validity_0, metrics.efficiency_0),
         LabelMetrics(1, metrics.validity_1, metrics.efficiency_1),
     ]
+    save_acp(acp, args.out)
     write_table(metrics_path, LabelMetrics, rows)
     print(
         f"ACP of {acp.k} ICPs saved to {args.out}; at significance {args.significance}: "

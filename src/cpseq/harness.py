@@ -10,14 +10,13 @@ command can rebuild every summary from the run outputs alone.
 from __future__ import annotations
 
 import json
-import math
 import os
 import statistics
 import sys
 import traceback
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, get_args, get_type_hints
+from typing import Callable, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -48,35 +47,17 @@ _KIND_CODE = {kind: i for i, kind in enumerate(SCORING_KINDS)}
 
 def _midranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing the mean of their positions."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
-
-
-def _count_sums_at_most(double_ranks: Iterable[int], limit: int) -> int:
-    """Number of sign assignments whose positive-rank sum (doubled) is <= limit."""
-    double_ranks = [int(r) for r in double_ranks]
-    total = sum(double_ranks)
-    counts = np.zeros(total + 1, dtype=np.int64)
-    counts[0] = 1
-    for r in double_ranks:
-        counts[r:] = counts[r:] + counts[: total - r + 1]
-    return int(counts[: limit + 1].sum())
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    # a tie group of c members ending at 1-based position e spans e - c + 1 .. e
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[group]
 
 
 def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
     """Two-sided paired signed-rank test; returns (W, p).
 
-    Zero differences are dropped and ties mid-ranked. For n <= 20 the p-value
-    is exact over all 2^n sign assignments of the observed ranks; beyond that
-    a normal approximation with tie correction is used. W is min(W+, W-).
+    Zero differences are dropped and ties mid-ranked. W is min(W+, W-). The p-value is exact for
+    every n: the null distribution of W+ over the 2^n sign assignments of the doubled mid-ranks is
+    built one rank at a time (Streitberg & Roehmel, 1986), as probabilities halved at each rank.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -93,17 +74,16 @@ def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> tuple[float,
     w_plus = float(ranks[d > 0].sum())
     w_minus = float(ranks[d < 0].sum())
     w = min(w_plus, w_minus)
-    if n <= 20:
-        double_ranks = np.rint(2.0 * ranks).astype(np.int64)
-        limit = int(round(2.0 * w))
-        p = min(1.0, 2.0 * _count_sums_at_most(double_ranks, limit) / 2.0**n)
-    else:
-        mu = n * (n + 1) / 4.0
-        sigma2 = n * (n + 1) * (2 * n + 1) / 24.0
-        _, tie_counts = np.unique(np.abs(d), return_counts=True)
-        sigma2 -= float(np.sum(tie_counts**3 - tie_counts)) / 48.0
-        z = (w_plus - mu) / math.sqrt(sigma2)
-        p = math.erfc(abs(z) / math.sqrt(2.0))
+    double_ranks = np.rint(2.0 * ranks).astype(np.int64)
+    # probs[s]: probability that the doubled W+ of the ranks so far is s; only probs[:top] can be nonzero
+    probs = np.zeros(int(double_ranks.sum()) + 1)
+    probs[0] = 1.0
+    top = 1
+    for r in double_ranks:
+        top += r
+        probs[r:top] += probs[: top - r]  # numpy reads overlapping operands as if copied first
+        probs[:top] *= 0.5
+    p = min(1.0, 2.0 * float(probs[: int(round(2.0 * w)) + 1].sum()))
     return w, p
 
 
@@ -357,8 +337,8 @@ def build_prior(dataset: LabeledDataset, corpus_size: int, corpus_seed: int, **s
 
 
 def build_campaign_artifacts(config: CampaignConfig) -> CampaignArtifacts:
-    """Load the prior/classifier/ACP artifacts, building any that lack a path."""
-    dataset = read_dataset_csv(config.dataset)
+    """Load the prior/classifier/ACP artifacts, building any that lack a path; only a build reads the dataset."""
+    dataset = read_dataset_csv(config.dataset) if None in (config.classifier, config.acp, config.prior) else None
     clf_config = config.classifier_settings()
     if config.classifier is not None:
         classifier = BoostedTreeClassifier.load(config.classifier)

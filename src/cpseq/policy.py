@@ -346,12 +346,17 @@ def build_pretrain_corpus(
     return corpus
 
 
+def check_gate_settings(n_samples: int, queries: Sequence[QueryTemplate]) -> None:
+    """Raises ValueError unless the fill-validity gate has at least one sample and one query."""
+    if n_samples < 1 or not queries:
+        raise ValueError(f"fill-validity needs at least 1 sample and 1 query, got {n_samples} and {len(queries)}")
+
+
 def fill_validity(
     policy: Policy, queries: Sequence[QueryTemplate], n_samples: int, rng: np.random.Generator
 ) -> float:
     """Fraction of valid proposals when proposal i fills ``queries[i % len(queries)]``, drawn a query at a time."""
-    if n_samples < 1 or not queries:
-        raise ValueError(f"fill-validity needs at least 1 sample and 1 query, got {n_samples} and {len(queries)}")
+    check_gate_settings(n_samples, queries)
     valid = 0
     for j, query in enumerate(queries):
         for proposal in policy.sample_batch(query, len(range(j, n_samples, len(queries))), rng):
@@ -393,12 +398,15 @@ def pretrain_prior(
     When ``gate_queries`` are supplied the returned prior must reach the
     fill-validity gate (:data:`GATE_THRESHOLD`) on them, otherwise :class:`ValidityGateError` is raised;
     downstream reinforcement runs assume a gate-passed prior. An empty corpus, or
-    settings :func:`check_pretrain_settings` rejects, raise ValueError before any step; a prior
-    whose parameters or mean NLL are not finite after an epoch raises FloatingPointError naming the epoch.
+    settings :func:`check_pretrain_settings` or, with ``gate_queries``, :func:`check_gate_settings` rejects,
+    raise ValueError before any step; a prior whose parameters or mean NLL are not finite after an epoch
+    raises FloatingPointError naming the epoch.
     """
     if not corpus:
         raise ValueError("corpus must be nonempty")
     check_pretrain_settings(epochs, learning_rate)
+    if gate_queries is not None:
+        check_gate_settings(gate_samples, gate_queries)
     policy = Policy.fresh(seed=np.random.SeedSequence([seed, 0]).generate_state(1)[0])
     shuffle_rng = np.random.default_rng([seed, 1])
     history = []

@@ -78,6 +78,17 @@ def test_calibrate_writes_metrics_report(workdir):
     assert b"\r" not in (workdir / "acp.metrics.csv").read_bytes()
 
 
+def test_calibrate_writes_nothing_when_the_test_split_lacks_a_label(workdir, tmp_path, capsys):
+    header, *rows = (workdir / "data.csv").read_text().splitlines()
+    kept = [row for row in rows if not row.endswith(",0,test")]
+    (tmp_path / "data.csv").write_text("\n".join([header, *kept]) + "\n")
+    args = ["calibrate", "--data", str(tmp_path / "data.csv"), "--k", "2", "--rounds", "5"]
+    assert main(args + ["--out", str(tmp_path / "acp.json")]) == 1
+    assert capsys.readouterr().err == "error: no samples with true label 0\n"
+    assert not (tmp_path / "acp.json").exists()
+    assert not (tmp_path / "acp.metrics.csv").exists()
+
+
 def test_run_subcommand(workdir, tmp_path, capsys):
     code = main(
         [

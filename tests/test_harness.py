@@ -102,21 +102,81 @@ def test_exact_branch_matches_enumeration(trial):
     assert p == pytest.approx(_brute_force_two_sided_p(list(a - b)), abs=1e-12)
 
 
-def test_normal_branch_close_to_exact_at_cutoff():
-    rng = np.random.default_rng(5)
-    a = rng.normal(0.3, 1.0, 21)
-    b = rng.normal(0.0, 1.0, 21)
-    w_norm, p_norm = wilcoxon_signed_rank(a, b)  # n = 21 -> approximation
-    # oracle: run the exact machinery directly on the same data
-    from cpseq.harness import _count_sums_at_most, _midranks
+def _enumerated_test(diffs):
+    """(W, two-sided p) over all 2^n sign assignments of the doubled mid-ranks, 2^16 assignments at a time."""
+    magnitudes = np.abs(diffs)
+    smaller = (magnitudes[:, None] > magnitudes).sum(axis=1)
+    equal = (magnitudes[:, None] == magnitudes).sum(axis=1)
+    double_ranks = 2 * smaller + equal + 1  # twice the mean of the positions smaller + 1 .. smaller + equal
+    total = int(double_ranks.sum())
+    w_plus = int(double_ranks[diffs > 0].sum())
+    w_obs = min(w_plus, total - w_plus)
+    n = len(diffs)
+    count = 0
+    for start in range(0, 2**n, 2**16):
+        signs = (np.arange(start, start + 2**16)[:, None] >> np.arange(n)) & 1
+        w = signs @ double_ranks
+        count += int(np.count_nonzero(np.minimum(w, total - w) <= w_obs))
+    return w_obs / 2, min(1.0, count / 2**n)
 
-    d = (a - b)[(a - b) != 0]
-    ranks = _midranks(np.abs(d))
-    w_plus = ranks[d > 0].sum()
-    w = min(w_plus, ranks.sum() - w_plus)
-    p_exact = min(1.0, 2 * _count_sums_at_most(np.rint(2 * ranks).astype(int), int(round(2 * w))) / 2 ** len(d))
-    assert w_norm == w
-    assert abs(p_norm - p_exact) < 0.02
+
+@pytest.mark.parametrize("n, seed", [(21, 2), (21, 3), (22, 19)])
+def test_exact_beyond_twenty_pairs_matches_enumeration(n, seed):
+    rng = np.random.default_rng(seed)
+    b = rng.integers(0, 10, n).astype(float)
+    # nonzero integer differences: many tied magnitudes, no zeros
+    a = b + rng.integers(1, 7, n) * rng.choice([-1, 1], n, p=[0.3, 0.7])
+    assert wilcoxon_signed_rank(a, b) == _enumerated_test(a - b)
+
+
+# (a, b, W, p) for 5 to 20 nonzero differences, with tied magnitudes and zero differences
+_PINNED = [
+    ([4, 0, 1, 2, 2, 6],
+     [5, 6, 6, 0, 0, 6], 5.0, 0.625),
+    ([1, 1, 6, 2, 1, 1, 3],
+     [4, 5, 4, 6, 0, 3, 3], 3.5, 0.1875),
+    ([6, 3, 0, 0, 5, 2, 3, 4],
+     [4, 4, 1, 5, 5, 3, 2, 2], 13.5, 1.0),
+    ([5, 3, 1, 1, 1, 3, 2, 0, 4, 4],
+     [2, 0, 2, 1, 2, 1, 0, 0, 5, 3], 7.5, 0.1484375),
+    ([1, 4, 5, 6, 1, 0, 6, 6, 3, 6, 0],
+     [3, 4, 1, 1, 3, 2, 3, 1, 3, 1, 3], 10.5, 0.1796875),
+    ([2, 4, 2, 0, 2, 0, 0, 1, 4, 2, 0],
+     [3, 6, 6, 6, 1, 5, 1, 2, 0, 5, 0], 10.0, 0.0859375),
+    ([1, 6, 1, 3, 6, 3, 6, 6, 0, 4, 5, 5, 0],
+     [6, 4, 1, 2, 1, 2, 6, 1, 1, 3, 4, 6, 5], 26.0, 0.5673828125),
+    ([4, 0, 3, 4, 4, 4, 3, 0, 1, 4, 0, 5, 4, 6],
+     [0, 4, 1, 4, 5, 4, 5, 2, 3, 3, 2, 3, 1, 3], 35.0, 0.7978515625),
+    ([4, 3, 0, 3, 4, 2, 6, 2, 4, 3, 3, 2, 5, 5, 6, 4],
+     [2, 2, 4, 3, 4, 1, 4, 3, 3, 6, 2, 3, 0, 5, 5, 6], 40.0, 0.71826171875),
+    ([2, 2, 5, 4, 6, 5, 1, 3, 1, 2, 2, 6, 6, 5, 0, 3, 5],
+     [5, 6, 5, 2, 4, 1, 1, 5, 4, 1, 5, 5, 0, 6, 1, 2, 5], 49.5, 0.88134765625),
+    ([0, 0, 1, 4, 6, 6, 0, 4, 1, 4, 2, 4, 2, 0, 3, 2, 3],
+     [1, 3, 4, 5, 3, 5, 0, 2, 3, 2, 5, 2, 2, 4, 4, 6, 2], 40.0, 0.276123046875),
+    ([0, 6, 0, 6, 0, 3, 0, 5, 4, 5, 1, 3, 6, 6, 5, 4, 5, 3, 4],
+     [5, 6, 1, 3, 0, 1, 0, 4, 0, 0, 4, 2, 2, 0, 0, 6, 4, 2, 6], 40.5, 0.159423828125),
+    ([2, 4, 0, 1, 2, 0, 0, 1, 3, 6, 0, 2, 2, 1, 5, 2, 6, 3, 1],
+     [6, 1, 4, 1, 0, 2, 6, 3, 4, 4, 3, 4, 0, 5, 1, 4, 4, 5, 1], 50.0, 0.210418701171875),
+    ([5, 0, 1, 1, 5, 6, 5, 6, 2, 5, 3, 6, 6, 5, 1, 6, 5, 4, 4, 4],
+     [1, 1, 3, 6, 1, 2, 3, 5, 4, 5, 5, 1, 4, 3, 0, 3, 5, 5, 2, 6], 56.5, 0.2147369384765625),
+    ([6, 6, 0, 3, 0, 4, 5, 3, 1, 5, 0, 2, 2, 6, 4, 5, 0, 3, 6, 1],
+     [6, 3, 4, 1, 5, 2, 1, 4, 4, 1, 6, 1, 6, 3, 2, 3, 4, 0, 1, 2], 92.0, 0.9122238159179688),
+    ([0, 3, 5, 0, 1, 0, 3, 3, 4, 0, 1, 4, 5, 2, 1, 3, 2, 2, 0, 1, 1, 6, 4],
+     [3, 5, 3, 4, 3, 3, 5, 3, 1, 1, 2, 5, 0, 1, 6, 3, 5, 2, 5, 4, 4, 0, 3], 64.0, 0.12920188903808594),
+    ([2, 7, 7, 6, 2, 4, 6, 7, 2],
+     [2, 0, 1, 0, 0, 2, 4, 3, 0], 0.0, 0.0078125),
+    ([5, 7, 7, 7, 2, 4, 6, 5, 1, 5, 1, 7, 5, 3, 4],
+     [4, 4, 2, 4, 0, 3, 4, 3, 1, 3, 0, 3, 3, 1, 4], 0.0, 0.000244140625),
+    ([7, 5, 4, 6, 4, 6, 1, 5, 5, 5, 2, 4, 5, 5, 1, 6, 7, 1],
+     [1, 1, 1, 0, 4, 1, 0, 1, 3, 2, 4, 1, 3, 4, 0, 1, 4, 3], 11.0, 0.000701904296875),
+    ([6, 7, 1, 3, 6, 7, 7, 2, 5, 2, 7, 2, 2, 7, 6, 3, 5, 6, 6, 2, 6],
+     [0, 4, 4, 3, 4, 0, 1, 0, 1, 0, 4, 0, 1, 0, 2, 4, 4, 2, 4, 4, 1], 19.5, 0.0006237030029296875),
+]
+
+
+@pytest.mark.parametrize("a, b, w, p", _PINNED)
+def test_pinned_results_bit_for_bit(a, b, w, p):
+    assert wilcoxon_signed_rank(a, b) == (w, p)
 
 
 # -- convergence detection ------------------------------------------------------------
@@ -509,6 +569,28 @@ def test_built_prior_is_gated_on_the_default_sample_count(tmp_path, monkeypatch,
     assert len(calls) == 1
     assert calls[0]["gate_samples"] == DEFAULT_GATE_SAMPLES
     assert len(calls[0]["gate_queries"]) == 2
+
+
+@pytest.mark.parametrize("built", [(), ("classifier",), ("acp",), ("prior",), ("classifier", "acp", "prior")],
+                         ids=["none", "classifier", "acp", "prior", "all"])
+def test_campaign_reads_the_dataset_only_to_build(tmp_path, monkeypatch, tiny_models, tiny_prior, built):
+    clf, acp = tiny_models
+    write_dataset_csv(make_dataset(200, seed=3), tmp_path / "data.csv")
+    write_queries_csv(make_queries(2, seed=5), tmp_path / "queries.csv")
+    paths = {"classifier": tmp_path / "clf.json", "acp": tmp_path / "acp.json", "prior": tmp_path / "prior.json"}
+    clf.save(paths["classifier"])
+    save_acp(acp, paths["acp"])
+    tiny_prior.save(paths["prior"])
+    reads = []
+    real = harness.read_dataset_csv
+    monkeypatch.setattr(harness, "read_dataset_csv", lambda path: reads.append(path) or real(path))
+    monkeypatch.setattr(harness, "build_classifier", lambda dataset, config: clf)
+    monkeypatch.setattr(harness, "build_conformal_predictor", lambda dataset, k, config, seed: acp)
+    monkeypatch.setattr(harness, "build_prior", lambda dataset, *args, **settings: PretrainResult(tiny_prior))
+    config = CampaignConfig(dataset=tmp_path / "data.csv", queries=tmp_path / "queries.csv",
+                            **{name: path for name, path in paths.items() if name not in built})
+    harness.build_campaign_artifacts(config)
+    assert reads == [tmp_path / "data.csv"] * (1 if built else 0)
 
 
 def test_campaign_fingerprints_each_distinct_sequence_once(tmp_path, monkeypatch, tiny_models, tiny_prior):

@@ -497,14 +497,20 @@ def test_empty_corpus_rejected():
         pretrain_prior([], epochs=1)
 
 
-@pytest.mark.parametrize("epochs, learning_rate, message", [
-    (0, 1e-3, "epochs must be >= 1"), (1, 0.0, "learning_rate must be > 0"), (1, -0.5, "learning_rate must be > 0"),
-    (1, float("nan"), "learning_rate must be > 0"),
+@pytest.mark.parametrize("epochs, learning_rate, gate, message", [
+    pytest.param(0, 1e-3, {}, "epochs must be >= 1", id="0-0.001-epochs must be >= 1"),
+    pytest.param(1, 0.0, {}, "learning_rate must be > 0", id="1-0.0-learning_rate must be > 0"),
+    pytest.param(1, -0.5, {}, "learning_rate must be > 0", id="1--0.5-learning_rate must be > 0"),
+    pytest.param(1, float("nan"), {}, "learning_rate must be > 0", id="1-nan-learning_rate must be > 0"),
+    pytest.param(20, 1e-3, {"gate_queries": [QUERY], "gate_samples": 0},
+                 "fill-validity needs at least 1 sample and 1 query, got 0 and 1", id="no_gate_samples"),
+    pytest.param(20, 1e-3, {"gate_queries": [], "gate_samples": 500},
+                 "fill-validity needs at least 1 sample and 1 query, got 500 and 0", id="no_gate_queries"),
 ])
-def test_pretraining_rejects_bad_settings_before_any_step(monkeypatch, epochs, learning_rate, message):
+def test_pretraining_rejects_bad_settings_before_any_step(monkeypatch, epochs, learning_rate, gate, message):
     monkeypatch.setattr(Policy, "fresh", None)  # nothing is built
     with pytest.raises(ValueError, match=f"^{message}$"):
-        pretrain_prior([(QUERY, FILLS)], epochs=epochs, learning_rate=learning_rate)
+        pretrain_prior([(QUERY, FILLS)], epochs=epochs, learning_rate=learning_rate, **gate)
 
 
 # -- copying and persistence ---------------------------------------------------------

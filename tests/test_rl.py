@@ -343,6 +343,27 @@ def test_run_deterministic(tiny_models, tiny_prior):
     assert a.conf_eff_unique == b.conf_eff_unique
 
 
+def _compensated_sum(values, start=0):
+    """The built-in sum() of floats from Python 3.12 on: Neumaier's compensated summation."""
+    total, compensation = float(start), 0.0
+    for x in values:
+        t = total + x
+        compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + compensation if np.isfinite(compensation) else total
+
+
+@pytest.mark.parametrize("kind", ["rm_p1", "cp_diff", "cp_p1"])
+def test_step_averages_do_not_depend_on_the_builtin_sum(tiny_models, tiny_prior, monkeypatch, kind):
+    clf, acp = tiny_models
+    query = QueryTemplate.from_text("?DM???K")
+    config = RLConfig(scoring=kind, steps=40, seed=3)
+    plain = run_rl(query, config, tiny_prior, SequenceScorer(kind, clf, acp))
+    monkeypatch.setattr(rl, "sum", _compensated_sum, raising=False)
+    compensated = run_rl(query, config, tiny_prior, SequenceScorer(kind, clf, acp))
+    assert compensated.steps == plain.steps
+
+
 @pytest.mark.parametrize("kind, significance", [("rm_p1", 0.2), ("cp_soft", 0.1)], ids=["kind", "significance"])
 def test_run_rejects_a_scorer_that_differs_from_its_config(tiny_models, tiny_prior, kind, significance):
     clf, acp = tiny_models
