@@ -3,12 +3,17 @@
 A small reference classifier over integer count features (the bigram
 fingerprints), exposing ``fit`` / ``predict_proba`` so the conformal layer can
 swap in any probabilistic binary classifier with the same surface. Split
-finding is histogram-based and exploits the sparsity of count features: each
-node's histograms are accumulated over the nonzero entries only, and splits
-are searched only over the columns that hold a nonzero somewhere in the
-training matrix (at most 400 of the 2048 fingerprint buckets, one per residue
-bigram), which picks the same splits, bit for bit, as a search over every
-column.
+finding is histogram-based and exploits the sparsity of count features: a
+training pool is scanned once for its nonzero entries, and each tree grows
+level by level, with one histogram pass over those entries and one split
+search for all of a level's open nodes. Splits are searched only over the
+columns that hold a nonzero somewhere in the pool (at most 400 of the 2048
+fingerprint buckets, one per residue bigram), and only below the pool's
+largest clipped count, since a higher threshold leaves no row on the right.
+A bootstrap sample takes its rows' entries from the pool's (``take``), so the
+aggregate conformal predictor scans its pool once. All of this picks the
+same splits, bit for bit, as a node-by-node search over every column and
+threshold of each training matrix.
 
 Trees are fixed-depth heap arrays from ``fit`` to file, and loading checks
 them. Prediction evaluates every tree on a block of rows with a few numpy
@@ -18,6 +23,7 @@ node-by-node walk bit for bit.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -66,56 +72,80 @@ def _sigmoid(margin: np.ndarray) -> np.ndarray:
 
 
 class _SparseBins:
-    """Nonzero (row, column, bin) triplets of the clipped training matrix.
+    """A count matrix clipped into bins, scanned once: its nonzero (row, column, bin) triplets and a routing table.
 
-    Count features are overwhelmingly zero, so per-node gradient histograms are
-    accumulated over nonzeros only; the zero bin is recovered from node totals.
-    Columns with no nonzero can never split (every row would go left), so the
-    histograms cover only ``columns``, the ascending columns that hold a
-    nonzero, and a triplet's column is its position in that array.
+    Count features are overwhelmingly zero, so gradient histograms are
+    accumulated over the row-major nonzero triplets only; the zero bin is
+    recovered from node totals. Columns with no nonzero can never split (every
+    row would go left), so the histograms cover only ``columns``, the ascending
+    columns that hold a nonzero, and a triplet's column is its position in
+    that array. ``top`` is the largest bin, ``starts`` each row's first
+    triplet, and ``table`` every row's bin in each used column: a threshold is
+    at most 14, so a bin exceeds it exactly when the count does.
     """
 
     def __init__(self, X: np.ndarray):
         self.rows, feats = np.nonzero(X)
         self.columns, ids = np.unique(feats, return_inverse=True)
-        values = np.minimum(X[self.rows, feats], _BIN_COUNT - 1).astype(np.int64)
+        values = np.minimum(X[self.rows, feats], _BIN_COUNT - 1).astype(np.uint8)
         self.flat = ids * _BIN_COUNT + values
+        self.top = int(values.max(initial=0))
+        self.starts = np.searchsorted(self.rows, np.arange(len(X) + 1))
+        self.table = np.zeros((len(X), len(self.columns)), dtype=np.uint8)
+        self.table[self.rows, ids] = values
 
-    def histograms(self, node_mask, g, h):
-        """Per-(used column, bin) sums of gradients, hessians and counts in a node."""
+    def take(self, boot: np.ndarray) -> "_SparseBins":
+        """The bins of ``X[boot]``: each drawn row's triplets in draw order, over this pool's columns and ``top``.
+
+        A pool column that no drawn row holds has every row in its zero bin,
+        so none of its thresholds is usable and the split search is unchanged.
+        """
+        lengths = self.starts[boot + 1] - self.starts[boot]
+        ends = np.cumsum(lengths)
+        taken = copy.copy(self)
+        taken.rows = np.repeat(np.arange(len(boot)), lengths)
+        taken.flat = self.flat[np.repeat(self.starts[boot] - ends + lengths, lengths) + np.arange(ends[-1])]
+        taken.starts = np.concatenate(([0], ends))
+        taken.table = self.table[boot]
+        return taken
+
+    def histograms(self, row_node, n_nodes, g, h, g_tot, h_tot, c_tot):
+        """Per-(node, used column, bin) sums of gradients, hessians and counts, in one pass over the triplets.
+
+        ``row_node`` holds each row's node, or ``n_nodes`` for a row outside
+        every node, whose triplets go to a spare node that is dropped.
+        """
         size = len(self.columns) * _BIN_COUNT
-        member = node_mask[self.rows]
-        rows = self.rows[member]
-        flat = self.flat[member]
-        G = np.bincount(flat, weights=g[rows], minlength=size).reshape(-1, _BIN_COUNT)
-        H = np.bincount(flat, weights=h[rows], minlength=size).reshape(-1, _BIN_COUNT)
-        C = np.bincount(flat, minlength=size).reshape(-1, _BIN_COUNT).astype(np.float64)
-        g_tot = g[node_mask].sum()
-        h_tot = h[node_mask].sum()
-        c_tot = float(node_mask.sum())
-        G[:, 0] = g_tot - G.sum(axis=1)
-        H[:, 0] = h_tot - H.sum(axis=1)
-        C[:, 0] = c_tot - C.sum(axis=1)
-        return G, H, C, g_tot, h_tot
+        flat = row_node[self.rows] * size + self.flat
+        shape = (n_nodes, len(self.columns), _BIN_COUNT)
+        G = np.bincount(flat, weights=g[self.rows], minlength=(n_nodes + 1) * size)[: n_nodes * size].reshape(shape)
+        H = np.bincount(flat, weights=h[self.rows], minlength=(n_nodes + 1) * size)[: n_nodes * size].reshape(shape)
+        C = np.bincount(flat, minlength=(n_nodes + 1) * size)[: n_nodes * size].reshape(shape).astype(np.float64)
+        G[..., 0] = g_tot[:, None] - G.sum(axis=2)
+        H[..., 0] = h_tot[:, None] - H.sum(axis=2)
+        C[..., 0] = c_tot[:, None] - C.sum(axis=2)
+        return G, H, C
 
 
-def _best_split(G, H, C, g_tot, h_tot, reg_lambda):
-    """Pick (histogram row, threshold, gain) maximizing the usual boosting gain; gain is -inf when none is usable."""
-    if len(G) == 0:
-        return 0, 0, -np.inf
-    GL = np.cumsum(G, axis=1)[:, :-1]
-    HL = np.cumsum(H, axis=1)[:, :-1]
-    CL = np.cumsum(C, axis=1)[:, :-1]
-    GR = g_tot - GL
-    HR = h_tot - HL
-    CR = C.sum(axis=1, keepdims=True) - CL
+def _best_split(G, H, C, g_tot, h_tot, top, reg_lambda):
+    """Each node's (histogram row, threshold, gain) maximizing the usual boosting gain, or a gain of -inf.
+
+    Only the thresholds below ``top``, the largest bin, can leave a row on the
+    right; a node has no usable split when every threshold leaves a child empty.
+    """
+    GL = np.cumsum(G[..., :top], axis=2)
+    HL = np.cumsum(H[..., :top], axis=2)
+    CL = np.cumsum(C[..., :top], axis=2)
+    GR = g_tot[:, None, None] - GL
+    HR = h_tot[:, None, None] - HL
+    CR = C.sum(axis=2, keepdims=True) - CL
     parent = g_tot * g_tot / (h_tot + reg_lambda)
-    gain = GL**2 / (HL + reg_lambda) + GR**2 / (HR + reg_lambda) - parent
+    gain = GL**2 / (HL + reg_lambda) + GR**2 / (HR + reg_lambda) - parent[:, None, None]
     usable = (CL >= 1) & (CR >= 1) & (HL >= _MIN_CHILD_HESSIAN) & (HR >= _MIN_CHILD_HESSIAN)
-    gain = np.where(usable, gain, -np.inf)
-    idx = int(np.argmax(gain))
-    row, threshold = divmod(idx, _BIN_COUNT - 1)
-    return row, threshold, float(gain.flat[idx])
+    gain = np.where(usable, gain, -np.inf).reshape(len(G), -1)
+    best = gain.argmax(axis=1)
+    row, threshold = np.divmod(best, top)
+    return row, threshold, gain[np.arange(len(G)), best]
 
 
 class _Trees(NamedTuple):
@@ -185,12 +215,14 @@ def _add_trees(trees: _Trees, X: np.ndarray, margins: np.ndarray) -> None:
         margins[rows] = np.add.accumulate(values, axis=1)[:, -1]
 
 
-def _check_counts(X: np.ndarray) -> None:
-    """Raise ValueError naming the first entry of ``X`` that is negative or not a whole number.
+def _check_counts(X: np.ndarray, y: np.ndarray) -> None:
+    """Raise ValueError unless ``X`` is (n, d) with a label per row, naming its first entry that is not a count.
 
-    Split search bins each entry as a count (``min(x, 15)``), while routing
+    Split search bins each entry as a count (``min(x, 15)``), while prediction
     compares the raw value, so only non-negative whole numbers are learned as given.
     """
+    if X.ndim != 2 or len(X) != len(y):
+        raise ValueError("X must be (n, d) with one label per row")
     bad = X < 0
     if X.dtype.kind == "f":
         bad |= X != np.floor(X)
@@ -214,15 +246,15 @@ class BoostedTreeClassifier:
     def fit(self, X: np.ndarray, y: np.ndarray) -> "BoostedTreeClassifier":
         X = np.asarray(X)
         y = np.asarray(y, dtype=np.float64)
-        if X.ndim != 2 or len(X) != len(y):
-            raise ValueError("X must be (n, d) with one label per row")
+        _check_counts(X, y)
         if len(y) < 2 or len(np.unique(y)) < 2:
             raise ValueError("training data must contain both labels")
-        _check_counts(X)
+        return self._fit(_SparseBins(X), y)
 
+    def _fit(self, bins: _SparseBins, y: np.ndarray) -> "BoostedTreeClassifier":
+        """Fit on the bins of a checked count matrix and its float64 labels, which hold both classes."""
         cfg = self.config
         rng = np.random.default_rng(cfg.seed)
-        bins = _SparseBins(X)
         n = len(y)
         margins = np.full(n, self.base_score, dtype=np.float64)
         p = _sigmoid(margins)
@@ -238,7 +270,7 @@ class BoostedTreeClassifier:
                 active[rng.permutation(n)[: max(1, int(cfg.subsample * n))]] = True
             else:
                 active = every_row
-            self._build_node(bins, X, every_row, active, g, h, margins, (feature[r], threshold[r], leaf[r]))
+            self._grow(bins, active, g, h, margins, (feature[r], threshold[r], leaf[r]))
             p = _sigmoid(margins)
             clipped = np.clip(p, _PROB_EPS, 1.0 - _PROB_EPS)
             losses.append(float(-np.mean(y * np.log(clipped) + (1 - y) * np.log(1 - clipped))))
@@ -246,31 +278,45 @@ class BoostedTreeClassifier:
         self.train_losses_ = losses
         return self
 
-    def _build_node(self, bins, X, route, active, g, h, margins, tree, node=0, level=0):
-        """Grow heap node ``node`` of one tree's (feature, threshold, leaf) rows.
+    def _grow(self, bins, active, g, h, margins, tree):
+        """Grow one tree's (feature, threshold, leaf) rows level by level.
 
-        ``route`` holds every row that reaches the node and ``active`` the
-        round's subsample; split statistics come from the rows in both, and
-        each routed row gets its leaf's value added to its margin.
+        ``active`` holds the round's subsample: split statistics come from an
+        open node's active rows. A level searches all its open nodes with one
+        histogram pass and one split search. Every row moves down a level at a
+        time, below a leaf through its placeholder splits, so once no node is
+        open each row's leaf value is added to its margin.
         """
         feature, threshold, leaf = tree
         cfg = self.config
-        node_mask = route & active
-        if level < cfg.max_depth and node_mask.sum() >= 2:
-            G, H, C, g_tot, h_tot = bins.histograms(node_mask, g, h)
-            row, t, gain = _best_split(G, H, C, g_tot, h_tot, cfg.reg_lambda)
-            if gain > _MIN_GAIN:
-                f = bins.columns[row]
-                feature[node], threshold[node] = f, t
-                goes_left = route & (X[:, f] <= t)
-                self._build_node(bins, X, goes_left, active, g, h, margins, tree, 2 * node + 1, level + 1)
-                self._build_node(bins, X, route & ~goes_left, active, g, h, margins, tree, 2 * node + 2, level + 1)
+        rows = np.arange(len(margins))
+        row_node = np.zeros(len(margins), dtype=np.intp)  # each row's heap node at this level
+        slot = np.zeros(len(feature), dtype=np.intp)  # each split's histogram row
+        nodes = [0]
+        for level in range(cfg.max_depth + 1):
+            width = 2 ** (cfg.max_depth - level)
+            masks = [(row_node == node) & active for node in nodes]
+            c_tot, g_tot, h_tot = np.array([(mask.sum(), g[mask].sum(), h[mask].sum()) for mask in masks]).T
+            gain = np.full(len(nodes), -np.inf)
+            if level < cfg.max_depth and bins.top:  # a node with under two active rows finds no usable split
+                level_node = np.full(len(margins), len(nodes))
+                for j, mask in enumerate(masks):
+                    level_node[mask] = j
+                G, H, C = bins.histograms(level_node, len(nodes), g, h, g_tot, h_tot, c_tot)
+                row, cut, gain = _best_split(G, H, C, g_tot, h_tot, bins.top, cfg.reg_lambda)
+            split = []
+            for j, node in enumerate(nodes):
+                if gain[j] > _MIN_GAIN:
+                    slot[node], feature[node], threshold[node] = row[j], bins.columns[row[j]], cut[j]
+                    split.append(node)
+                else:
+                    first = (node + 1) * width - 1 - len(feature)  # the bottom leaves below this node
+                    leaf[first : first + width] = -cfg.learning_rate * g_tot[j] / (h_tot[j] + cfg.reg_lambda)
+            if not split:  # every row is at or below a leaf, and each of its bottom leaves holds that leaf's value
+                margins += leaf[(row_node + 1) * width - 1 - len(feature)]
                 return
-        value = -cfg.learning_rate * g[node_mask].sum() / (h[node_mask].sum() + cfg.reg_lambda)
-        width = 2 ** (cfg.max_depth - level)
-        first = (node + 1) * width - 1 - len(feature)  # the bottom leaves below this node
-        leaf[first : first + width] = value
-        margins[route] += value
+            row_node = 2 * row_node + 1 + (bins.table[rows, slot[row_node]] > threshold[row_node])
+            nodes = [child for node in split for child in (2 * node + 1, 2 * node + 2)]
 
     def predict_margin(self, X: np.ndarray) -> np.ndarray:
         """Margin (logit) per row; raises ValueError when X has fewer columns than a split reads."""

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .boosting import BoostedTreeClassifier, ClassifierConfig
+from .boosting import BoostedTreeClassifier, ClassifierConfig, _check_counts, _SparseBins
 from .tables import json_field, read_json
 
 DEFAULT_SIGNIFICANCE = 0.2
@@ -132,14 +132,18 @@ def build_acp(
     Each ICP resamples the pool with replacement to form its proper-training
     set, fits its own classifier on that sample, and calibrates on the
     out-of-bag points. A resample missing a label out-of-bag (or in-bag) is
-    redrawn, up to a retry cap.
+    redrawn, up to a retry cap. The pool is checked and scanned once: each fit
+    takes its sample's nonzero entries from the pool's, and equals a fit on
+    ``X[boot]`` bit for bit.
     """
     X = np.asarray(X)
-    y = np.asarray(y)
+    y = np.asarray(y, dtype=np.float64)
     if not ((y == 0).any() and (y == 1).any()):
         raise ValueError("training pool must contain both labels")
     if k < 1:
         raise ValueError("k must be >= 1")
+    _check_counts(X, y)
+    pool = _SparseBins(X)
     config = config or ClassifierConfig()
     n = len(y)
     children = np.random.SeedSequence(seed).spawn(k)
@@ -160,7 +164,7 @@ def build_acp(
                 break
         else:
             raise RuntimeError("bootstrap failed to produce usable calibration splits")
-        model = BoostedTreeClassifier(replace(config, seed=clf_seed)).fit(X[boot], y_boot)
+        model = BoostedTreeClassifier(replace(config, seed=clf_seed))._fit(pool.take(boot), y_boot)
         icps.append(calibrate_icp(model, X[oob], y_oob))
     return Acp(tuple(icps))
 

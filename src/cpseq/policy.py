@@ -7,11 +7,12 @@ produces logits over the fixed emission alphabet at every step. Likelihoods,
 sampling, and parameter gradients are all computed in closed form with numpy;
 there is no autodiff dependency. One driver moves a batch of rows through the
 recurrence in lockstep, drawing their tokens (sampling) or reading them
-(teacher forcing), and records one tape either way; each row's NLL is the same
-bit for bit in any batch. One backward pass over a tape returns the gradient of
-a weighted sum of its rows' NLLs, so a learning step backpropagates through the
-pass that drew its batch. The output projection starts at zero, so a fresh
-policy is exactly uniform over the emission alphabet.
+(teacher forcing), and records a tape of its steps when the pass is to be
+backpropagated; each row's NLL is the same bit for bit in any batch. One
+backward pass over a tape returns the gradient of a weighted sum of its rows'
+NLLs, so a learning step backpropagates through the pass that drew its batch.
+The output projection starts at zero, so a fresh policy is exactly uniform
+over the emission alphabet.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class _Tape(NamedTuple):
     templates: list[np.ndarray]  # template token ids of each distinct template
     group: np.ndarray  # (B,) index into templates
     query_encoding: np.ndarray  # (B, E) mean template embedding of each row
-    steps: list[tuple[np.ndarray, ...]]
+    steps: list[tuple[np.ndarray, ...]]  # empty for a pass that records none
     nll: np.ndarray  # (B,)
 
 
@@ -167,23 +168,24 @@ class Policy:
 
     def sample_batch(self, query: QueryTemplate, n: int, rng: np.random.Generator) -> list[SampledProposal]:
         """Draw ``n`` proposals in lockstep, one fill per masked slot each (see :meth:`sample_and_backward`)."""
-        return self.sample_and_backward(query, n, rng)[0]
+        return self.sample_and_backward(query, n, rng, _record=False)[0]
 
     def sample_and_backward(
-        self, query: QueryTemplate, n: int, rng: np.random.Generator
-    ) -> tuple[list[SampledProposal], Callable[[np.ndarray], dict[str, np.ndarray]]]:
+        self, query: QueryTemplate, n: int, rng: np.random.Generator, _record: bool = True
+    ) -> tuple[list[SampledProposal], Callable[[np.ndarray], dict[str, np.ndarray]] | None]:
         """``n`` proposals drawn in lockstep, and ``backward(weights)`` over the pass that drew them.
 
         Each step draws as :meth:`_unroll` does, so a batch of one draws as a
         token-by-token loop does. A row leaves a slot on the terminator or at the
         cap. A cap-hit slot keeps its unterminated tokens, so the proposal fails
-        assembly: the invalidity channel. ``backward`` is :meth:`nll_and_backward`'s.
+        assembly: the invalidity channel. ``backward`` is :meth:`nll_and_backward`'s;
+        :meth:`sample_batch` keeps no tape and gets None.
         """
         ids = np.full((n, query.masked_count, MAX_TOKENS_PER_SLOT), len(EMISSION_TOKENS))  # padded past the alphabet
-        tape = self._unroll([query] * n, ids, np.full(ids.shape[:2], MAX_TOKENS_PER_SLOT), rng)
+        tape = self._unroll([query] * n, ids, np.full(ids.shape[:2], MAX_TOKENS_PER_SLOT), rng, record=_record)
         fills = [tuple(map("".join, row)) for row in _PADDED_TOKENS[ids].tolist()]
         proposals = [SampledProposal(f, ll, tuple("".join(f))) for f, ll in zip(fills, (-tape.nll).tolist())]
-        return proposals, partial(self._backward, tape)
+        return proposals, partial(self._backward, tape) if _record else None
 
     def nll_and_grad(
         self, query: QueryTemplate, fills: Sequence[str], upstream_scale: float = 1.0
@@ -193,7 +195,12 @@ class Policy:
         return float(nll[0]), backward(np.array([upstream_scale]))
 
     def _unroll(
-        self, queries: Sequence[QueryTemplate], ids: np.ndarray, lengths: np.ndarray, rng: np.random.Generator | None = None
+        self,
+        queries: Sequence[QueryTemplate],
+        ids: np.ndarray,
+        lengths: np.ndarray,
+        rng: np.random.Generator | None = None,
+        record: bool = True,
     ) -> _Tape:
         """Move rows b filling ``queries[b]`` through the (B, S, T) slots of ``ids`` in lockstep.
 
@@ -203,7 +210,9 @@ class Policy:
         live at a step take one ``rng.random`` value each, in proposal order,
         and invert their CDFs; the draw is written to ``ids``, and a terminator
         ends the row's slot by writing ``lengths``. Each row's NLL is the same
-        bit for bit in any batch (see :func:`_matvecs`).
+        bit for bit in any batch (see :func:`_matvecs`). Without ``record`` the
+        tape keeps no steps, so a pass that is not backpropagated holds only
+        the current step's arrays.
         """
         n_rows, n_slots, cap = ids.shape
         # each template's group, in order of first appearance; a positions key hashes in C, a QueryTemplate in Python
@@ -230,11 +239,14 @@ class Policy:
                     ids[live, slot, t] = target
                     lengths[live[target == END_ID], slot] = t + 1
                 nll[live] -= np.log(probs[np.arange(len(live)), target])
-                tape.steps.append((live, inputs, target, h_in, h_out, probs))
+                if record:
+                    tape.steps.append((live, inputs, target, h_in, h_out, probs))
                 h[live], prev[live] = h_out, target
         return tape
 
-    def _teacher_forced(self, queries: Sequence[QueryTemplate], proposals: Sequence[Sequence[str]]) -> _Tape:
+    def _teacher_forced(
+        self, queries: Sequence[QueryTemplate], proposals: Sequence[Sequence[str]], record: bool = True
+    ) -> _Tape:
         """The pass over rows b filling ``queries[b]`` with ``proposals[b]``, each row's stream one slot."""
         if len(queries) != len(proposals):
             raise ValueError(f"{len(queries)} templates for {len(proposals)} proposals")
@@ -243,11 +255,11 @@ class Policy:
         ids = np.zeros((len(streams), 1, int(lengths.max(initial=0))), dtype=np.intp)
         for b, stream in enumerate(streams):
             ids[b, 0, : len(stream)] = stream
-        return self._unroll(queries, ids, lengths)
+        return self._unroll(queries, ids, lengths, record=record)
 
     def nll_batch(self, queries: Sequence[QueryTemplate], proposals: Sequence[Sequence[str]]) -> np.ndarray:
         """Each row's negative log-likelihood from one batched pass; shape (B,)."""
-        return self._teacher_forced(queries, proposals).nll
+        return self._teacher_forced(queries, proposals, record=False).nll
 
     def nll_and_backward(
         self, queries: Sequence[QueryTemplate], proposals: Sequence[Sequence[str]]

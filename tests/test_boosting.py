@@ -276,7 +276,6 @@ class _DenseBins:
 
     def __init__(self, X):
         self.n_features = X.shape[1]
-        self.columns = np.arange(self.n_features)  # histogram row f is column f
         binned = np.minimum(X, boosting._BIN_COUNT - 1).astype(np.int64)
         self.rows, feats = np.nonzero(binned)
         self.flat = feats * boosting._BIN_COUNT + binned[self.rows, feats]
@@ -314,14 +313,65 @@ def _dense_best_split(G, H, C, g_tot, h_tot, reg_lambda):
     return feature, threshold, float(gain.flat[idx])
 
 
+def _dense_reference_fit(config, X, y):
+    """(feature, threshold, leaf, losses) of a depth-first, node-by-node fit over the dense bins.
+
+    A frozen copy of the round loop and the recursive node builder: each node
+    masks every row, searches all 15 thresholds of every column, and routes
+    rows on the raw values of ``X``.
+    """
+    X = np.asarray(X)
+    y = np.asarray(y, dtype=np.float64)
+    rng = np.random.default_rng(config.seed)
+    bins = _DenseBins(X)
+    n = len(y)
+    margins = np.zeros(n)
+    p = boosting._sigmoid(margins)
+    n_inner = 2**config.max_depth - 1
+    feature = np.zeros((config.n_rounds, n_inner), dtype=np.int64)
+    threshold = np.zeros((config.n_rounds, n_inner), dtype=np.int64)
+    leaf = np.zeros((config.n_rounds, n_inner + 1))
+    every_row = np.ones(n, dtype=bool)
+    losses = []
+
+    def build_node(r, route, active, g, h, node, level):
+        node_mask = route & active
+        if level < config.max_depth and node_mask.sum() >= 2:
+            G, H, C, g_tot, h_tot = bins.histograms(node_mask, g, h)
+            f, t, gain = _dense_best_split(G, H, C, g_tot, h_tot, config.reg_lambda)
+            if gain > boosting._MIN_GAIN:
+                feature[r, node], threshold[r, node] = f, t
+                goes_left = route & (X[:, f] <= t)
+                build_node(r, goes_left, active, g, h, 2 * node + 1, level + 1)
+                build_node(r, route & ~goes_left, active, g, h, 2 * node + 2, level + 1)
+                return
+        value = -config.learning_rate * g[node_mask].sum() / (h[node_mask].sum() + config.reg_lambda)
+        width = 2 ** (config.max_depth - level)
+        first = (node + 1) * width - 1 - n_inner  # the bottom leaves below this node
+        leaf[r, first : first + width] = value
+        margins[route] += value
+
+    for r in range(config.n_rounds):
+        g = p - y
+        h = p * (1.0 - p)
+        if config.subsample < 1.0:
+            active = np.zeros(n, dtype=bool)
+            active[rng.permutation(n)[: max(1, int(config.subsample * n))]] = True
+        else:
+            active = every_row
+        build_node(r, every_row, active, g, h, 0, 0)
+        p = boosting._sigmoid(margins)
+        clipped = np.clip(p, boosting._PROB_EPS, 1.0 - boosting._PROB_EPS)
+        losses.append(float(-np.mean(y * np.log(clipped) + (1 - y) * np.log(1 - clipped))))
+    return feature, threshold, leaf, losses
+
+
 def _assert_fit_matches_dense_reference(config, X, y):
     got = BoostedTreeClassifier(config).fit(X, y)
-    with mock.patch.object(boosting, "_SparseBins", _DenseBins), \
-            mock.patch.object(boosting, "_best_split", _dense_best_split):
-        want = BoostedTreeClassifier(config).fit(X, y)
-    for name in ("feature", "threshold", "leaf"):
-        assert getattr(got.trees, name).tobytes() == getattr(want.trees, name).tobytes(), name
-    assert got.train_losses_ == want.train_losses_
+    *want, want_losses = _dense_reference_fit(config, X, y)
+    for name, array in zip(("feature", "threshold", "leaf"), want):
+        assert getattr(got.trees, name).tobytes() == array.tobytes(), name
+    assert got.train_losses_ == want_losses
     return got
 
 

@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from cpseq.boosting import BoostedTreeClassifier, ClassifierConfig
 from cpseq.conformal import (
     Acp,
     Icp,
@@ -164,6 +168,82 @@ def test_build_acp_default_k_and_determinism(tiny_dataset):
 def test_build_acp_requires_both_labels():
     with pytest.raises(ValueError):
         build_acp(np.zeros((6, 4)), np.ones(6), k=2)
+
+
+def _bootstrap_draws(y, k, seed):
+    """(classifier seed, in-bag rows, out-of-bag mask) of each ICP, drawn as ``build_acp`` draws them."""
+    n = len(y)
+    draws = []
+    for child in np.random.SeedSequence(seed).spawn(k):
+        rng = np.random.default_rng(child)
+        clf_seed = int(child.generate_state(1)[0])
+        while True:
+            boot = rng.integers(0, n, n)
+            oob = np.ones(n, dtype=bool)
+            oob[boot] = False
+            if len(np.unique(y[boot])) == 2 and len(np.unique(y[oob])) == 2:
+                break
+        draws.append((clf_seed, boot, oob))
+    return draws
+
+
+def _small_pool(seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 4, size=(40, 6)), np.arange(40) % 2
+
+
+def test_build_acp_names_the_bad_entry_in_pool_rows():
+    # the pool is checked before any bootstrap, so the message names the caller's row
+    X, y = _small_pool()
+    X[7, 2] = -1
+    with pytest.raises(ValueError, match=r"^X\[7, 2\] = -1 is negative"):
+        build_acp(X, y, k=2)
+
+
+def test_build_acp_rejects_a_bad_row_that_only_calibrates():
+    X, y = _small_pool()
+    (_, boot, oob), = _bootstrap_draws(y, k=1, seed=0)
+    row = int(np.flatnonzero(oob)[0])  # never drawn, so no fit ever sees it
+    X[row, 4] = -1
+    with pytest.raises(ValueError, match=rf"^X\[{row}, 4\] = -1 is negative"):
+        build_acp(X, y, k=1, seed=0)
+
+
+@st.composite
+def _count_pools(draw):
+    """10-30 rows of counts up to 40 with both labels, and a column nonzero in one row only."""
+    n_rows = draw(st.integers(10, 30))
+    n_cols = draw(st.integers(2, 6))
+    X = draw(arrays(np.int64, (n_rows, n_cols), elements=st.sampled_from([0, 0, 0, 1, 2, 3, 7, 14, 15, 16, 40])))
+    X[:, 0] = 0
+    X[draw(st.integers(0, n_rows - 1)), 0] = draw(st.integers(1, 40))
+    y = draw(arrays(np.int64, n_rows, elements=st.integers(0, 1)))
+    y[:8] = np.arange(8) % 2
+    return X, y
+
+
+@settings(max_examples=100)
+@given(
+    pool=_count_pools(),
+    max_depth=st.integers(1, 3),
+    subsample=st.sampled_from([1.0, 0.7]),
+    k=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_pooled_bootstrap_fits_equal_fits_on_bootstrap_copies(pool, max_depth, subsample, k, seed):
+    # each ICP's model takes its sample's nonzeros from the pool's, over the
+    # pool's columns and largest bin; it must equal a fit on the copy X[boot]
+    X, y = pool
+    config = ClassifierConfig(n_rounds=4, max_depth=max_depth, subsample=subsample)
+    acp = build_acp(X, y, k=k, config=config, seed=seed)
+    for icp, (clf_seed, boot, oob) in zip(acp.icps, _bootstrap_draws(y, k, seed), strict=True):
+        want = BoostedTreeClassifier(replace(config, seed=clf_seed)).fit(X[boot], y[boot])
+        for name in ("feature", "threshold", "leaf"):
+            assert getattr(icp.model.trees, name).tobytes() == getattr(want.trees, name).tobytes(), name
+        assert icp.model.train_losses_ == want.train_losses_
+        want_icp = calibrate_icp(want, X[oob], y[oob])
+        assert icp.alphas_0.tobytes() == want_icp.alphas_0.tobytes()
+        assert icp.alphas_1.tobytes() == want_icp.alphas_1.tobytes()
 
 
 # -- prediction sets -----------------------------------------------------------------

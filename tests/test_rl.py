@@ -316,9 +316,9 @@ def test_step_runs_two_policy_passes(tiny_models, tiny_prior, monkeypatch):
     passes = []
     unroll = Policy._unroll
 
-    def recording(policy, queries, ids, lengths, rng=None):
-        passes.append((policy, rng is not None))
-        return unroll(policy, queries, ids, lengths, rng)
+    def recording(policy, queries, ids, lengths, rng=None, record=True):
+        passes.append((policy, rng is not None, record))
+        return unroll(policy, queries, ids, lengths, rng, record)
 
     monkeypatch.setattr(Policy, "_unroll", recording)
     agent = tiny_prior.copy()
@@ -326,7 +326,7 @@ def test_step_runs_two_policy_passes(tiny_models, tiny_prior, monkeypatch):
     rng = np.random.default_rng(1)
     for step in (1, 2):
         rl_step(agent, tiny_prior, QUERY, SequenceScorer("cp_soft", clf, acp), config, rng, step)
-        assert passes == [(agent, True), (tiny_prior, False)] * step
+        assert passes == [(agent, True, True), (tiny_prior, False, False)] * step  # only the agent's pass keeps a tape
     assert not agent.params_equal(tiny_prior)
 
 
