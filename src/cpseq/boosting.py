@@ -223,6 +223,8 @@ def _check_counts(X: np.ndarray, y: np.ndarray) -> None:
     """
     if X.ndim != 2 or len(X) != len(y):
         raise ValueError("X must be (n, d) with one label per row")
+    if X.dtype.kind == "u":  # unsigned integers are counts already
+        return
     bad = X < 0
     if X.dtype.kind == "f":
         bad |= X != np.floor(X)

@@ -13,6 +13,7 @@ slot-end and begin symbols the policy emits and starts from.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -39,6 +40,7 @@ DEFAULT_NOISE_RATE = 0.05  # share of dataset labels flipped
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _UINT64_MASK = 0xFFFFFFFFFFFFFFFF
+_MAX_COUNT = np.iinfo(np.uint8).max  # the largest bigram count a fingerprint holds
 
 
 def _fnv1a_pair(i: int, j: int) -> int:
@@ -152,18 +154,36 @@ def oracle_label(seq: str) -> int:
 
 
 def fingerprints(seqs: Sequence[str]) -> np.ndarray:
-    """Hashed bigram count fingerprints with 2048 buckets, one row per sequence.
+    """Hashed bigram count fingerprints with 2048 buckets, one ``uint8`` row per sequence.
 
     Each adjacent token pair is hashed with 64-bit FNV-1a over the two residue
     ordinals and counted modulo the bucket count; a length-1 sequence maps to
-    the all-zero vector.
+    the all-zero vector. Raises ValueError naming the sequence when it holds a
+    symbol that is not a residue token, or more than 255 bigrams in one bucket.
     """
-    out = np.zeros((len(seqs), FINGERPRINT_BUCKETS), dtype=np.int64)
-    for i, seq in enumerate(seqs):
-        if len(seq) >= 2:
-            ords = np.array([_RESIDUE_INDEX[t] for t in seq], dtype=np.int64)
-            np.add.at(out[i], _BUCKET_TABLE[ords[:-1], ords[1:]], 1)
+    text = "".join(seqs)
+    ords = np.fromiter(map(_RESIDUE_INDEX.get, text, repeat(-1)), dtype=np.intp, count=len(text))
+    row = np.repeat(np.arange(len(seqs)), [len(seq) for seq in seqs])  # each token's sequence
+    if ords.min(initial=0) < 0:
+        first = int(ords.argmin())
+        raise ValueError(f"sequence {_shown(seqs[row[first]])} holds {text[first]!r}, which is not a residue token")
+    inside = row[1:] == row[:-1]  # the pairs that stay within one sequence
+    cells = row[1:][inside] * FINGERPRINT_BUCKETS + _BUCKET_TABLE[ords[:-1][inside], ords[1:][inside]]
+    cells, counts = np.unique(cells, return_counts=True)
+    if counts.max(initial=0) > _MAX_COUNT:
+        seq, bucket = divmod(int(cells[counts.argmax()]), FINGERPRINT_BUCKETS)
+        raise ValueError(
+            f"sequence {_shown(seqs[seq])} puts {counts.max()} bigrams in bucket {bucket}; "
+            f"a fingerprint count must be at most {_MAX_COUNT}"
+        )
+    out = np.zeros((len(seqs), FINGERPRINT_BUCKETS), dtype=np.uint8)
+    out.flat[cells] = counts
     return out
+
+
+def _shown(seq: str) -> str:
+    """A sequence as an error message names it: whole up to 20 symbols, else its start and its length."""
+    return repr(seq) if len(seq) <= 20 else f"{seq[:20]!r}... (length {len(seq)})"
 
 
 @dataclass(frozen=True, eq=False)

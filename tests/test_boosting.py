@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -52,6 +53,18 @@ def test_features_that_are_not_counts_rejected(shift, match):
     X = np.concatenate([X, -X[:, :1]], axis=1) if shift == -1 else X + shift
     with pytest.raises(ValueError, match=match):
         BoostedTreeClassifier(ClassifierConfig(n_rounds=3)).fit(X, y)
+
+
+def test_count_check_allocates_nothing_for_unsigned_counts():
+    # an unsigned entry is never negative or fractional: a sign mask would be as large as X
+    X = np.ones((2000, 2048), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        boosting._check_counts(X, np.zeros(2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < X.nbytes // 16
 
 
 def test_untrained_model_predicts_half_everywhere():

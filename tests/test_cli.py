@@ -1,5 +1,6 @@
 import inspect
 import json
+import re
 
 import pytest
 
@@ -343,6 +344,16 @@ def test_a_model_that_stops_being_finite_exits_with_a_message(workdir, tmp_path,
     assert main(args + ["--acp", str(workdir / "acp.json"), "--out", str(tmp_path / "run.csv")]) == 1
     assert capsys.readouterr().err.startswith("error: step 2: the agent is not finite (loss ")
     assert not (tmp_path / "prior.json").exists() and not (tmp_path / "run.csv").exists()
+
+
+def test_run_on_a_query_too_long_to_fingerprint_exits_with_a_message(workdir, tmp_path, capsys):
+    # 300 A's hold 299 AA bigrams, more than a uint8 fingerprint count holds
+    args = ["run", "--query", "A" * 300 + "?", "--steps", "3", "--batch-size", "8"]
+    args += ["--prior", str(workdir / "prior.json"), "--classifier", str(workdir / "clf.json")]
+    assert main(args + ["--acp", str(workdir / "acp.json"), "--out", str(tmp_path / "run.csv")]) == 1
+    message = r"^error: sequence 'A{20}'\.\.\. \(length 30[1-4]\) puts (299|30[0-3]) bigrams in bucket \d+; "
+    assert re.match(message + "a fingerprint count must be at most 255\n$", capsys.readouterr().err)
+    assert not (tmp_path / "run.csv").exists()
 
 
 def test_campaign_builds_the_classifier_and_acp_the_cli_builds(workdir, tmp_path):

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -163,6 +164,25 @@ def test_build_acp_default_k_and_determinism(tiny_dataset):
     probe = fingerprints(tiny_dataset.subset("test")[0][:20])
     assert np.array_equal(acp.p_values_batch(probe)[0], again.p_values_batch(probe)[0])
     assert np.array_equal(acp.p_values_batch(probe)[1], again.p_values_batch(probe)[1])
+
+
+def test_models_do_not_depend_on_the_dtype_of_the_counts(tiny_dataset):
+    # fingerprints are uint8 counts; a caller that passes int64 counts gets the same models bit for bit
+    seqs, labels = tiny_dataset.subset("train")
+    X = fingerprints(seqs)
+    probe = fingerprints(tiny_dataset.subset("test")[0])
+    config = ClassifierConfig(n_rounds=30, max_depth=3, subsample=0.8)
+    narrow, wide = (
+        (BoostedTreeClassifier(config).fit(A, labels), build_acp(A, labels, k=3, config=config, seed=4))
+        for A in (X, X.astype(np.int64))
+    )
+    assert json.dumps(narrow[0].to_json_dict()) == json.dumps(wide[0].to_json_dict())
+    assert np.array(narrow[0].train_losses_).tobytes() == np.array(wide[0].train_losses_).tobytes()
+    assert json.dumps(acp_to_json_dict(narrow[1])) == json.dumps(acp_to_json_dict(wide[1]))
+    for clf, acp in (narrow, wide):
+        for A in (probe, probe.astype(np.int64)):
+            assert clf.predict_margin(A).tobytes() == narrow[0].predict_margin(probe).tobytes()
+            assert np.array(acp.p_values_batch(A)).tobytes() == np.array(narrow[1].p_values_batch(probe)).tobytes()
 
 
 def test_build_acp_requires_both_labels():

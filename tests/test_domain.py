@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,6 +201,52 @@ def test_fingerprints_batch_matches_single():
     batch = fingerprints(seqs)
     for row, seq in zip(batch, seqs):
         assert np.array_equal(row, fingerprints([seq])[0])
+
+
+@given(seqs=st.lists(st.one_of(st.just(""), residue, sequences), max_size=8))
+@settings(max_examples=100)
+def test_fingerprint_batches_match_the_naive_counter(seqs):
+    # one pass over the whole batch: no pair may span two sequences, and empty or
+    # length-1 entries keep their all-zero rows
+    expected = np.zeros((len(seqs), FINGERPRINT_BUCKETS), dtype=np.int64)
+    for row, seq in zip(expected, seqs):
+        for (a, b), c in _naive_bigram_counts(seq).items():
+            row[_fnv1a_bucket(RES.index(a), RES.index(b))] += c
+    fp = fingerprints(seqs)
+    assert fp.dtype == np.uint8
+    assert np.array_equal(fp, expected)
+
+
+def test_fingerprint_counts_stop_at_255():
+    ia = RES.index("A")
+    assert fingerprints(["A" * 256])[0, _fnv1a_bucket(ia, ia)] == 255
+    message = rf"^sequence 'A{{20}}'\.\.\. \(length 257\) puts 256 bigrams in bucket {_fnv1a_bucket(ia, ia)}; "
+    with pytest.raises(ValueError, match=message + "a fingerprint count must be at most 255$"):
+        fingerprints(["AC", "A" * 257])
+
+
+@pytest.mark.parametrize(
+    "seqs, shown, symbol",
+    [(["X"], "'X'", "X"), (["AC", "", "CXA"], "'CXA'", "X"), (["AC?"], "'AC?'", "?"),
+     (["AC" * 15 + "b"], "'ACACACACACACACACACAC'... (length 31)", "b")],
+    ids=["length-1", "in-batch", "mask", "long"],
+)
+def test_fingerprint_rejects_a_symbol_that_is_not_a_residue(seqs, shown, symbol):
+    message = f"sequence {shown} holds {symbol!r}, which is not a residue token"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fingerprints(seqs)
+
+
+def test_fingerprints_of_the_dataset_allocate_little_beyond_their_rows(dataset5k):
+    # 5,000 rows of uint8 counts are 10.2 MB; the bound leaves room for the batch's scratch, not for a wider dtype
+    seqs = list(dataset5k.sequences)
+    tracemalloc.start()
+    try:
+        fingerprints(seqs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # -- dataset generation ------------------------------------------------------------
