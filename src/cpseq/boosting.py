@@ -1,8 +1,9 @@
 """Gradient-boosted depth-limited trees on logistic loss.
 
 A small reference classifier over integer count features (the bigram
-fingerprints), exposing ``fit`` / ``predict_proba`` so the conformal layer can
-swap in any probabilistic binary classifier with the same surface. Split
+fingerprints), exposing ``fit`` / ``predict_proba``. A single ICP calibrates
+any probabilistic binary classifier with that surface; the aggregate
+conformal predictor stacks its ICPs' heap trees, so it takes these. Split
 finding is histogram-based and exploits the sparsity of count features: a
 training pool is scanned once for its nonzero entries, and each tree grows
 level by level, with one histogram pass over those entries and one split
@@ -16,9 +17,11 @@ same splits, bit for bit, as a node-by-node search over every column and
 threshold of each training matrix.
 
 Trees are fixed-depth heap arrays from ``fit`` to file, and loading checks
-them. Prediction evaluates every tree on a block of rows with a few numpy
-gathers; leaf values are added in tree order, so margins equal those of a
-node-by-node walk bit for bit.
+them. One evaluator scores a stack of models (one model is a stack of one):
+a count of zero goes the same way at every split, so it walks only the
+(row, tree) pairs in which a split reads one of the row's nonzero columns,
+and every other pair takes the tree's zero-row leaf. Leaf values are added
+in tree order, so margins equal those of a node-by-node walk bit for bit.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple
+from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +41,7 @@ _BIN_COUNT = 16  # count features are clipped into bins 0..15 for split search
 _PROB_EPS = 1e-12  # keeps predicted probabilities strictly inside (0, 1)
 _MIN_CHILD_HESSIAN = 1e-6
 _MIN_GAIN = 1e-12
-_BLOCK_CELLS = 2**13  # (tree, row) pairs evaluated together; bounds the work arrays
+_BLOCK_CELLS = 2**16  # (tree, row) cells summed together; bounds the work arrays
 
 
 @dataclass(frozen=True)
@@ -69,6 +73,11 @@ def _sigmoid(margin: np.ndarray) -> np.ndarray:
     e = np.exp(margin[~pos])
     out[~pos] = e / (1.0 + e)
     return out
+
+
+def _proba(margin: np.ndarray) -> np.ndarray:
+    """Probability of label 1 per margin, strictly inside (0, 1)."""
+    return np.clip(_sigmoid(margin), _PROB_EPS, 1.0 - _PROB_EPS)
 
 
 class _SparseBins:
@@ -148,26 +157,62 @@ def _best_split(G, H, C, g_tot, h_tot, top, reg_lambda):
     return row, threshold, gain[np.arange(len(G)), best]
 
 
-class _Trees(NamedTuple):
-    """Boosted trees as fixed-depth heap arrays, the one format from ``fit`` to file.
+@dataclass(frozen=True, eq=False)
+class _Trees:
+    """A stack of boosted models' trees as fixed-depth heap arrays, the one format from ``fit`` to file.
 
     Internal node ``i`` has children ``2i + 1`` (taken when ``X[:, f] <= t``)
     and ``2i + 2``; bottom leaf ``j`` is heap node ``2**depth - 1 + j``. Below
     a leaf above the bottom level, the internal nodes are placeholder splits
     (feature 0, threshold 0) and every bottom leaf holds that leaf's value, so
-    each route from it ends on its value whatever the row holds.
+    each route from it ends on its value whatever the row holds. Tree ``t`` of
+    model ``m`` is row ``t * n_models + m``; one model's trees are a stack of
+    one. The index that walks them is built on first use.
     """
 
-    feature: np.ndarray  # (n_trees, 2**depth - 1) column each split reads
-    threshold: np.ndarray  # (n_trees, 2**depth - 1)
-    leaf: np.ndarray  # (n_trees, 2**depth)
-    columns: np.ndarray  # (n_columns,) ascending columns some split reads
-    slot: np.ndarray  # (n_trees, 2**depth - 1) position of each split's column in ``columns``
+    feature: np.ndarray  # (n_trees * n_models, 2**depth - 1) column each split reads
+    threshold: np.ndarray  # (n_trees * n_models, 2**depth - 1)
+    leaf: np.ndarray  # (n_trees * n_models, 2**depth)
+    n_models: int = 1
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """The ascending columns some split reads."""
+        return np.unique(self.feature)
+
+    @cached_property
+    def walk(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(slot, tree_of, starts, zero_leaf): each split's position in ``columns``, flat; the trees that
+        read ``columns[c]``, ``tree_of[starts[c]:starts[c + 1]]``; and the (n_trees, n_models) leaf values
+        a row of zeros reaches (not always bottom leaf 0, as a loaded threshold may be negative)."""
+        n, n_inner = self.feature.shape
+        slot = np.searchsorted(self.columns, self.feature)
+        reads = np.unique(slot * n + np.arange(n)[:, None])  # (column, tree) pairs, each once, by column
+        node = np.zeros(n, dtype=np.intp)
+        for _ in range(n_inner.bit_length()):
+            node = 2 * node + 2 - (self.threshold[np.arange(n), node] >= 0)
+        zero_leaf = self.leaf[np.arange(n), node - n_inner].reshape(-1, self.n_models)
+        return slot.ravel(), reads % n, np.searchsorted(reads // n, np.arange(len(self.columns) + 1)), zero_leaf
 
 
-def _trees(feature: np.ndarray, threshold: np.ndarray, leaf: np.ndarray) -> _Trees:
-    columns, slot = np.unique(feature, return_inverse=True)
-    return _Trees(feature, threshold, leaf, columns, slot.reshape(feature.shape))
+def _stack(models: Sequence[_Trees]) -> _Trees:
+    """The trees of several models as one stack, each model's margins unchanged bit for bit.
+
+    A shallower tree gets placeholder splits and replicated leaves below its
+    bottom leaves, and a model with fewer trees gets trailing trees whose
+    leaves are -0.0, which adds to any margin without changing a bit of it.
+    """
+    n_models = len(models)
+    n_trees = max(len(trees.feature) for trees in models)
+    n_inner = max(trees.feature.shape[1] for trees in models)
+    feature, threshold, leaf = _blank_arrays(n_trees * n_models, n_inner.bit_length())
+    leaf[:] = -0.0
+    for m, trees in enumerate(models):
+        rows, width = slice(m, len(trees.feature) * n_models, n_models), trees.feature.shape[1]
+        feature[rows, :width] = trees.feature
+        threshold[rows, :width] = trees.threshold
+        leaf[rows] = np.repeat(trees.leaf, (n_inner + 1) // (width + 1), axis=1)
+    return _Trees(feature, threshold, leaf, n_models)
 
 
 def _blank_arrays(n_trees: int, depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -187,32 +232,64 @@ def _heap_rows(value, width: int, integer: bool) -> np.ndarray:
         rows = rows.reshape(0, width)
     if rows.ndim != 2 or rows.shape[1] != width:
         raise ValueError(f"shape {rows.shape} is not (n_trees, {width}), the width max_depth sets")
-    kinds, dtype = ("i", np.int64) if integer else ("if", np.float64)
+    kinds = "i" if integer else "if"
     if rows.size and rows.dtype.kind not in kinds:
         raise ValueError(f"holds {rows.dtype} values, not {'integers' if integer else 'numbers'}")
-    return rows.astype(dtype)
+    return rows.astype(np.int64) if integer else _finite(rows)
 
 
-def _add_trees(trees: _Trees, X: np.ndarray, margins: np.ndarray) -> None:
-    """Add every tree's leaf value for each row of ``X`` to ``margins``, in tree order."""
-    n_trees, n_inner = trees.feature.shape
-    if n_trees == 0:
-        return
-    depth = n_inner.bit_length()
-    leaves = trees.leaf.ravel()
-    first_leaf = np.arange(n_trees) * (n_inner + 1) - n_inner  # flat leaf index minus heap index
-    block = max(1, _BLOCK_CELLS // n_trees)
+def _finite(values) -> np.ndarray:
+    """``values`` as a float64 array; ValueError unless every entry is a finite number."""
+    array = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(array).all():
+        raise ValueError(f"holds {array[~np.isfinite(array)].flat[0]}, not a finite number")
+    return array
+
+
+def _margins(trees: _Trees, X: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """(rows, n_models) margins of X under a stack with these base scores; ValueError when X is too narrow.
+
+    A zero entry goes the same way at every split, so a tree that reads none
+    of a row's nonzero columns ends on its zero-row leaf; only the (row, tree)
+    pairs in which some split reads a nonzero column are walked (QuickScorer's
+    feature-wise view, Lucchese et al. 2015). Each model's leaves are added to
+    its base score one tree at a time, in tree order, so its margins equal
+    those of a node-by-node walk bit for bit.
+    """
+    X = np.atleast_2d(np.asarray(X))
+    slot, tree_of, starts, zero_leaf = trees.walk
+    n_trees, n_models = zero_leaf.shape
+    if trees.columns.size and trees.columns[-1] >= X.shape[1]:
+        i, j = np.argwhere(trees.feature >= X.shape[1])[0]
+        tree, model = divmod(int(i), n_models)
+        owner = f"model {model}'s " if n_models > 1 else ""
+        raise ValueError(f"{owner}tree {tree} splits on column {trees.feature[i, j]}, but X has {X.shape[1]} columns")
+    n_inner = trees.feature.shape[1]
+    threshold, leaf = trees.threshold.ravel(), trees.leaf.ravel()
+    margins = np.empty((len(X), n_models))
+    block = max(1, _BLOCK_CELLS // (len(trees.feature) + n_models))
     for start in range(0, len(X), block):
-        rows = slice(start, start + block)
-        Xb = X[rows, trees.columns]  # (rows, columns)
-        goes_left = (Xb[:, trees.slot] <= trees.threshold).ravel()  # (rows, trees, nodes)
-        first_node = np.arange(0, goes_left.size, n_inner).reshape(len(Xb), n_trees)
-        node = np.zeros((len(Xb), n_trees), dtype=np.intp)
-        for _ in range(depth):
-            node = 2 * node + 2 - goes_left[first_node + node]
-        values = leaves[first_leaf + node]  # (rows, trees)
-        values[:, 0] += margins[rows]
-        margins[rows] = np.add.accumulate(values, axis=1)[:, -1]
+        Xb = X[start : start + block, trees.columns]
+        rows, cols = np.nonzero(Xb)
+        counts = starts[cols + 1] - starts[cols]
+        pair_row = np.repeat(rows, counts)  # a row reaches a tree once per nonzero column it reads
+        offset = np.repeat(starts[cols] + counts - np.cumsum(counts), counts)
+        pair_tree = tree_of[offset + np.arange(len(pair_row))]
+        first = pair_tree * n_inner
+        node = np.zeros(len(pair_tree), dtype=np.intp)
+        for _ in range(n_inner.bit_length()):
+            split = first + node
+            node = 2 * node + 2 - (Xb[pair_row, slot[split]] <= threshold[split])
+        # values[0] holds the base scores and values[t + 1] tree t's leaves. The spare row keeps two
+        # or more cells beside the tree axis, where np.add.reduce adds one tree at a time (over one
+        # cell it sums pairwise), and the sum starts from -0.0, not +0.0, so a -0.0 margin stays -0.0
+        values = np.empty((n_trees + 1, len(Xb) + 1, n_models))
+        values[0] = base
+        values[1:] = zero_leaf[:, None, :]
+        tree, model = np.divmod(pair_tree, n_models)
+        values[tree + 1, pair_row, model] = leaf[first + pair_tree + node - n_inner]
+        margins[start : start + block] = np.add.reduce(values, axis=0, initial=-0.0)[:-1]
+    return margins
 
 
 def _check_counts(X: np.ndarray, y: np.ndarray) -> None:
@@ -242,7 +319,7 @@ class BoostedTreeClassifier:
     def __init__(self, config: ClassifierConfig | None = None):
         self.config = config or ClassifierConfig()
         self.base_score = 0.0  # margin (logit); 0.5 probability before any round
-        self.trees = _trees(*_blank_arrays(0, self.config.max_depth))
+        self.trees = _Trees(*_blank_arrays(0, self.config.max_depth))
         self.train_losses_: list[float] = []
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "BoostedTreeClassifier":
@@ -276,7 +353,7 @@ class BoostedTreeClassifier:
             p = _sigmoid(margins)
             clipped = np.clip(p, _PROB_EPS, 1.0 - _PROB_EPS)
             losses.append(float(-np.mean(y * np.log(clipped) + (1 - y) * np.log(1 - clipped))))
-        self.trees = _trees(feature, threshold, leaf)
+        self.trees = _Trees(feature, threshold, leaf)
         self.train_losses_ = losses
         return self
 
@@ -322,18 +399,11 @@ class BoostedTreeClassifier:
 
     def predict_margin(self, X: np.ndarray) -> np.ndarray:
         """Margin (logit) per row; raises ValueError when X has fewer columns than a split reads."""
-        X = np.atleast_2d(np.asarray(X))
-        trees = self.trees
-        if trees.columns.size and trees.columns[-1] >= X.shape[1]:
-            t, i = np.argwhere(trees.feature >= X.shape[1])[0]
-            raise ValueError(f"tree {t} splits on column {trees.feature[t, i]}, but X has {X.shape[1]} columns")
-        margins = np.full(len(X), self.base_score, dtype=np.float64)
-        _add_trees(trees, X, margins)
-        return margins
+        return _margins(self.trees, X, np.array([self.base_score]))[:, 0]
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Probability of label 1 per row, strictly inside (0, 1)."""
-        return np.clip(_sigmoid(self.predict_margin(X)), _PROB_EPS, 1.0 - _PROB_EPS)
+        return _proba(self.predict_margin(X))
 
     def to_json_dict(self) -> dict:
         return {
@@ -350,7 +420,7 @@ class BoostedTreeClassifier:
         model = cls(json_field(payload, "config", lambda config: ClassifierConfig(**config)))
         if "trees" in payload:
             raise ValueError("key 'trees' holds nested-dict trees, which cpseq no longer reads; rebuild the file")
-        model.base_score = json_field(payload, "base_score", float)
+        model.base_score = json_field(payload, "base_score", lambda value: _finite(float(value)).item())
         n_inner = 2**model.config.max_depth - 1
         feature = json_field(payload, "feature", lambda rows: _heap_rows(rows, n_inner, integer=True))
         threshold = json_field(payload, "threshold", lambda rows: _heap_rows(rows, n_inner, integer=True))
@@ -360,7 +430,7 @@ class BoostedTreeClassifier:
             raise ValueError(f"keys 'feature', 'threshold' and 'leaf' hold {counts} trees")
         if feature.size and feature.min() < 0:
             raise ValueError(f"key 'feature': column {feature.min()} is not a non-negative integer")
-        model.trees = _trees(feature, threshold, leaf)
+        model.trees = _Trees(feature, threshold, leaf)
         return model
 
     def save(self, path: str | Path) -> None:

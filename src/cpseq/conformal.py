@@ -11,13 +11,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import partial
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .boosting import BoostedTreeClassifier, ClassifierConfig, _check_counts, _SparseBins
+from .boosting import BoostedTreeClassifier, ClassifierConfig, _check_counts, _finite, _margins, _proba
+from .boosting import _SparseBins, _stack, _Trees
 from .tables import json_field, read_json
 
 DEFAULT_SIGNIFICANCE = 0.2
@@ -63,7 +64,10 @@ class Icp:
 
     def p_values_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Mondrian p-values (p0, p1) per row of X; ties counted as >=."""
-        p1_hat = self.model.predict_proba(X)
+        return self._p_values(self.model.predict_proba(X))
+
+    def _p_values(self, p1_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Mondrian p-values (p0, p1) of each predicted probability of label 1."""
         alpha_for_0 = np.asarray(nonconformity(1.0 - p1_hat, p1_hat))
         alpha_for_1 = np.asarray(nonconformity(p1_hat, 1.0 - p1_hat))
         p0 = _tail_p(self.alphas_0, alpha_for_0)
@@ -98,23 +102,36 @@ def calibrate_icp(model: BoostedTreeClassifier, X_cal: np.ndarray, y_cal: np.nda
 
 @dataclass(frozen=True, eq=False)
 class Acp:
-    """Aggregated conformal predictor: mean p-values over k ICPs."""
+    """Aggregated conformal predictor: mean p-values over k ICPs of boosted-tree models.
+
+    The ICP models' trees are stacked once, on first use, and scored in one
+    pass; a model refitted in place after that first use is not seen.
+    """
 
     icps: tuple[Icp, ...]
 
     def __post_init__(self):
         if len(self.icps) < 1:
             raise ValueError("need at least one ICP")
+        for i, icp in enumerate(self.icps):
+            if not isinstance(icp.model, BoostedTreeClassifier):
+                raise ValueError(f"ICP {i}'s model is a {type(icp.model).__name__}, not a BoostedTreeClassifier")
+
+    @cached_property
+    def _trees(self) -> _Trees:
+        return _stack([icp.model.trees for icp in self.icps])
 
     @property
     def k(self) -> int:
         return len(self.icps)
 
     def p_values_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        p0_sum = np.zeros(len(X), dtype=np.float64)
-        p1_sum = np.zeros(len(X), dtype=np.float64)
-        for icp in self.icps:
-            p0, p1 = icp.p_values_batch(X)
+        """Mean (p0, p1) per row of X, summed in ICP order; equal bit for bit to averaging each ICP's."""
+        p1_hat = _proba(_margins(self._trees, X, np.array([icp.model.base_score for icp in self.icps])))
+        p0_sum = np.zeros(len(p1_hat), dtype=np.float64)
+        p1_sum = np.zeros(len(p1_hat), dtype=np.float64)
+        for icp, column in zip(self.icps, p1_hat.T):
+            p0, p1 = icp._p_values(column)
             p0_sum += p0
             p1_sum += p1
         return p0_sum / self.k, p1_sum / self.k
@@ -244,8 +261,8 @@ def acp_to_json_dict(acp: Acp) -> dict:
 def _icp_from_json_dict(entry: dict) -> Icp:
     return Icp(
         model=json_field(entry, "model", BoostedTreeClassifier.from_json_dict),
-        alphas_0=json_field(entry, "alphas_0", partial(np.array, dtype=np.float64)),
-        alphas_1=json_field(entry, "alphas_1", partial(np.array, dtype=np.float64)),
+        alphas_0=json_field(entry, "alphas_0", _finite),
+        alphas_1=json_field(entry, "alphas_1", _finite),
     )
 
 

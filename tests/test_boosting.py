@@ -193,6 +193,30 @@ def test_compiled_margins_equal_reference_walk_bit_for_bit(data):
     assert got.tobytes() == _reference_margin(model, X).tobytes()
 
 
+@settings(max_examples=150)
+@given(data=st.data())
+def test_stacked_margins_equal_each_models_reference_walk_bit_for_bit(data):
+    # models of mixed depth and tree count stacked as one; each model's column must be its own walk
+    n_features = data.draw(st.integers(1, 5), label="n_features")
+    models = []
+    for _ in range(data.draw(st.integers(1, 4), label="n_models")):
+        max_depth = data.draw(st.integers(1, 4), label="max_depth")
+        trees = data.draw(st.lists(_trees(max_depth, n_features), max_size=6), label="trees")
+        base_score = data.draw(st.just(-0.0) | st.floats(-5, 5, allow_nan=False), label="base_score")
+        models.append(_model(trees, max_depth, base_score))  # a -0.0 margin must stay -0.0
+    stack = boosting._stack([model.trees for model in models])
+    cells = data.draw(st.integers(1, 40), label="cells")
+    block_rows = max(1, cells // (len(stack.feature) + len(models)))
+    n_rows = data.draw(st.sampled_from([0, 1, block_rows + 1, 3 * block_rows + 2]), label="n_rows")
+    X = data.draw(arrays(np.int64, (n_rows, n_features), elements=st.integers(-2, 6)), label="X")
+    X[::3] = 0  # rows of zeros end on every tree's zero-row leaf
+    X[1::3, 0] += X[1::3, 0] == 0  # placeholder splits read column 0
+    with mock.patch.object(boosting, "_BLOCK_CELLS", cells):
+        got = boosting._margins(stack, X, np.array([model.base_score for model in models]))
+    for m, model in enumerate(models):
+        assert got[:, m].tobytes() == _reference_margin(model, X).tobytes(), m
+
+
 def test_fitted_depth3_margins_equal_reference_walk(tiny_dataset):
     seqs, labels = tiny_dataset.subset("train")
     X = fingerprints(seqs)

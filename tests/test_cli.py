@@ -273,8 +273,15 @@ def _edited(payload, *path, value=None):
         ("--acp", lambda payload: _edited(payload, "icps", 0, "alphas_0", value={"a": 1}), "alphas_0"),
         ("--prior", lambda payload: _edited(payload, "params", "w_out"), "w_out"),
         ("--prior", lambda payload: _edited(payload, "params", "b_out", value=[0.0, 1.0]), "b_out"),
+        ("--classifier", lambda payload: _edited(payload, "leaf", 3, 0, value=float("-inf")), "leaf"),
+        ("--classifier", lambda payload: _edited(payload, "base_score", value=float("nan")), "base_score"),
+        ("--acp", lambda payload: _edited(payload, "icps", 1, "alphas_1", -1, value=float("nan")), "alphas_1"),
+        ("--acp", lambda payload: _edited(payload, "icps", 0, "model", "leaf", 0, 1, value=float("inf")), "leaf"),
+        ("--acp", lambda payload: _edited(payload, "icps", 1, "model", "base_score", value=float("nan")), "base_score"),
     ],
-    ids=["classifier", "classifier_wrong_type", "acp", "acp_wrong_type", "prior", "prior_wrong_shape"],
+    ids=["classifier", "classifier_wrong_type", "acp", "acp_wrong_type", "prior", "prior_wrong_shape",
+         "classifier_infinite_leaf", "classifier_nan_base_score", "acp_nan_score", "acp_infinite_leaf",
+         "acp_nan_base_score"],
 )
 def test_run_reports_a_corrupt_artifact_by_file_and_key(workdir, tmp_path, capsys, flag, corrupt, key):
     artifacts = {"--prior": "prior.json", "--classifier": "clf.json", "--acp": "acp.json"}

@@ -118,28 +118,42 @@ def test_p_value_monotone_in_test_alpha(scores, a, b):
 # -- aggregation -------------------------------------------------------------------
 
 
-def _stub_icp(p0_out, p1_out):
-    # an ICP rigged so its p-values on a single zero row are (p0_out, p1_out)
-    class Rigged(Icp):
-        def p_values_batch(self, X):
-            n = len(np.atleast_2d(X))
-            return np.full(n, p0_out), np.full(n, p1_out)
-
-    return Rigged(model=StubModel([0.5]), alphas_0=np.array([0.5]), alphas_1=np.array([0.5]))
+def _fitted_icp(seed):
+    X, y = _small_pool(seed)
+    model = BoostedTreeClassifier(ClassifierConfig(n_rounds=6, seed=seed)).fit(X[:30], y[:30])
+    return calibrate_icp(model, X[30:], y[30:])
 
 
 def test_acp_of_one_equals_the_icp():
-    icp = _stub_icp(0.4, 0.7)
-    acp = Acp((icp,))
-    p0, p1 = acp.p_values_batch(np.zeros((1, 3)))
-    assert PValuePair(p0[0], p1[0]) == PValuePair(0.4, 0.7)
+    icp = _fitted_icp(seed=0)
+    X, _ = _small_pool(seed=9)
+    assert np.array(Acp((icp,)).p_values_batch(X)).tobytes() == np.array(icp.p_values_batch(X)).tobytes()
 
 
 def test_acp_mean_aggregation():
-    acp = Acp((_stub_icp(0.1, 0.2), _stub_icp(0.3, 0.4)))
-    p0, p1 = acp.p_values_batch(np.zeros((1, 3)))
-    pv = PValuePair(p0[0], p1[0])
-    assert pv == PValuePair(pytest.approx(0.2), pytest.approx(0.3))
+    first, second = _fitted_icp(seed=0), _fitted_icp(seed=1)
+    X, _ = _small_pool(seed=9)
+    p0, p1 = Acp((first, second)).p_values_batch(X)
+    (p0_a, p1_a), (p0_b, p1_b) = first.p_values_batch(X), second.p_values_batch(X)
+    assert p0.tobytes() == ((p0_a + p0_b) / 2).tobytes()
+    assert p1.tobytes() == ((p1_a + p1_b) / 2).tobytes()
+
+
+def test_acp_rejects_an_icp_whose_model_has_no_heap_trees():
+    stub = calibrate_icp(StubModel([0.2, 0.9]), np.zeros((2, 3)), np.array([0, 1]))
+    with pytest.raises(ValueError, match=r"^ICP 1's model is a StubModel, not a BoostedTreeClassifier"):
+        Acp((_fitted_icp(seed=0), stub))
+
+
+@pytest.mark.parametrize("n_rows", [1, 31, 5000])
+def test_stacked_acp_equals_the_icps_summed_in_order_bit_for_bit(acp5k, dataset5k, n_rows):
+    # the ten ICP models are scored as one stack; the result must equal each ICP's own p-values, summed in ICP order
+    acp = acp5k.acp
+    X = fingerprints(dataset5k.sequences[:n_rows])
+    sums = np.zeros((2, n_rows))
+    for icp in acp.icps:
+        sums += icp.p_values_batch(X)
+    assert np.array(acp.p_values_batch(X)).tobytes() == (sums / acp.k).tobytes()
 
 
 def test_acp_mean_between_min_and_max(tiny_models, tiny_dataset):
