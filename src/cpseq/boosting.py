@@ -54,6 +54,10 @@ class ClassifierConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_rounds", "max_depth", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_rounds < 1:
             raise ValueError("n_rounds must be >= 1")
         if not 0 < self.learning_rate <= 1:
@@ -62,8 +66,8 @@ class ClassifierConfig:
             raise ValueError("max_depth must be >= 1")
         if not 0 < self.subsample <= 1:
             raise ValueError("subsample must be in (0, 1]")
-        if self.reg_lambda < 0:
-            raise ValueError("reg_lambda must be >= 0")
+        if not 0 <= self.reg_lambda < np.inf:
+            raise ValueError(f"reg_lambda must be finite and >= 0, got {self.reg_lambda!r}")
 
 
 def _sigmoid(margin: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
+from operator import is_not
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -104,8 +104,9 @@ def calibrate_icp(model: BoostedTreeClassifier, X_cal: np.ndarray, y_cal: np.nda
 class Acp:
     """Aggregated conformal predictor: mean p-values over k ICPs of boosted-tree models.
 
-    The ICP models' trees are stacked once, on first use, and scored in one
-    pass; a model refitted in place after that first use is not seen.
+    The ICP models' trees are stacked on first use and scored in one pass; the
+    stack is built again when a model's trees are no longer the stacked ones,
+    as after a refit.
     """
 
     icps: tuple[Icp, ...]
@@ -117,9 +118,13 @@ class Acp:
             if not isinstance(icp.model, BoostedTreeClassifier):
                 raise ValueError(f"ICP {i}'s model is a {type(icp.model).__name__}, not a BoostedTreeClassifier")
 
-    @cached_property
     def _trees(self) -> _Trees:
-        return _stack([icp.model.trees for icp in self.icps])
+        """The ICP models' trees as one stack, kept while each model holds the same trees object."""
+        trees = tuple(icp.model.trees for icp in self.icps)
+        stacked = self.__dict__.get("_stacked")
+        if stacked is None or any(map(is_not, stacked[0], trees)):
+            stacked = self.__dict__["_stacked"] = (trees, _stack(trees))  # the dataclass is frozen
+        return stacked[1]
 
     @property
     def k(self) -> int:
@@ -127,7 +132,7 @@ class Acp:
 
     def p_values_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Mean (p0, p1) per row of X, summed in ICP order; equal bit for bit to averaging each ICP's."""
-        p1_hat = _proba(_margins(self._trees, X, np.array([icp.model.base_score for icp in self.icps])))
+        p1_hat = _proba(_margins(self._trees(), X, np.array([icp.model.base_score for icp in self.icps])))
         p0_sum = np.zeros(len(p1_hat), dtype=np.float64)
         p1_sum = np.zeros(len(p1_hat), dtype=np.float64)
         for icp, column in zip(self.icps, p1_hat.T):

@@ -41,6 +41,8 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _UINT64_MASK = 0xFFFFFFFFFFFFFFFF
 _MAX_COUNT = np.iinfo(np.uint8).max  # the largest bigram count a fingerprint holds
+_END_INDEX = EMISSION_TOKENS.index(SLOT_END)
+_CODEPOINTS = np.array([*map(ord, EMISSION_TOKENS), 0], dtype=np.uint32)  # the index past the alphabet reads as NUL
 
 
 def _fnv1a_pair(i: int, j: int) -> int:
@@ -127,6 +129,35 @@ def assemble(query: QueryTemplate, fills: Sequence[str]) -> str | None:
             return None
         out.append(content)
     return "".join(out)
+
+
+def assemble_batch(query: QueryTemplate, ids: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`assemble` of B rows of emitted token ids at once: each row's validity and sequence.
+
+    Row b emitted ``ids[b, s, :lengths[b, s]]`` in slot s, as indices into
+    ``EMISSION_TOKENS``; ids past a slot's length are ignored, and may be the
+    index past the alphabet. A slot's content is its tokens less a final
+    terminator, and a row is valid when every content is 1 to
+    ``MAX_FILL_TOKENS`` residue tokens, exactly when :func:`assemble` of its
+    fills is not None. Returns (B,) booleans and the (B,) sequences as a
+    string array, whose entries at invalid rows mean nothing. The contents are
+    viewed as fixed-width strings and joined to the template's fixed runs with
+    a few vectorized string additions.
+    """
+    n_slots, cap = ids.shape[1:]
+    if n_slots != query.masked_count:
+        raise ValueError(f"{n_slots} slots for a template of {query.masked_count} masked positions")
+    position = np.arange(cap)
+    content = lengths - ((ids == _END_INDEX) & (position == lengths[..., None] - 1)).any(axis=2)
+    inside = position < content[..., None]
+    residues = ~(inside & (ids >= len(RESIDUES))).any(axis=2)
+    valid = ((content >= 1) & (content <= MAX_FILL_TOKENS) & residues).all(axis=1)
+    fills = np.where(inside, _CODEPOINTS[ids], 0).view(f"<U{cap}")[..., 0]
+    pieces = query.to_text().split(MASK)  # the fixed runs around the slots
+    sequences = np.full(len(ids), pieces[0])
+    for slot, piece in enumerate(pieces[1:]):
+        sequences = np.char.add(np.char.add(sequences, fills[:, slot]), piece)
+    return valid, sequences
 
 
 def mask_out(seq: str, positions: Iterable[int]) -> tuple[QueryTemplate, tuple[str, ...]]:

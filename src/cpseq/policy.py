@@ -8,7 +8,9 @@ sampling, and parameter gradients are all computed in closed form with numpy;
 there is no autodiff dependency. One driver moves a batch of rows through the
 recurrence in lockstep, drawing their tokens (sampling) or reading them
 (teacher forcing), and records a tape of its steps when the pass is to be
-backpropagated; each row's NLL is the same bit for bit in any batch. One
+backpropagated; each row's NLL is the same bit for bit in any batch. A frozen
+policy can read a sampling pass's draws as they are made, so a learning step
+gets the prior's likelihoods of its batch from the pass that drew it. One
 backward pass over a tape returns the gradient of a weighted sum of its rows'
 NLLs, so a learning step backpropagates through the pass that drew its batch.
 The output projection starts at zero, so a fresh policy is exactly uniform
@@ -79,6 +81,25 @@ def _template_ids(positions: Sequence[str]) -> np.ndarray:
     return np.array([MASK_ID if t == MASK else TOKEN_ID[t] for t in positions], dtype=np.intp)
 
 
+class _Templates(NamedTuple):
+    """The distinct templates of a batch's rows, padded to one array."""
+
+    group: np.ndarray  # (B,) each row's template, numbered in order of first appearance
+    ids: np.ndarray  # (G, L) token ids of each template, 0 past its length
+    inside: np.ndarray  # (G, L) False past each template's length
+    sizes: np.ndarray  # (G,) template lengths
+
+
+def _templates(queries: Sequence[QueryTemplate]) -> _Templates:
+    distinct: dict[tuple[str, ...], int] = {}  # a positions key hashes in C, a QueryTemplate in Python
+    group = np.array([distinct.setdefault(q.positions, len(distinct)) for q in queries], dtype=np.intp)
+    sizes = np.array([len(positions) for positions in distinct], dtype=np.intp)
+    inside = np.arange(sizes.max(initial=0)) < sizes[:, None]
+    ids = np.zeros(inside.shape, dtype=np.intp)
+    ids[inside] = _template_ids([t for positions in distinct for t in positions])
+    return _Templates(group, ids, inside, sizes)
+
+
 def _stream_ids(fills: Sequence[str]) -> list[int]:
     try:
         return [TOKEN_ID[t] for fill in fills for t in fill]
@@ -91,14 +112,24 @@ class _Tape(NamedTuple):
 
     Each step is ``(rows, inputs, targets, h_in, h_out, probs)``: the live rows, in
     proposal order, went from states ``h_in`` on tokens ``inputs`` to states ``h_out``
-    and softmaxes ``probs``, and emitted ``targets``. Row b's template is ``templates[group[b]]``.
+    and softmaxes ``probs``, and emitted ``targets``.
     """
 
-    templates: list[np.ndarray]  # template token ids of each distinct template
-    group: np.ndarray  # (B,) index into templates
-    query_encoding: np.ndarray  # (B, E) mean template embedding of each row
+    templates: _Templates
+    encodings: np.ndarray  # (G, E) mean embedding of each template
     steps: list[tuple[np.ndarray, ...]]  # empty for a pass that records none
     nll: np.ndarray  # (B,)
+    frozen_nll: np.ndarray | None  # (B,) the frozen policy's NLL of the same tokens, if one read them
+
+
+class Draws(NamedTuple):
+    """A batch drawn in lockstep (see :meth:`Policy.draw`), as arrays."""
+
+    ids: np.ndarray  # (B, S, T) token ids emitted in each slot, padded past the alphabet
+    lengths: np.ndarray  # (B, S) tokens emitted in each slot, the terminator included
+    nll: np.ndarray  # (B,) the drawing policy's NLL of each row
+    prior_nll: np.ndarray | None  # (B,) the prior's NLL of each row, if a prior read the draws
+    backward: Callable[[np.ndarray], dict[str, np.ndarray]] | None  # over the pass, if it kept a tape
 
 
 def _matvecs(w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -108,6 +139,14 @@ def _matvecs(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     its batch, bit for bit; a single ``x @ w.T`` matrix product does not.
     """
     return np.matmul(w, x[:, :, None])[:, :, 0]
+
+
+def _row_sums(rows: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
+    """The (n_rows, W) sums of the (N, W) ``values`` by row index ``rows``, each added in order of N from
+    zero: ``np.add.at`` into zeros bit for bit, as one ``np.bincount`` over the elements."""
+    width = values.shape[1]
+    flat = (rows[:, None] * width + np.arange(width)).reshape(-1)
+    return np.bincount(flat, weights=values.reshape(-1), minlength=n_rows * width).reshape(n_rows, width)
 
 
 def _saved_params(saved: dict) -> dict[str, np.ndarray]:
@@ -149,14 +188,28 @@ class Policy:
 
     # -- core math -----------------------------------------------------------
 
-    def _cell(self, prev_ids: np.ndarray, wq_q: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One recurrence step of every row b from token ``prev_ids[b]``: the (B, H) states and (B, V) softmaxes."""
+    def _cell(self, x: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One recurrence step of every row b from input term ``x[b]`` (see :meth:`_inputs`): the (B, H)
+        states and (B, V) softmaxes."""
         p = self.p
-        h = np.tanh(_matvecs(p["w_in"], p["embed"][prev_ids]) + wq_q + _matvecs(p["w_rec"], h) + p["b_rec"])
+        h = np.tanh(x + _matvecs(p["w_rec"], h) + p["b_rec"])
         logits = _matvecs(p["w_out"], h) + p["b_out"]
         logits = logits - logits.max(axis=1, keepdims=True)
         exp = np.exp(logits)
         return h, exp / exp.sum(axis=1, keepdims=True)
+
+    def _inputs(self, templates: _Templates) -> tuple[np.ndarray, np.ndarray]:
+        """The (G, E) template encodings and the (G, V + 1, H) table of input terms
+        ``w_in @ embed[token] + w_query @ encodings[g]``, so a step gathers its rows' terms.
+
+        Each encoding is a mean over one padded gather, summed in template order (a
+        -0.0 pad adds nothing, even to -0.0); each product is one gemv per row, so the
+        table holds the same bits as a product and a sum at every step.
+        """
+        p = self.p
+        encodings = np.where(templates.inside[..., None], p["embed"][templates.ids], -0.0).sum(axis=1)
+        encodings /= templates.sizes[:, None]
+        return encodings, _matvecs(p["w_in"], p["embed"])[None] + _matvecs(p["w_query"], encodings)[:, None]
 
     def nll(self, query: QueryTemplate, fills: Sequence[str]) -> float:
         """Total negative log-likelihood of the emitted token stream."""
@@ -173,19 +226,33 @@ class Policy:
     def sample_and_backward(
         self, query: QueryTemplate, n: int, rng: np.random.Generator, _record: bool = True
     ) -> tuple[list[SampledProposal], Callable[[np.ndarray], dict[str, np.ndarray]] | None]:
-        """``n`` proposals drawn in lockstep, and ``backward(weights)`` over the pass that drew them.
+        """``n`` proposals drawn in lockstep (see :meth:`draw`), and ``backward(weights)`` over the pass that
+        drew them; :meth:`sample_batch` keeps no tape and gets None.
+
+        A cap-hit slot keeps its unterminated tokens, so the proposal fails assembly: the invalidity channel.
+        """
+        drawn = self.draw(query, n, rng, record=_record)
+        fills = [tuple(map("".join, row)) for row in _PADDED_TOKENS[drawn.ids].tolist()]
+        proposals = [SampledProposal(f, ll, tuple("".join(f))) for f, ll in zip(fills, (-drawn.nll).tolist())]
+        return proposals, drawn.backward
+
+    def draw(
+        self, query: QueryTemplate, n: int, rng: np.random.Generator, prior: Policy | None = None,
+        record: bool = True,
+    ) -> Draws:
+        """``n`` rows filling ``query`` drawn in lockstep, one fill per masked slot each, as arrays.
 
         Each step draws as :meth:`_unroll` does, so a batch of one draws as a
         token-by-token loop does. A row leaves a slot on the terminator or at the
-        cap. A cap-hit slot keeps its unterminated tokens, so the proposal fails
-        assembly: the invalidity channel. ``backward`` is :meth:`nll_and_backward`'s;
-        :meth:`sample_batch` keeps no tape and gets None.
+        cap. A ``prior`` reads the draws as they are made, so its NLLs equal its
+        :meth:`nll_batch` of the drawn fills bit for bit. With ``record`` the pass
+        keeps a tape and ``backward`` is :meth:`nll_and_backward`'s.
         """
         ids = np.full((n, query.masked_count, MAX_TOKENS_PER_SLOT), len(EMISSION_TOKENS))  # padded past the alphabet
-        tape = self._unroll([query] * n, ids, np.full(ids.shape[:2], MAX_TOKENS_PER_SLOT), rng, record=_record)
-        fills = [tuple(map("".join, row)) for row in _PADDED_TOKENS[ids].tolist()]
-        proposals = [SampledProposal(f, ll, tuple("".join(f))) for f, ll in zip(fills, (-tape.nll).tolist())]
-        return proposals, partial(self._backward, tape) if _record else None
+        lengths = np.full(ids.shape[:2], MAX_TOKENS_PER_SLOT)
+        templates = _templates([query])._replace(group=np.zeros(n, dtype=np.intp))
+        tape = self._unroll(templates, ids, lengths, rng, record=record, frozen=prior)
+        return Draws(ids, lengths, tape.nll, tape.frozen_nll, partial(self._backward, tape) if record else None)
 
     def nll_and_grad(
         self, query: QueryTemplate, fills: Sequence[str], upstream_scale: float = 1.0
@@ -196,13 +263,14 @@ class Policy:
 
     def _unroll(
         self,
-        queries: Sequence[QueryTemplate],
+        templates: _Templates,
         ids: np.ndarray,
         lengths: np.ndarray,
         rng: np.random.Generator | None = None,
         record: bool = True,
+        frozen: Policy | None = None,
     ) -> _Tape:
-        """Move rows b filling ``queries[b]`` through the (B, S, T) slots of ``ids`` in lockstep.
+        """Move rows b filling template ``templates.group[b]`` through the (B, S, T) slots of ``ids`` in lockstep.
 
         Row b takes ``lengths[b, s]`` steps in slot s, each from the token it
         emitted last (BEGIN_ID first), its state carried across slots. Without
@@ -212,25 +280,24 @@ class Policy:
         ends the row's slot by writing ``lengths``. Each row's NLL is the same
         bit for bit in any batch (see :func:`_matvecs`). Without ``record`` the
         tape keeps no steps, so a pass that is not backpropagated holds only
-        the current step's arrays.
+        the current step's arrays. A ``frozen`` policy takes each step's inputs
+        through its own :meth:`_cell` and adds the emitted token's ``-log`` to
+        its own NLL, ``tape.frozen_nll``; it records nothing.
         """
         n_rows, n_slots, cap = ids.shape
-        # each template's group, in order of first appearance; a positions key hashes in C, a QueryTemplate in Python
-        distinct: dict[tuple[str, ...], int] = {}
-        group = np.array([distinct.setdefault(q.positions, len(distinct)) for q in queries], dtype=np.intp)
-        templates = [_template_ids(positions) for positions in distinct]
-        encodings = [self.p["embed"][template].mean(axis=0) for template in templates]
-        wq_q = np.array([self.p["w_query"] @ e for e in encodings])[group]
+        encodings, table = self._inputs(templates)
         h, prev, nll = np.zeros((n_rows, HIDDEN_DIM)), np.full(n_rows, BEGIN_ID), np.zeros(n_rows)
-        tape = _Tape(templates, group, np.array(encodings)[group], [], nll)
+        tape = _Tape(templates, encodings, [], nll, None if frozen is None else np.zeros(n_rows))
+        if frozen is not None:
+            frozen_table, frozen_h = frozen._inputs(templates)[1], np.zeros((n_rows, HIDDEN_DIM))
         for slot in range(n_slots):
             live = np.arange(n_rows)
             for t in range(cap):
                 live = live[lengths[live, slot] > t]
                 if not live.size:
                     break
-                h_in, inputs = h[live], prev[live]
-                h_out, probs = self._cell(inputs, wq_q[live], h_in)
+                h_in, inputs, group = h[live], prev[live], templates.group[live]
+                h_out, probs = self._cell(table[group, inputs], h_in)
                 if rng is None:
                     target = ids[live, slot, t]
                 else:
@@ -238,7 +305,11 @@ class Policy:
                     target = np.minimum((np.cumsum(probs, axis=1) <= u[:, None]).sum(axis=1), len(EMISSION_TOKENS) - 1)
                     ids[live, slot, t] = target
                     lengths[live[target == END_ID], slot] = t + 1
-                nll[live] -= np.log(probs[np.arange(len(live)), target])
+                emitted = np.arange(len(live)), target
+                nll[live] -= np.log(probs[emitted])
+                if frozen is not None:
+                    frozen_h[live], frozen_probs = frozen._cell(frozen_table[group, inputs], frozen_h[live])
+                    tape.frozen_nll[live] -= np.log(frozen_probs[emitted])
                 if record:
                     tape.steps.append((live, inputs, target, h_in, h_out, probs))
                 h[live], prev[live] = h_out, target
@@ -255,7 +326,7 @@ class Policy:
         ids = np.zeros((len(streams), 1, int(lengths.max(initial=0))), dtype=np.intp)
         for b, stream in enumerate(streams):
             ids[b, 0, : len(stream)] = stream
-        return self._unroll(queries, ids, lengths, record=record)
+        return self._unroll(_templates(queries), ids, lengths, record=record)
 
     def nll_batch(self, queries: Sequence[QueryTemplate], proposals: Sequence[Sequence[str]]) -> np.ndarray:
         """Each row's negative log-likelihood from one batched pass; shape (B,)."""
@@ -299,14 +370,18 @@ class Policy:
             da[pairs] = (dh[live] + da[pairs]) * tanh_slope[pairs]
             dh[live] = da[pairs] @ p["w_rec"]
             end -= len(live)
-        grads = {"embed": np.zeros_like(p["embed"]), "w_in": da.T @ p["embed"][ids],
-                 "w_query": da.T @ tape.query_encoding[rows], "w_rec": da.T @ h_in,
-                 "b_rec": da.sum(axis=0), "w_out": dlogits.T @ h_out, "b_out": dlogits.sum(axis=0)}
-        np.add.at(grads["embed"], ids, da @ p["w_in"])
-        pair_group = tape.group[rows]
-        for g, template in enumerate(tape.templates):
-            np.add.at(grads["embed"], template, da[pair_group == g].sum(axis=0) @ p["w_query"] / len(template))
-        return grads
+        templates = tape.templates
+        group = templates.group[rows]
+        # each template's summed pre-tanh gradient, pairs in order, reaches its entries through the mean;
+        # the embedding rows add the pairs' inputs first, then the templates' entries
+        d_entry = _matvecs(p["w_query"].T, _row_sums(group, da, len(templates.sizes))) / templates.sizes[:, None]
+        embed = _row_sums(
+            np.concatenate([ids, templates.ids[templates.inside]]),
+            np.concatenate([da @ p["w_in"], np.repeat(d_entry, templates.sizes, axis=0)]),
+            len(p["embed"]),
+        )
+        return {"embed": embed, "w_in": da.T @ p["embed"][ids], "w_query": da.T @ tape.encodings[group],
+                "w_rec": da.T @ h_in, "b_rec": da.sum(axis=0), "w_out": dlogits.T @ h_out, "b_out": dlogits.sum(axis=0)}
 
     def sgd_step(self, grads: dict[str, np.ndarray], learning_rate: float) -> None:
         for name in PARAM_NAMES:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .boosting import BoostedTreeClassifier
 from .conformal import Acp, DEFAULT_SIGNIFICANCE, PValuePair, is_confident_positive
-from .domain import FINGERPRINT_BUCKETS, QueryTemplate, assemble, fingerprints
+from .domain import FINGERPRINT_BUCKETS, QueryTemplate, assemble_batch, fingerprints
 from .policy import Policy
 from .scoring import SCORING_KINDS, score
 from .tables import write_table
@@ -46,14 +46,15 @@ class RLConfig:
             raise ValueError("learning_rate must be > 0")
 
 
-def augmented_log_likelihood(log_p_prior: float, score_value: float, sigma: float) -> float:
-    """Prior log-likelihood shifted by sigma times the reward."""
-    if not 0.0 <= score_value <= 1.0:
+def augmented_log_likelihood(log_p_prior, score_value, sigma: float):
+    """Prior log-likelihood shifted by sigma times the reward; elementwise over arrays."""
+    if not np.all((0.0 <= score_value) & (score_value <= 1.0)):
         raise ValueError("score must lie in [0, 1]")
     return log_p_prior + sigma * score_value
 
 
-def squared_loss(log_p_aug: float, log_p_agent: float) -> float:
+def squared_loss(log_p_aug, log_p_agent):
+    """The squared gap between the augmented and the agent's log-likelihood; elementwise over arrays."""
     return (log_p_aug - log_p_agent) ** 2
 
 
@@ -163,30 +164,26 @@ def rl_step(
 ) -> tuple[StepMetrics, dict[str, SequenceEval]]:
     """One sample-score-update cycle; returns metrics plus each distinct valid sequence's evaluation.
 
-    The batch is drawn in lockstep, and the agent's update is one backward pass
-    over the pass that drew it, each row weighted by its loss gradient; the
-    prior's likelihoods come from one batched teacher-forced pass.
+    The batch is drawn in lockstep, and the frozen prior reads the draws in the
+    same pass, so one policy pass gives both likelihoods. The batch stays as
+    arrays from the draw to the loss: sequences are assembled from the drawn
+    ids, and the agent's update is one backward pass over the pass that drew
+    them, each row weighted by its loss gradient.
 
     Raises FloatingPointError when the loss or an agent parameter is not finite after the update.
     """
-    proposals, backward = agent.sample_and_backward(query, config.batch_size, rng)
-    assembled = [assemble(query, p.fills) for p in proposals]
-    valid_seqs = [s for s in assembled if s is not None]
+    drawn = agent.draw(query, config.batch_size, rng, prior=prior)
+    valid, sequences = assemble_batch(query, drawn.ids, drawn.lengths)
+    valid_seqs = sequences[valid].tolist()
     evals = scorer.evaluate(valid_seqs) if valid_seqs else {}
-
-    # Python floats, so the metrics CSV reads plain numbers
-    log_p_prior = (-prior.nll_batch([query] * config.batch_size, [p.fills for p in proposals])).tolist()
-    weights = np.empty(config.batch_size)
-    loss_total = 0.0
-    for b, (proposal, seq) in enumerate(zip(proposals, assembled)):
-        score_value = evals[seq].score if seq is not None else 0.0
-        log_p_aug = augmented_log_likelihood(log_p_prior[b], score_value, config.sigma)
-        delta = log_p_aug - proposal.log_likelihood
-        loss_total += delta * delta
-        # d(mean squared loss)/dtheta = mean of 2*delta * d(NLL)/dtheta
-        weights[b] = 2.0 * delta / config.batch_size
-    agent.sgd_step(backward(weights), config.learning_rate)
-    loss = loss_total / config.batch_size
+    scores = np.zeros(config.batch_size)  # an invalid row scores 0 and stays in the loss
+    scores[valid] = [evals[seq].score for seq in valid_seqs]
+    log_p_aug = augmented_log_likelihood(-drawn.prior_nll, scores, config.sigma)
+    log_p_agent = -drawn.nll
+    # d(mean squared loss)/dtheta = mean of 2*delta * d(NLL)/dtheta
+    agent.sgd_step(drawn.backward(2.0 * (log_p_aug - log_p_agent) / config.batch_size), config.learning_rate)
+    # a Python float, so the metrics CSV reads a plain number; cumsum adds left to right
+    loss = float(np.cumsum(squared_loss(log_p_aug, log_p_agent))[-1]) / config.batch_size
     non_finite = agent.non_finite_params()
     if non_finite or not np.isfinite(loss):
         raise FloatingPointError(

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per exit criterion, each printing a verdict line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-lines. Heavy artifacts (the 5k dataset, classifier, ACP, prior) come from the
+lines. Every test here carries the ``acceptance`` marker, so
+``pytest -m "not acceptance"`` runs the rest of the suite as a quick loop. Heavy artifacts (the 5k dataset, classifier, ACP, prior) come from the
 session fixtures in conftest.py, so their cost is shared with the unit tests;
 the ACP fixture records its own build time for the runtime bound here.
 """
@@ -42,6 +43,8 @@ from cpseq.scoring import (
     score_rm,
     score_soft,
 )
+
+pytestmark = pytest.mark.acceptance
 
 NEVER_REACHED = 351  # sentinel one past the step budget, for medians over runs
 

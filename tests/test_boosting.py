@@ -122,6 +122,21 @@ def test_config_validation():
         ClassifierConfig(max_depth=0)
 
 
+@pytest.mark.parametrize("settings, message", [
+    ({"n_rounds": 2.5}, "n_rounds must be an integer, got 2.5"),
+    ({"max_depth": 2.0}, "max_depth must be an integer, got 2.0"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"n_rounds": True}, "n_rounds must be an integer, got True"),
+    ({"reg_lambda": float("nan")}, "reg_lambda must be finite and >= 0, got nan"),
+    ({"reg_lambda": float("inf")}, "reg_lambda must be finite and >= 0, got inf"),
+    ({"reg_lambda": -1.0}, "reg_lambda must be finite and >= 0, got -1.0"),
+])
+def test_config_rejects_a_non_integer_count_or_a_non_finite_lambda(settings, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ClassifierConfig(**settings)
+    ClassifierConfig(n_rounds=np.int64(3), max_depth=np.int32(2), seed=np.uint32(7))  # numpy integers are integers
+
+
 def test_serialization_round_trip(tmp_path, tiny_dataset):
     seqs, labels = tiny_dataset.subset("train")
     X = fingerprints(seqs)

@@ -278,10 +278,16 @@ def _edited(payload, *path, value=None):
         ("--acp", lambda payload: _edited(payload, "icps", 1, "alphas_1", -1, value=float("nan")), "alphas_1"),
         ("--acp", lambda payload: _edited(payload, "icps", 0, "model", "leaf", 0, 1, value=float("inf")), "leaf"),
         ("--acp", lambda payload: _edited(payload, "icps", 1, "model", "base_score", value=float("nan")), "base_score"),
+        ("--classifier", lambda payload: _edited(payload, "config", "max_depth", value=2.5), "config"),
+        ("--classifier", lambda payload: _edited(payload, "config", "n_rounds", value=2.5), "config"),
+        ("--classifier", lambda payload: _edited(payload, "config", "seed", value=1.5), "config"),
+        ("--classifier", lambda payload: _edited(payload, "config", "reg_lambda", value=float("nan")), "config"),
+        ("--acp", lambda payload: _edited(payload, "icps", 0, "model", "config", "max_depth", value=2.5), "config"),
     ],
     ids=["classifier", "classifier_wrong_type", "acp", "acp_wrong_type", "prior", "prior_wrong_shape",
          "classifier_infinite_leaf", "classifier_nan_base_score", "acp_nan_score", "acp_infinite_leaf",
-         "acp_nan_base_score"],
+         "acp_nan_base_score", "classifier_fractional_depth", "classifier_fractional_rounds",
+         "classifier_fractional_seed", "classifier_nan_lambda", "acp_fractional_depth"],
 )
 def test_run_reports_a_corrupt_artifact_by_file_and_key(workdir, tmp_path, capsys, flag, corrupt, key):
     artifacts = {"--prior": "prior.json", "--classifier": "clf.json", "--acp": "acp.json"}

@@ -139,6 +139,21 @@ def test_acp_mean_aggregation():
     assert p1.tobytes() == ((p1_a + p1_b) / 2).tobytes()
 
 
+def test_acp_scores_a_refitted_model_with_its_new_trees():
+    # the stack is built on first use; refitting an ICP's model in place replaces its trees,
+    # and the next call must score the new ones, as the ICPs' own mean does
+    icps = (_fitted_icp(seed=0), _fitted_icp(seed=1))
+    acp = Acp(icps)
+    X, y = _small_pool(seed=9)
+    before = np.array(acp.p_values_batch(X))
+    icps[0].model.fit(X, y)
+    (p0_a, p1_a), (p0_b, p1_b) = icps[0].p_values_batch(X), icps[1].p_values_batch(X)
+    after = np.array(acp.p_values_batch(X))
+    assert after.tobytes() == np.array([(p0_a + p0_b) / 2, (p1_a + p1_b) / 2]).tobytes()
+    assert after.tobytes() != before.tobytes()
+    assert np.array(acp.p_values_batch(X)).tobytes() == after.tobytes()  # and keeps its stack again
+
+
 def test_acp_rejects_an_icp_whose_model_has_no_heap_trees():
     stub = calibrate_icp(StubModel([0.2, 0.9]), np.zeros((2, 3)), np.array([0, 1]))
     with pytest.raises(ValueError, match=r"^ICP 1's model is a StubModel, not a BoostedTreeClassifier"):

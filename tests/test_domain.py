@@ -17,6 +17,7 @@ from cpseq.domain import (
     LabeledDataset,
     QueryTemplate,
     assemble,
+    assemble_batch,
     fingerprints,
     make_dataset,
     make_queries,
@@ -114,6 +115,58 @@ def test_mask_then_assemble_is_identity(seq, data):
     )
     template, fills = mask_out(seq, positions)
     assert assemble(template, fills) == seq
+
+
+_CAP = 5  # tokens a slot can hold: four of content and the terminator
+_TOKEN_IDS = st.one_of(  # every emission id, with the terminator and BEGIN drawn often
+    st.integers(0, len(EMISSION_TOKENS) - 1), st.sampled_from([EMISSION_TOKENS.index(SLOT_END), EMISSION_TOKENS.index(BEGIN)])
+)
+
+
+@st.composite
+def _emitted_batches(draw):
+    """A template and (B, S, 5) emitted ids with (B, S) slot lengths from 0 to the cap; ids past a length are
+    the padding id or any other."""
+    fixed = draw(st.lists(residue, min_size=1, max_size=8))
+    masked = draw(st.integers(1, min(4, len(fixed))))
+    query = QueryTemplate(tuple(draw(st.permutations([*fixed, *[MASK] * masked]))))
+    n_rows = draw(st.integers(1, 6))
+    shape = (n_rows, masked, _CAP)
+    ids = np.array(draw(st.lists(_TOKEN_IDS, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))).reshape(shape)
+    lengths = np.array(draw(st.lists(st.integers(0, _CAP), min_size=n_rows * masked, max_size=n_rows * masked)))
+    lengths = lengths.reshape(shape[:2])
+    if draw(st.booleans()):
+        ids[np.arange(_CAP) >= lengths[..., None]] = len(EMISSION_TOKENS)  # padded past the alphabet, as drawn
+    return query, ids, lengths
+
+
+@given(batch=_emitted_batches())
+@settings(max_examples=150, derandomize=True)
+def test_assemble_batch_equals_assemble_of_each_row(batch):
+    # assemble is the reference: the arrays' validity and sequences must equal it on the fills the ids spell
+    query, ids, lengths = batch
+    valid, sequences = assemble_batch(query, ids, lengths)
+    assert valid.shape == sequences.shape == (len(ids),)
+    for row, slot_lengths, ok, sequence in zip(ids, lengths, valid.tolist(), sequences.tolist()):
+        fills = tuple("".join(EMISSION_TOKENS[i] for i in slot[:n]) for slot, n in zip(row, slot_lengths))
+        expected = assemble(query, fills)
+        assert ok == (expected is not None), fills
+        if ok:
+            assert sequence == expected
+
+
+def test_assemble_batch_covers_each_invalid_channel():
+    q = QueryTemplate(("A", MASK, "C"))
+    fills = ["G$", "$", "GGGGG", "GGGG$", "G^$", "GD", "^", ""]  # valid, empty, cap-hit, full, BEGIN, unterminated
+    ids = np.full((len(fills), 1, _CAP), len(EMISSION_TOKENS))
+    for b, fill in enumerate(fills):
+        ids[b, 0, : len(fill)] = [EMISSION_TOKENS.index(t) for t in fill]
+    valid, sequences = assemble_batch(q, ids, np.array([[len(f)] for f in fills]))
+    assert valid.tolist() == [assemble(q, (f,)) is not None for f in fills] == [True, False, False, True, False,
+                                                                                 True, False, False]
+    assert sequences[valid].tolist() == ["AGC", "AGGGGC", "AGDC"]
+    with pytest.raises(ValueError, match="2 slots for a template of 1 masked positions"):
+        assemble_batch(q, np.zeros((1, 2, _CAP), dtype=int), np.ones((1, 2), dtype=int))
 
 
 # -- oracle ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ from cpseq.domain import (
     SLOT_END,
     QueryTemplate,
     assemble,
+    assemble_batch,
     make_queries,
 )
 from cpseq.policy import (
@@ -28,6 +29,7 @@ from cpseq.policy import (
     ValidityGateError,
     _stream_ids,
     _template_ids,
+    _templates,
     build_pretrain_corpus,
     fill_validity,
     pretrain_prior,
@@ -204,6 +206,89 @@ def test_lockstep_rows_are_proposals_scored_by_the_batched_pass(tiny_prior):
             for fill in proposal.fills:  # ends on the terminator, or unterminated at the cap
                 assert SLOT_END not in fill[:-1]
                 assert fill.endswith(SLOT_END) or len(fill) == MAX_TOKENS_PER_SLOT
+
+
+@pytest.mark.parametrize("n_rows", [1, 32])
+@pytest.mark.parametrize("query_text", ["KINTWGGMN?", "?DM???K"], ids=["one_slot", "four_slots"])
+def test_a_prior_reading_the_draws_scores_them_as_its_own_batched_pass(tiny_prior, query_text, n_rows):
+    # the prior takes each step's inputs through its own cell while the agent draws: its NLLs must equal
+    # nll_batch of the drawn fills bit for bit, and it must not change a draw or the agent's NLLs
+    query = QueryTemplate.from_text(query_text)
+    agent = tiny_prior.copy()
+    for name in PARAM_NAMES:  # so the two differ in every parameter
+        agent.p[name] += np.random.default_rng(0).normal(0, 0.1, agent.p[name].shape)
+    rng, alone_rng = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(20):
+        drawn = agent.draw(query, n_rows, rng, prior=tiny_prior)
+        alone = agent.draw(query, n_rows, alone_rng)
+        fills = [tuple(map("".join, row)) for row in np.array([*EMISSION_TOKENS, ""])[drawn.ids].tolist()]
+        assert drawn.prior_nll.tobytes() == tiny_prior.nll_batch([query] * n_rows, fills).tobytes()
+        assert drawn.nll.tobytes() == alone.nll.tobytes() == agent.nll_batch([query] * n_rows, fills).tobytes()
+        assert drawn.ids.tobytes() == alone.ids.tobytes() and drawn.lengths.tobytes() == alone.lengths.tobytes()
+        assert alone.prior_nll is None
+        valid, sequences = assemble_batch(query, drawn.ids, drawn.lengths)
+        assert [seq if ok else None for ok, seq in zip(valid, sequences.tolist())] == [assemble(query, f) for f in fills]
+
+
+# A batch of repeated templates of different lengths (3, 6, 7 and 10 entries), in mixed order
+_MIXED_TEMPLATES = [QueryTemplate.from_text(t) for t in ("A?C", "?DM???K"[:6], "TFY?IQS", "TFY?IQSF?E")]
+_MIXED_ORDER = [0, 3, 1, 0, 2, 3, 3, 1, 2, 0, 1, 3]
+
+
+def _per_template_inputs(policy, queries):
+    """The input terms a step of row b adds before the recurrence, one row and token at a time:
+    ``w_in @ embed[token] + w_query @ (mean template embedding)`` for every token."""
+    p = policy.p
+    rows = []
+    for query in queries:
+        encoding = p["embed"][_template_ids(query.positions)].mean(axis=0)
+        rows.append([p["w_in"] @ embedding + p["w_query"] @ encoding for embedding in p["embed"]])
+    return np.array(rows)
+
+
+def _per_template_backward(policy, queries, tape, weights):
+    """The backward pass with a loop over the templates for their encodings' embedding gradient."""
+    p = policy.p
+    rows, ids, targets, h_in, h_out, dlogits = map(np.concatenate, zip(*tape.steps))
+    dlogits[np.arange(len(rows)), targets] -= 1.0
+    dlogits *= weights[rows, None]
+    da = dlogits @ p["w_out"]
+    tanh_slope = 1.0 - h_out**2
+    dh = np.zeros((len(weights), p["w_rec"].shape[0]))
+    end = len(rows)
+    for live, *_ in reversed(tape.steps):
+        pairs = slice(end - len(live), end)
+        da[pairs] = (dh[live] + da[pairs]) * tanh_slope[pairs]
+        dh[live] = da[pairs] @ p["w_rec"]
+        end -= len(live)
+    group = tape.templates.group
+    templates = [_template_ids(q.positions) for q in dict.fromkeys(queries)]  # in order of first appearance
+    encodings = np.array([p["embed"][template].mean(axis=0) for template in templates])
+    grads = {"embed": np.zeros_like(p["embed"]), "w_in": da.T @ p["embed"][ids],
+             "w_query": da.T @ encodings[group][rows], "w_rec": da.T @ h_in,
+             "b_rec": da.sum(axis=0), "w_out": dlogits.T @ h_out, "b_out": dlogits.sum(axis=0)}
+    np.add.at(grads["embed"], ids, da @ p["w_in"])
+    for g, template in enumerate(templates):
+        np.add.at(grads["embed"], template, da[group[rows] == g].sum(axis=0) @ p["w_query"] / len(template))
+    return grads
+
+
+def test_template_work_equals_a_per_template_loop_bit_for_bit(tiny_prior):
+    # each distinct template's encoding, query product and embedding gradient come from one padded
+    # gather, one batched product and one scatter: the same bytes as a loop over the templates
+    queries = [_MIXED_TEMPLATES[i] for i in _MIXED_ORDER]
+    rng = np.random.default_rng(3)
+    fills = [tiny_prior.sample(query, rng).fills for query in queries]
+    templates = _templates(queries)
+    assert templates.group.tolist() == [0, 1, 2, 0, 3, 1, 1, 2, 3, 0, 2, 1]
+    assert templates.sizes.tolist() == [3, 10, 6, 7]
+    _, table = tiny_prior._inputs(templates)
+    assert table[templates.group].tobytes() == _per_template_inputs(tiny_prior, queries).tobytes()
+    tape = tiny_prior._teacher_forced(queries, fills)
+    weights = rng.normal(size=len(queries))
+    got = tiny_prior._backward(tape, weights)
+    expected = _per_template_backward(tiny_prior, queries, tape, weights)
+    assert all(got[name].tobytes() == expected[name].tobytes() for name in PARAM_NAMES)
 
 
 def test_empty_batch_draws_nothing(fresh_policy):

@@ -310,15 +310,15 @@ def test_weighted_sum_of_negative_zero_terms_is_positive_zero():
             assert grads[name].tobytes() == np.zeros(shape).tobytes(), (weights, name)
 
 
-def test_step_runs_two_policy_passes(tiny_models, tiny_prior, monkeypatch):
-    # the agent's sampling pass, whose tape the update backpropagates through, and the prior's teacher-forced pass
+def test_step_runs_one_policy_pass(tiny_models, tiny_prior, monkeypatch):
+    # the agent's sampling pass, whose tape the update backpropagates through; the prior reads its draws in it
     clf, acp = tiny_models
     passes = []
     unroll = Policy._unroll
 
-    def recording(policy, queries, ids, lengths, rng=None, record=True):
-        passes.append((policy, rng is not None, record))
-        return unroll(policy, queries, ids, lengths, rng, record)
+    def recording(policy, templates, ids, lengths, rng=None, record=True, frozen=None):
+        passes.append((policy, rng is not None, record, frozen))
+        return unroll(policy, templates, ids, lengths, rng, record, frozen)
 
     monkeypatch.setattr(Policy, "_unroll", recording)
     agent = tiny_prior.copy()
@@ -326,7 +326,7 @@ def test_step_runs_two_policy_passes(tiny_models, tiny_prior, monkeypatch):
     rng = np.random.default_rng(1)
     for step in (1, 2):
         rl_step(agent, tiny_prior, QUERY, SequenceScorer("cp_soft", clf, acp), config, rng, step)
-        assert passes == [(agent, True, True), (tiny_prior, False, False)] * step  # only the agent's pass keeps a tape
+        assert passes == [(agent, True, True, tiny_prior)] * step
     assert not agent.params_equal(tiny_prior)
 
 
