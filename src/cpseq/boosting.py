@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tables import json_field, read_json
+from .tables import check_integers, json_field, read_json
 
 _BIN_COUNT = 16  # count features are clipped into bins 0..15 for split search
 _PROB_EPS = 1e-12  # keeps predicted probabilities strictly inside (0, 1)
@@ -54,10 +54,7 @@ class ClassifierConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_rounds", "max_depth", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_integers(self, ("n_rounds", "max_depth", "seed"))
         if self.n_rounds < 1:
             raise ValueError("n_rounds must be >= 1")
         if not 0 < self.learning_rate <= 1:

@@ -113,7 +113,10 @@ def _cmd_train_clf(args) -> int:
     model = harness.build_classifier(dataset, _config(ClassifierConfig, args))
     model.save(args.out)
     test_seqs, test_labels = dataset.subset("test")
-    if test_seqs:
+    missing = [label for label in (0, 1) if not np.any(test_labels == label)]
+    if test_seqs and missing:  # balanced accuracy needs a row of each label
+        print(f"test balanced accuracy undefined: the {len(test_seqs)} test sequences have no label {missing[0]}")
+    elif test_seqs:
         p1 = model.predict_proba(fingerprints(test_seqs))
         pred = (p1 >= 0.5).astype(int)
         tpr = float(np.mean(pred[test_labels == 1] == 1))

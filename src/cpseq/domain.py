@@ -86,10 +86,6 @@ class QueryTemplate:
     def masked_count(self) -> int:
         return sum(1 for p in self.positions if p == MASK)
 
-    @property
-    def masked_positions(self) -> tuple[int, ...]:
-        return tuple(i for i, p in enumerate(self.positions) if p == MASK)
-
     def to_text(self) -> str:
         return "".join(self.positions)
 

@@ -8,13 +8,16 @@ sampling, and parameter gradients are all computed in closed form with numpy;
 there is no autodiff dependency. One driver moves a batch of rows through the
 recurrence in lockstep, drawing their tokens (sampling) or reading them
 (teacher forcing), and records a tape of its steps when the pass is to be
-backpropagated; each row's NLL is the same bit for bit in any batch. A frozen
-policy can read a sampling pass's draws as they are made, so a learning step
-gets the prior's likelihoods of its batch from the pass that drew it. One
+backpropagated; each row's NLL is the same bit for bit in any batch. A prior
+can read a sampling pass's draws as they are made, so a learning step gets
+the prior's likelihoods of its batch from the pass that drew it. One
 backward pass over a tape returns the gradient of a weighted sum of its rows'
 NLLs, so a learning step backpropagates through the pass that drew its batch.
-The output projection starts at zero, so a fresh policy is exactly uniform
-over the emission alphabet.
+:meth:`Policy.draw` is the one way into a sampling pass: :meth:`Policy.sample`
+is a draw of one row with its fills as text, and the fill-validity gate counts
+each draw's valid rows with :func:`~cpseq.domain.assemble_batch`. The output
+projection starts at zero, so a fresh policy is exactly uniform over the
+emission alphabet.
 """
 
 from __future__ import annotations
@@ -35,10 +38,10 @@ from .domain import (
     MAX_MASKED,
     SLOT_END,
     QueryTemplate,
-    assemble,
+    assemble_batch,
     mask_out,
 )
-from .tables import json_field, read_json
+from .tables import check_positive, json_field, read_json
 
 MAX_TOKENS_PER_SLOT = MAX_FILL_TOKENS + 1  # content cap plus the terminator
 EMBED_DIM = 16
@@ -119,7 +122,7 @@ class _Tape(NamedTuple):
     encodings: np.ndarray  # (G, E) mean embedding of each template
     steps: list[tuple[np.ndarray, ...]]  # empty for a pass that records none
     nll: np.ndarray  # (B,)
-    frozen_nll: np.ndarray | None  # (B,) the frozen policy's NLL of the same tokens, if one read them
+    prior_nll: np.ndarray | None  # (B,) the prior's NLL of the same tokens, if one read them
 
 
 class Draws(NamedTuple):
@@ -179,9 +182,6 @@ class Policy:
     def copy(self) -> "Policy":
         return Policy({k: v.copy() for k, v in self.p.items()})
 
-    def params_equal(self, other: "Policy") -> bool:
-        return all(np.array_equal(self.p[k], other.p[k]) for k in PARAM_NAMES)
-
     def non_finite_params(self) -> list[str]:
         """The names of the parameters holding a NaN or an infinity."""
         return [name for name in PARAM_NAMES if not np.isfinite(self.p[name]).all()]
@@ -216,25 +216,13 @@ class Policy:
         return float(self.nll_batch([query], [fills])[0])
 
     def sample(self, query: QueryTemplate, rng: np.random.Generator) -> SampledProposal:
-        """One proposal: :meth:`sample_batch` with a batch of one."""
-        return self.sample_batch(query, 1, rng)[0]
-
-    def sample_batch(self, query: QueryTemplate, n: int, rng: np.random.Generator) -> list[SampledProposal]:
-        """Draw ``n`` proposals in lockstep, one fill per masked slot each (see :meth:`sample_and_backward`)."""
-        return self.sample_and_backward(query, n, rng, _record=False)[0]
-
-    def sample_and_backward(
-        self, query: QueryTemplate, n: int, rng: np.random.Generator, _record: bool = True
-    ) -> tuple[list[SampledProposal], Callable[[np.ndarray], dict[str, np.ndarray]] | None]:
-        """``n`` proposals drawn in lockstep (see :meth:`draw`), and ``backward(weights)`` over the pass that
-        drew them; :meth:`sample_batch` keeps no tape and gets None.
+        """One proposal: a :meth:`draw` of one row, its fills as text.
 
         A cap-hit slot keeps its unterminated tokens, so the proposal fails assembly: the invalidity channel.
         """
-        drawn = self.draw(query, n, rng, record=_record)
-        fills = [tuple(map("".join, row)) for row in _PADDED_TOKENS[drawn.ids].tolist()]
-        proposals = [SampledProposal(f, ll, tuple("".join(f))) for f, ll in zip(fills, (-drawn.nll).tolist())]
-        return proposals, drawn.backward
+        drawn = self.draw(query, 1, rng, record=False)
+        fills = tuple(map("".join, _PADDED_TOKENS[drawn.ids[0]].tolist()))
+        return SampledProposal(fills, float(-drawn.nll[0]), tuple("".join(fills)))
 
     def draw(
         self, query: QueryTemplate, n: int, rng: np.random.Generator, prior: Policy | None = None,
@@ -251,8 +239,8 @@ class Policy:
         ids = np.full((n, query.masked_count, MAX_TOKENS_PER_SLOT), len(EMISSION_TOKENS))  # padded past the alphabet
         lengths = np.full(ids.shape[:2], MAX_TOKENS_PER_SLOT)
         templates = _templates([query])._replace(group=np.zeros(n, dtype=np.intp))
-        tape = self._unroll(templates, ids, lengths, rng, record=record, frozen=prior)
-        return Draws(ids, lengths, tape.nll, tape.frozen_nll, partial(self._backward, tape) if record else None)
+        tape = self._unroll(templates, ids, lengths, rng, record=record, prior=prior)
+        return Draws(ids, lengths, tape.nll, tape.prior_nll, partial(self._backward, tape) if record else None)
 
     def nll_and_grad(
         self, query: QueryTemplate, fills: Sequence[str], upstream_scale: float = 1.0
@@ -268,7 +256,7 @@ class Policy:
         lengths: np.ndarray,
         rng: np.random.Generator | None = None,
         record: bool = True,
-        frozen: Policy | None = None,
+        prior: Policy | None = None,
     ) -> _Tape:
         """Move rows b filling template ``templates.group[b]`` through the (B, S, T) slots of ``ids`` in lockstep.
 
@@ -280,16 +268,16 @@ class Policy:
         ends the row's slot by writing ``lengths``. Each row's NLL is the same
         bit for bit in any batch (see :func:`_matvecs`). Without ``record`` the
         tape keeps no steps, so a pass that is not backpropagated holds only
-        the current step's arrays. A ``frozen`` policy takes each step's inputs
-        through its own :meth:`_cell` and adds the emitted token's ``-log`` to
-        its own NLL, ``tape.frozen_nll``; it records nothing.
+        the current step's arrays. A ``prior`` takes each step's inputs through
+        its own :meth:`_cell` and adds the emitted token's ``-log`` to its own
+        NLL, ``tape.prior_nll``; it records nothing.
         """
         n_rows, n_slots, cap = ids.shape
         encodings, table = self._inputs(templates)
         h, prev, nll = np.zeros((n_rows, HIDDEN_DIM)), np.full(n_rows, BEGIN_ID), np.zeros(n_rows)
-        tape = _Tape(templates, encodings, [], nll, None if frozen is None else np.zeros(n_rows))
-        if frozen is not None:
-            frozen_table, frozen_h = frozen._inputs(templates)[1], np.zeros((n_rows, HIDDEN_DIM))
+        tape = _Tape(templates, encodings, [], nll, None if prior is None else np.zeros(n_rows))
+        if prior is not None:
+            prior_table, prior_h = prior._inputs(templates)[1], np.zeros((n_rows, HIDDEN_DIM))
         for slot in range(n_slots):
             live = np.arange(n_rows)
             for t in range(cap):
@@ -307,9 +295,9 @@ class Policy:
                     lengths[live[target == END_ID], slot] = t + 1
                 emitted = np.arange(len(live)), target
                 nll[live] -= np.log(probs[emitted])
-                if frozen is not None:
-                    frozen_h[live], frozen_probs = frozen._cell(frozen_table[group, inputs], frozen_h[live])
-                    tape.frozen_nll[live] -= np.log(frozen_probs[emitted])
+                if prior is not None:
+                    prior_h[live], prior_probs = prior._cell(prior_table[group, inputs], prior_h[live])
+                    tape.prior_nll[live] -= np.log(prior_probs[emitted])
                 if record:
                     tape.steps.append((live, inputs, target, h_in, h_out, probs))
                 h[live], prev[live] = h_out, target
@@ -446,8 +434,8 @@ def fill_validity(
     check_gate_settings(n_samples, queries)
     valid = 0
     for j, query in enumerate(queries):
-        for proposal in policy.sample_batch(query, len(range(j, n_samples, len(queries))), rng):
-            valid += assemble(query, proposal.fills) is not None
+        drawn = policy.draw(query, len(range(j, n_samples, len(queries))), rng, record=False)
+        valid += int(assemble_batch(query, drawn.ids, drawn.lengths)[0].sum())
     return valid / n_samples
 
 
@@ -463,11 +451,10 @@ class ValidityGateError(RuntimeError):
 
 
 def check_pretrain_settings(epochs: int, learning_rate: float) -> None:
-    """Raises ValueError unless there is at least one epoch and the learning rate is positive."""
+    """Raises ValueError unless there is at least one epoch and the learning rate is positive and finite."""
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
-    if not learning_rate > 0:
-        raise ValueError("learning_rate must be > 0")
+    check_positive("learning_rate", learning_rate)
 
 
 def pretrain_prior(

@@ -20,7 +20,7 @@ from .conformal import Acp, DEFAULT_SIGNIFICANCE, PValuePair, is_confident_posit
 from .domain import FINGERPRINT_BUCKETS, QueryTemplate, assemble_batch, fingerprints
 from .policy import Policy
 from .scoring import SCORING_KINDS, score
-from .tables import write_table
+from .tables import check_integers, check_positive, write_table
 
 
 @dataclass(frozen=True)
@@ -34,16 +34,15 @@ class RLConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_integers(self, ("batch_size", "steps", "seed"))
         if self.scoring not in SCORING_KINDS:
             raise ValueError(f"scoring must be one of {SCORING_KINDS}")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be > 0")
+        check_positive("sigma", self.sigma)
         if self.batch_size < 1 or self.steps < 1:
             raise ValueError("batch_size and steps must be >= 1")
         if not 0 < self.significance < 1:
             raise ValueError("significance must be in (0, 1)")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        check_positive("learning_rate", self.learning_rate)
 
 
 def augmented_log_likelihood(log_p_prior, score_value, sigma: float):

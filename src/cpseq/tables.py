@@ -1,6 +1,7 @@
 """The file codecs: the one CSV codec for the tables cpseq reads and writes
 (datasets, query lists, per-run metrics, campaign summaries, the calibration
-report), and the field reader for its JSON files (artifacts, run sidecars).
+report), the field reader for its JSON files (artifacts, run sidecars), and
+the checks of the numeric settings those files and the campaign config hold.
 
 A table is a list of dataclass rows; its header is the row class's field
 names. Cells are written as: ``None`` → empty, ``float`` → ``repr`` (so values
@@ -17,6 +18,8 @@ import json
 from dataclasses import fields
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar, get_args, get_type_hints
+
+import numpy as np
 
 Row = TypeVar("Row")
 
@@ -83,3 +86,19 @@ def read_json(path: str | Path, from_json_dict: Callable):
         return from_json_dict(json.loads(Path(path).read_text()))
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
+
+
+def check_integers(settings, names: Sequence[str]) -> None:
+    """Raises ValueError naming the first of the ``names`` whose value is not an integer (a bool is not)."""
+    for name in names:
+        value = getattr(settings, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_positive(name: str, value: float) -> None:
+    """Raises ValueError naming the setting unless ``value`` is positive (NaN is not) and finite."""
+    if not value > 0:
+        raise ValueError(f"{name} must be > 0")
+    if value == np.inf:
+        raise ValueError(f"{name} must be finite")

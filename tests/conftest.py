@@ -1,7 +1,7 @@
-"""Shared fixtures. The acceptance-scale artifacts (5k dataset, classifier,
-ACP, pretrained prior) are session-scoped because several modules and the
-acceptance suite all lean on them; everything is seeded, so they are stable
-across runs.
+"""Shared fixtures and helpers. The acceptance-scale artifacts (5k dataset,
+classifier, ACP, pretrained prior) are session-scoped because several modules
+and the acceptance suite all lean on them; everything is seeded, so they are
+stable across runs.
 """
 
 from __future__ import annotations
@@ -9,13 +9,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
 from cpseq.boosting import BoostedTreeClassifier, ClassifierConfig
 from cpseq.conformal import Acp, build_acp
-from cpseq.domain import LabeledDataset, fingerprints, make_dataset, make_queries
-from cpseq.policy import Policy, build_pretrain_corpus, pretrain_prior
+from cpseq.domain import EMISSION_TOKENS, LabeledDataset, fingerprints, make_dataset, make_queries
+from cpseq.policy import PARAM_NAMES, Draws, Policy, build_pretrain_corpus, pretrain_prior
 
 DATASET_SEED = 11
 ACP_SEED = 5
@@ -26,6 +27,15 @@ QUERY_SEED = 33
 # the host's load, and a 200 ms deadline turns that noise into failures.
 settings.register_profile("cpseq", deadline=None)
 settings.load_profile("cpseq")
+
+
+def params_equal(a: Policy, b: Policy) -> bool:
+    return all(np.array_equal(a.p[name], b.p[name]) for name in PARAM_NAMES)
+
+
+def drawn_fills(drawn: Draws) -> list[tuple[str, ...]]:
+    """Each drawn row's fills as text, one per slot, the terminator included where one was drawn."""
+    return [tuple(map("".join, row)) for row in np.array([*EMISSION_TOKENS, ""])[drawn.ids].tolist()]
 
 
 @dataclass

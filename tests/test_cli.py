@@ -181,6 +181,11 @@ def _campaign_config(workdir, path, *extra, classifier=None):
         ("pretrain_epochs = 0", "epochs must be >= 1"),
         ("pretrain_learning_rate = -0.001", "learning_rate must be > 0"),
         ("pretrain_corpus_size = 0", "pretrain_corpus_size must be >= 1"),
+        ("sigma = nan", "sigma must be > 0"),
+        ("sigma = inf", "sigma must be finite"),
+        ("rl_learning_rate = nan", "learning_rate must be > 0"),
+        ("rl_learning_rate = inf", "learning_rate must be finite"),
+        ("pretrain_learning_rate = inf", "learning_rate must be finite"),
     ],
 )
 def test_campaign_with_bad_run_settings_fails_before_any_build(workdir, tmp_path, capsys, monkeypatch, line, message):
@@ -381,6 +386,18 @@ def test_campaign_builds_the_classifier_and_acp_the_cli_builds(workdir, tmp_path
                  "--out", str(tmp_path / "acp.json")]) == 0
     assert BoostedTreeClassifier.load(tmp_path / "clf.json").to_json_dict() == built.classifier.to_json_dict()
     assert acp_to_json_dict(load_acp(tmp_path / "acp.json")) == acp_to_json_dict(built.acp)
+
+
+def test_train_clf_names_the_label_a_one_label_test_split_lacks(tmp_path, capsys):
+    # 30 rows at seed 3 split off 3 test rows, all of label 1: balanced accuracy has no label-0 rate
+    assert main(["gen-data", "--n", "30", "--seed", "3", "--out", str(tmp_path / "data.csv")]) == 0
+    capsys.readouterr()
+    assert main(["train-clf", "--data", str(tmp_path / "data.csv"), "--out", str(tmp_path / "clf.json")]) == 0
+    assert capsys.readouterr().out == (
+        "test balanced accuracy undefined: the 3 test sequences have no label 0\n"
+        f"saved classifier to {tmp_path / 'clf.json'}\n"
+    )
+    assert (tmp_path / "clf.json").exists()
 
 
 def test_missing_input_exits_nonzero(tmp_path, capsys):

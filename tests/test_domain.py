@@ -62,7 +62,6 @@ def test_template_counts():
     t = QueryTemplate.from_text("A?C?EF")
     assert t.length == 6
     assert t.masked_count == 2
-    assert t.masked_positions == (1, 3)
 
 
 def test_template_requires_a_mask():

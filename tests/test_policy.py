@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import drawn_fills, params_equal
 from cpseq.domain import (
     EMISSION_TOKENS,
     MASK,
@@ -197,13 +198,14 @@ def test_sample_equals_the_token_by_token_reference(request, trained):
 def test_lockstep_rows_are_proposals_scored_by_the_batched_pass(tiny_prior):
     rng = np.random.default_rng(8)
     for query in ACCEPTANCE_QUERIES:
-        proposals = tiny_prior.sample_batch(query, 32, rng)
-        nll = tiny_prior.nll_batch([query] * 32, [p.fills for p in proposals])
-        assert [p.log_likelihood for p in proposals] == (-nll).tolist()
-        for proposal in proposals:
-            assert len(proposal.fills) == query.masked_count
-            assert proposal.tokens == tuple("".join(proposal.fills))
-            for fill in proposal.fills:  # ends on the terminator, or unterminated at the cap
+        drawn = tiny_prior.draw(query, 32, rng, record=False)
+        proposals = drawn_fills(drawn)
+        nll = tiny_prior.nll_batch([query] * 32, proposals)
+        assert (-drawn.nll).tolist() == (-nll).tolist()
+        for fills, lengths in zip(proposals, drawn.lengths.tolist()):
+            assert len(fills) == query.masked_count
+            assert list(map(len, fills)) == lengths
+            for fill in fills:  # ends on the terminator, or unterminated at the cap
                 assert SLOT_END not in fill[:-1]
                 assert fill.endswith(SLOT_END) or len(fill) == MAX_TOKENS_PER_SLOT
 
@@ -221,7 +223,7 @@ def test_a_prior_reading_the_draws_scores_them_as_its_own_batched_pass(tiny_prio
     for _ in range(20):
         drawn = agent.draw(query, n_rows, rng, prior=tiny_prior)
         alone = agent.draw(query, n_rows, alone_rng)
-        fills = [tuple(map("".join, row)) for row in np.array([*EMISSION_TOKENS, ""])[drawn.ids].tolist()]
+        fills = drawn_fills(drawn)
         assert drawn.prior_nll.tobytes() == tiny_prior.nll_batch([query] * n_rows, fills).tobytes()
         assert drawn.nll.tobytes() == alone.nll.tobytes() == agent.nll_batch([query] * n_rows, fills).tobytes()
         assert drawn.ids.tobytes() == alone.ids.tobytes() and drawn.lengths.tobytes() == alone.lengths.tobytes()
@@ -294,7 +296,7 @@ def test_template_work_equals_a_per_template_loop_bit_for_bit(tiny_prior):
 def test_empty_batch_draws_nothing(fresh_policy):
     rng = np.random.default_rng(5)
     before = rng.bit_generator.state
-    assert fresh_policy.sample_batch(QUERY, 0, rng) == []
+    assert drawn_fills(fresh_policy.draw(QUERY, 0, rng, record=False)) == []
     assert rng.bit_generator.state == before
 
 
@@ -319,17 +321,17 @@ def test_uniform_policy_validity_matches_independent_monte_carlo(fresh_policy):
     sim_valid = sum(
         1 for _ in range(n) if all(simulate_slot() for _ in range(QUERY.masked_count))
     )
-    sampled = fresh_policy.sample_batch(QUERY, n, np.random.default_rng(456))
-    sampled_valid = sum(1 for proposal in sampled if assemble(QUERY, proposal.fills) is not None)
+    sampled = drawn_fills(fresh_policy.draw(QUERY, n, np.random.default_rng(456), record=False))
+    sampled_valid = sum(1 for fills in sampled if assemble(QUERY, fills) is not None)
     assert abs(sim_valid / n - sampled_valid / n) <= 0.02
 
 
 def test_passes_that_are_not_backpropagated_keep_no_tape(fresh_policy, monkeypatch):
-    # sample_batch and nll_batch hold only the current step's arrays: with every step
+    # a draw without a tape and nll_batch hold only the current step's arrays: with every step
     # kept, drawing 2,000 rows of two slots peaks near 15 MB
     tracemalloc.start()
     try:
-        fresh_policy.sample_batch(QUERY, 2000, np.random.default_rng(0))
+        fresh_policy.draw(QUERY, 2000, np.random.default_rng(0), record=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -337,10 +339,10 @@ def test_passes_that_are_not_backpropagated_keep_no_tape(fresh_policy, monkeypat
     tapes = []
     unroll = Policy._unroll
     monkeypatch.setattr(Policy, "_unroll", lambda *args, **kwargs: tapes.append(unroll(*args, **kwargs)) or tapes[-1])
-    sampled, _ = fresh_policy.sample_and_backward(QUERY, 50, np.random.default_rng(0))
-    nll = fresh_policy.nll_batch([QUERY] * 50, [p.fills for p in sampled])
+    drawn = fresh_policy.draw(QUERY, 50, np.random.default_rng(0))
+    nll = fresh_policy.nll_batch([QUERY] * 50, drawn_fills(drawn))
     assert [bool(tape.steps) for tape in tapes] == [True, False]  # only the pass with a backward keeps its steps
-    assert nll.tobytes() == np.array([-p.log_likelihood for p in sampled]).tobytes()
+    assert nll.tobytes() == drawn.nll.tobytes()
 
 
 # -- gradients ---------------------------------------------------------------------
@@ -460,15 +462,15 @@ def test_summed_backward_matches_weighted_per_example_reference(batch, seed):
     for name in ("w_out", "b_out"):  # away from uniform, so every emission differs
         policy.p[name] = rng.normal(0, 0.5, policy.p[name].shape)
     _assert_batch_matches_per_example(policy, queries, proposals, weights)
-    drawn = {query: policy.sample_and_backward(query, queries.count(query), rng) for query in dict.fromkeys(queries)}
-    for query, (proposals, backward) in drawn.items():  # the backward pass over the pass that drew the proposals
+    drawn = {query: policy.draw(query, queries.count(query), rng) for query in dict.fromkeys(queries)}
+    for query, draws in drawn.items():  # the backward pass over the pass that drew the proposals
         rows = [b for b, q in enumerate(queries) if q == query]
-        references = [_reference_nll_and_grad(policy, query, p.fills)[1] for p in proposals]
-        _assert_weighted_sum_close(backward(weights[rows]), weights[rows], references)
-    batches = {query: iter(proposals) for query, (proposals, _) in drawn.items()}
-    sampled = [next(batches[query]) for query in queries]
-    _assert_batch_matches_per_example(policy, queries, [s.fills for s in sampled], weights)
-    assert policy.nll_batch(queries, [s.fills for s in sampled]).tolist() == [-s.log_likelihood for s in sampled]
+        references = [_reference_nll_and_grad(policy, query, fills)[1] for fills in drawn_fills(draws)]
+        _assert_weighted_sum_close(draws.backward(weights[rows]), weights[rows], references)
+    batches = {query: zip(drawn_fills(draws), draws.nll.tolist()) for query, draws in drawn.items()}
+    sampled, sampled_nll = zip(*(next(batches[query]) for query in queries))
+    _assert_batch_matches_per_example(policy, queries, sampled, weights)
+    assert policy.nll_batch(queries, sampled).tolist() == list(sampled_nll)
 
 
 def test_backward_can_run_again_with_other_weights(fresh_policy):
@@ -485,9 +487,9 @@ def test_backward_can_run_again_with_other_weights(fresh_policy):
 def test_a_pass_of_no_steps_has_a_zero_gradient(fresh_policy):
     # two rows of empty streams, and a sampled batch of no rows: neither tape records a step
     nll, forced = fresh_policy.nll_and_backward([QUERY, QUERY], [("", "")] * 2)
-    proposals, sampled = fresh_policy.sample_and_backward(QUERY, 0, np.random.default_rng(0))
-    assert (nll.tolist(), proposals) == ([0.0, 0.0], [])
-    for backward, weights in ((forced, [1.0, -2.0]), (sampled, [])):
+    drawn = fresh_policy.draw(QUERY, 0, np.random.default_rng(0))
+    assert (nll.tolist(), drawn_fills(drawn)) == ([0.0, 0.0], [])
+    for backward, weights in ((forced, [1.0, -2.0]), (drawn.backward, [])):
         grads = backward(np.array(weights))
         assert all(grads[name].tobytes() == np.zeros(shape).tobytes() for name, shape in PARAM_SHAPES.items())
         with pytest.raises(ValueError, match="weights of shape"):
@@ -497,7 +499,7 @@ def test_a_pass_of_no_steps_has_a_zero_gradient(fresh_policy):
 def test_batched_pass_on_a_trained_prior(tiny_prior):
     rng = np.random.default_rng(4)
     for query in make_queries(4, seed=6):
-        proposals = [p.fills for p in tiny_prior.sample_batch(query, 32, rng)]
+        proposals = drawn_fills(tiny_prior.draw(query, 32, rng, record=False))
         weights = rng.normal(size=32)
         weights[::5] = 0.0
         _assert_batch_matches_per_example(tiny_prior, [query] * 32, proposals, weights)
@@ -564,7 +566,7 @@ def test_pretraining_deterministic(tiny_dataset):
     corpus = build_pretrain_corpus(seqs[:60], seed=2)
     a = pretrain_prior(corpus, epochs=3, learning_rate=1e-3, seed=5)
     b = pretrain_prior(corpus, epochs=3, learning_rate=1e-3, seed=5)
-    assert a.policy.params_equal(b.policy)
+    assert params_equal(a.policy, b.policy)
 
 
 def test_validity_gate_raises_when_unmet(tiny_dataset):
@@ -582,13 +584,36 @@ def test_gate_draws_each_query_share_in_one_batch(fresh_policy):
     calls = []
 
     class Recording(Policy):
-        def sample_batch(self, query, n, rng):
-            calls.append((query, n))
-            return super().sample_batch(query, n, rng)
+        def draw(self, query, n, rng, prior=None, record=True):
+            calls.append((query, n, prior, record))
+            return super().draw(query, n, rng, prior, record)
 
     queries = make_queries(3, seed=1)
     fill_validity(Recording(fresh_policy.p), queries, 7, np.random.default_rng(0))
-    assert calls == [(queries[0], 3), (queries[1], 2), (queries[2], 2)]
+    assert calls == [(queries[0], 3, None, False), (queries[1], 2, None, False), (queries[2], 2, None, False)]
+
+
+def _string_fill_validity(policy, queries, n_samples, rng):
+    """The gate counted through the string assembler: each query's share drawn in one batch, its fills built as text."""
+    valid = 0
+    for j, query in enumerate(queries):
+        drawn = policy.draw(query, len(range(j, n_samples, len(queries))), rng, record=False)
+        valid += sum(assemble(query, fills) is not None for fills in drawn_fills(drawn))
+    return valid / n_samples
+
+
+@pytest.mark.parametrize("trained", [False, True], ids=["fresh", "trained"])
+@pytest.mark.parametrize("n_samples", [3, 8, 301])
+def test_gate_equals_the_string_assembler(request, trained, n_samples):
+    # 3 samples over 8 queries leave five queries a draw of no rows
+    policy = request.getfixturevalue("tiny_prior") if trained else Policy.fresh(seed=3)
+    queries = make_queries(8, seed=44)
+    for seed in range(5):
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert fill_validity(policy, queries, n_samples, rng) == _string_fill_validity(
+            policy, queries, n_samples, reference_rng
+        )
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 def test_gate_passes_for_trained_prior(tiny_prior):
@@ -607,6 +632,7 @@ def test_empty_corpus_rejected():
     pytest.param(1, 0.0, {}, "learning_rate must be > 0", id="1-0.0-learning_rate must be > 0"),
     pytest.param(1, -0.5, {}, "learning_rate must be > 0", id="1--0.5-learning_rate must be > 0"),
     pytest.param(1, float("nan"), {}, "learning_rate must be > 0", id="1-nan-learning_rate must be > 0"),
+    pytest.param(1, float("inf"), {}, "learning_rate must be finite", id="1-inf-learning_rate must be finite"),
     pytest.param(20, 1e-3, {"gate_queries": [QUERY], "gate_samples": 0},
                  "fill-validity needs at least 1 sample and 1 query, got 0 and 1", id="no_gate_samples"),
     pytest.param(20, 1e-3, {"gate_queries": [], "gate_samples": 500},
@@ -624,14 +650,14 @@ def test_pretraining_rejects_bad_settings_before_any_step(monkeypatch, epochs, l
 def test_copy_is_deep(fresh_policy):
     clone = fresh_policy.copy()
     clone.p["embed"][0, 0] += 1.0
-    assert not fresh_policy.params_equal(clone)
+    assert not params_equal(fresh_policy, clone)
 
 
 def test_serialization_round_trip(tmp_path, tiny_prior):
     path = tmp_path / "prior.json"
     tiny_prior.save(path)
     back = Policy.load(path)
-    assert back.params_equal(tiny_prior)
+    assert params_equal(back, tiny_prior)
     assert back.to_json_dict()["tokens"] == list(EMISSION_TOKENS)
     assert back.nll(QUERY, FILLS) == tiny_prior.nll(QUERY, FILLS)
 

@@ -3,6 +3,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from conftest import drawn_fills, params_equal
 from cpseq import rl
 from cpseq.boosting import BoostedTreeClassifier
 from cpseq.conformal import Acp, Icp, PValuePair, is_confident_positive
@@ -54,6 +55,26 @@ def test_rl_config_validation():
         RLConfig(steps=0)
     with pytest.raises(ValueError):
         RLConfig(significance=1.0)
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("sigma", float("nan"), "sigma must be > 0"),
+    ("sigma", float("inf"), "sigma must be finite"),
+    ("learning_rate", float("nan"), "learning_rate must be > 0"),
+    ("learning_rate", float("inf"), "learning_rate must be finite"),
+    ("batch_size", 2.5, "batch_size must be an integer, got 2.5"),
+    ("steps", True, "steps must be an integer, got True"),
+    ("steps", 3.0, "steps must be an integer, got 3.0"),
+    ("seed", 2.5, "seed must be an integer, got 2.5"),
+    ("seed", True, "seed must be an integer, got True"),
+])
+def test_rl_config_rejects_a_non_finite_rate_or_a_non_integer_count(name, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        RLConfig(**{name: value})
+
+
+def test_rl_config_takes_numpy_integers():
+    assert RLConfig(batch_size=np.int64(4), steps=np.int64(3), seed=np.uint32(7)).seed == 7
 
 
 # -- scorer ------------------------------------------------------------------------
@@ -208,17 +229,17 @@ def test_zero_valid_step_yields_finite_metrics(tiny_models):
 
 def _per_proposal_rl_step(agent, prior, query, scorer, config, rng, step_index):
     """The reference: rl_step with one prior.nll and one agent.nll_and_grad call per proposal."""
-    proposals = agent.sample_batch(query, config.batch_size, rng)
-    assembled = [assemble(query, p.fills) for p in proposals]
+    proposals = drawn_fills(agent.draw(query, config.batch_size, rng, record=False))
+    assembled = [assemble(query, fills) for fills in proposals]
     valid_seqs = [s for s in assembled if s is not None]
     evals = scorer.evaluate(valid_seqs) if valid_seqs else {}
 
     total_grads = {name: np.zeros_like(arr) for name, arr in agent.p.items()}
     loss_total = 0.0
-    for proposal, seq in zip(proposals, assembled):
+    for fills, seq in zip(proposals, assembled):
         score_value = evals[seq].score if seq is not None else 0.0
-        log_p_prior = -prior.nll(query, proposal.fills)
-        nll_agent, grads = agent.nll_and_grad(query, proposal.fills)
+        log_p_prior = -prior.nll(query, fills)
+        nll_agent, grads = agent.nll_and_grad(query, fills)
         log_p_agent = -nll_agent
         log_p_aug = augmented_log_likelihood(log_p_prior, score_value, config.sigma)
         delta = log_p_aug - log_p_agent
@@ -263,14 +284,14 @@ def test_step_matches_per_proposal_reference(tiny_models, tiny_prior, query_text
         for name in PARAM_NAMES:
             got, want = batched.p[name], reference.p[name]
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (step, name)
-    assert not batched.params_equal(tiny_prior)
+    assert not params_equal(batched, tiny_prior)
 
 
 def _ragged_mixed_batch(policy, n_rows, rng):
     """``n_rows`` proposals sampled from ``policy``, alternating between two templates of different slot counts."""
     templates = [QUERY, QueryTemplate.from_text("?DM???K")]
     queries = [templates[b % 2] for b in range(n_rows)]
-    fills = [policy.sample_batch(q, 1, rng)[0].fills for q in queries]
+    fills = [policy.sample(q, rng).fills for q in queries]
     return queries, fills
 
 
@@ -316,9 +337,9 @@ def test_step_runs_one_policy_pass(tiny_models, tiny_prior, monkeypatch):
     passes = []
     unroll = Policy._unroll
 
-    def recording(policy, templates, ids, lengths, rng=None, record=True, frozen=None):
-        passes.append((policy, rng is not None, record, frozen))
-        return unroll(policy, templates, ids, lengths, rng, record, frozen)
+    def recording(policy, templates, ids, lengths, rng=None, record=True, prior=None):
+        passes.append((policy, rng is not None, record, prior))
+        return unroll(policy, templates, ids, lengths, rng, record, prior)
 
     monkeypatch.setattr(Policy, "_unroll", recording)
     agent = tiny_prior.copy()
@@ -327,7 +348,7 @@ def test_step_runs_one_policy_pass(tiny_models, tiny_prior, monkeypatch):
     for step in (1, 2):
         rl_step(agent, tiny_prior, QUERY, SequenceScorer("cp_soft", clf, acp), config, rng, step)
         assert passes == [(agent, True, True, tiny_prior)] * step
-    assert not agent.params_equal(tiny_prior)
+    assert not params_equal(agent, tiny_prior)
 
 
 # -- full runs ----------------------------------------------------------------------
