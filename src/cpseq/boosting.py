@@ -68,12 +68,8 @@ class ClassifierConfig:
 
 
 def _sigmoid(margin: np.ndarray) -> np.ndarray:
-    out = np.empty_like(margin, dtype=np.float64)
-    pos = margin >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-margin[pos]))
-    e = np.exp(margin[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(-np.abs(margin))  # never overflows: exp(-m) on one side, exp(m) on the other
+    return np.where(margin >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _proba(margin: np.ndarray) -> np.ndarray:
@@ -89,23 +85,27 @@ class _SparseBins:
     recovered from node totals. Columns with no nonzero can never split (every
     row would go left), so the histograms cover only ``columns``, the ascending
     columns that hold a nonzero, and a triplet's column is its position in
-    that array. ``top`` is the largest bin, ``starts`` each row's first
-    triplet, and ``table`` every row's bin in each used column: a threshold is
-    at most 14, so a bin exceeds it exactly when the count does.
+    that array. ``top`` is the largest bin; a histogram row holds ``width``
+    bins, 8 when ``top`` is below 8, since numpy sums in blocks of eight and the
+    zero bin, a node total less its row's sum, keeps the bits 16 bins gave (5
+    would not). ``flat`` is each triplet's place in its row, ``starts`` each
+    row's first triplet, and ``table`` every row's bin in each used column: a
+    threshold is at most 14, so a bin exceeds it exactly when the count does.
     """
 
     def __init__(self, X: np.ndarray):
         self.rows, feats = np.nonzero(X)
         self.columns, ids = np.unique(feats, return_inverse=True)
         values = np.minimum(X[self.rows, feats], _BIN_COUNT - 1).astype(np.uint8)
-        self.flat = ids * _BIN_COUNT + values
         self.top = int(values.max(initial=0))
+        self.width = 8 if self.top < 8 else _BIN_COUNT
+        self.flat = ids * self.width + values
         self.starts = np.searchsorted(self.rows, np.arange(len(X) + 1))
         self.table = np.zeros((len(X), len(self.columns)), dtype=np.uint8)
         self.table[self.rows, ids] = values
 
     def take(self, boot: np.ndarray) -> "_SparseBins":
-        """The bins of ``X[boot]``: each drawn row's triplets in draw order, over this pool's columns and ``top``.
+        """The bins of ``X[boot]``: each drawn row's triplets in draw order, over this pool's columns and bins.
 
         A pool column that no drawn row holds has every row in its zero bin,
         so none of its thresholds is usable and the split search is unchanged.
@@ -125,9 +125,9 @@ class _SparseBins:
         ``row_node`` holds each row's node, or ``n_nodes`` for a row outside
         every node, whose triplets go to a spare node that is dropped.
         """
-        size = len(self.columns) * _BIN_COUNT
+        size = len(self.columns) * self.width
         flat = row_node[self.rows] * size + self.flat
-        shape = (n_nodes, len(self.columns), _BIN_COUNT)
+        shape = (n_nodes, len(self.columns), self.width)
         G = np.bincount(flat, weights=g[self.rows], minlength=(n_nodes + 1) * size)[: n_nodes * size].reshape(shape)
         H = np.bincount(flat, weights=h[self.rows], minlength=(n_nodes + 1) * size)[: n_nodes * size].reshape(shape)
         C = np.bincount(flat, minlength=(n_nodes + 1) * size)[: n_nodes * size].reshape(shape).astype(np.float64)

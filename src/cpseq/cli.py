@@ -128,8 +128,11 @@ def _cmd_train_clf(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     dataset = read_dataset_csv(args.data)
-    acp = harness.build_conformal_predictor(dataset, args.k, _config(ClassifierConfig, args), args.seed)
     test_seqs, test_labels = dataset.subset("test")
+    for label in (0, 1):  # scored per label, so a split that lacks one is refused before the build
+        if not np.any(test_labels == label):
+            raise ValueError(f"no samples with true label {label}")
+    acp = harness.build_conformal_predictor(dataset, args.k, _config(ClassifierConfig, args), args.seed)
     p0, p1 = acp.p_values_batch(fingerprints(test_seqs))
     sets = [predict_set(PValuePair(a, b), args.significance) for a, b in zip(p0, p1)]
     metrics = validity_efficiency(sets, test_labels.tolist())  # scored before saving, so a failure writes nothing

@@ -19,6 +19,7 @@ import numpy as np
 
 from .boosting import BoostedTreeClassifier, ClassifierConfig, _check_counts, _finite, _margins, _proba
 from .boosting import _SparseBins, _stack, _Trees
+from .parallel import fork_map
 from .tables import json_field, read_json
 
 DEFAULT_SIGNIFICANCE = 0.2
@@ -157,6 +158,11 @@ def build_acp(
     redrawn, up to a retry cap. The pool is checked and scanned once: each fit
     takes its sample's nonzero entries from the pool's, and equals a fit on
     ``X[boot]`` bit for bit.
+
+    Every bootstrap is drawn first, so a failed one raises before any fit. The
+    fits run side by side on forked workers (:func:`~cpseq.parallel.fork_map`),
+    and each model is calibrated here in ICP order: the ACP is the same bit for
+    bit on any number of cores, and no setting picks the number.
     """
     X = np.asarray(X)
     y = np.asarray(y, dtype=np.float64)
@@ -168,10 +174,9 @@ def build_acp(
     pool = _SparseBins(X)
     config = config or ClassifierConfig()
     n = len(y)
-    children = np.random.SeedSequence(seed).spawn(k)
 
-    icps = []
-    for child in children:
+    draws = []
+    for child in np.random.SeedSequence(seed).spawn(k):
         rng = np.random.default_rng(child)
         clf_seed = int(child.generate_state(1)[0])
         for attempt in range(_BOOTSTRAP_RETRIES):
@@ -186,9 +191,14 @@ def build_acp(
                 break
         else:
             raise RuntimeError("bootstrap failed to produce usable calibration splits")
-        model = BoostedTreeClassifier(replace(config, seed=clf_seed))._fit(pool.take(boot), y_boot)
-        icps.append(calibrate_icp(model, X[oob], y_oob))
-    return Acp(tuple(icps))
+        draws.append((clf_seed, boot, oob))
+
+    def fit(draw):
+        clf_seed, boot, _ = draw
+        return BoostedTreeClassifier(replace(config, seed=clf_seed))._fit(pool.take(boot), y[boot])
+
+    models = fork_map(fit, draws)
+    return Acp(tuple(calibrate_icp(model, X[oob], y[oob]) for model, (_, _, oob) in zip(models, draws)))
 
 
 def predict_set(pv: PValuePair, significance: float) -> PredictionSet:

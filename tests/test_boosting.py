@@ -81,6 +81,20 @@ def test_probabilities_strictly_inside_unit_interval():
     assert np.all(p > 0.0) and np.all(p < 1.0)
 
 
+def test_sigmoid_equals_the_masked_two_sided_form_bit_for_bit():
+    def masked(margin):
+        out = np.empty_like(margin)
+        pos = margin >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-margin[pos]))
+        e = np.exp(margin[~pos])
+        out[~pos] = e / (1.0 + e)
+        return out
+
+    specials = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-17, -1e-17, 36.7, -36.7, 745.2, -745.2, 1e308]
+    margins = np.concatenate([specials, np.random.default_rng(0).standard_normal(2000) * 20])
+    assert boosting._sigmoid(margins).tobytes() == masked(margins).tobytes()
+
+
 def test_deterministic_given_seed(tiny_dataset):
     seqs, labels = tiny_dataset.subset("train")
     X = fingerprints(seqs)
@@ -429,12 +443,13 @@ def _assert_fit_matches_dense_reference(config, X, y):
 
 @st.composite
 def _count_matrices(draw):
-    """Sparse counts over 1-8 columns, some never nonzero, with both labels."""
+    """Sparse counts over 1-8 columns, some never nonzero, with both labels; the largest bin is 1-9, 14 or 15."""
     n_rows = draw(st.integers(2, 30))
     n_cols = draw(st.integers(1, 8))
     X = np.zeros((n_rows, n_cols), dtype=np.int64)
     for col in draw(st.lists(st.integers(0, n_cols - 1), unique=True, max_size=n_cols)):
-        X[:, col] = draw(arrays(np.int64, n_rows, elements=st.sampled_from([0, 0, 0, 1, 1, 2, 3, 14, 15, 16, 40])))
+        counts = st.sampled_from([0, 0, 0, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 14, 15, 16, 40])
+        X[:, col] = draw(arrays(np.int64, n_rows, elements=counts))
     y = draw(arrays(np.int8, n_rows, elements=st.integers(0, 1)))
     y[:2] = (0, 1)
     return X, y
@@ -442,6 +457,8 @@ def _count_matrices(draw):
 
 _ONLY_LAST_COLUMN = (np.array([[0, 0, 0, 2], [0, 0, 0, 0], [0, 0, 0, 17], [0, 0, 0, 1]]), np.array([1, 0, 1, 0]))
 _ONLY_FIRST_COLUMN = (np.array([[16, 0], [0, 0], [40, 0], [3, 0], [15, 0]]), np.array([1, 0, 1, 0, 1]))
+# top bin 4: histogram rows of five bins would sum in another order than sixteen and change a threshold
+_TOP_BIN_FOUR = (np.array([[3], [2], [4], [1], [0], [0]]), np.array([0, 1, 0, 1, 0, 0]))
 
 
 @settings(max_examples=150)
@@ -454,6 +471,7 @@ _ONLY_FIRST_COLUMN = (np.array([[16, 0], [0, 0], [40, 0], [3, 0], [15, 0]]), np.
 )
 @example(data=_ONLY_LAST_COLUMN, max_depth=2, subsample=1.0, n_rounds=3, seed=0)
 @example(data=_ONLY_FIRST_COLUMN, max_depth=3, subsample=0.8, n_rounds=4, seed=1)
+@example(data=_TOP_BIN_FOUR, max_depth=2, subsample=1.0, n_rounds=2, seed=0)
 def test_used_column_split_search_equals_dense_reference_bit_for_bit(data, max_depth, subsample, n_rounds, seed):
     X, y = data
     config = ClassifierConfig(n_rounds=n_rounds, max_depth=max_depth, subsample=subsample, seed=seed)

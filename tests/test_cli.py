@@ -79,10 +79,15 @@ def test_calibrate_writes_metrics_report(workdir):
     assert b"\r" not in (workdir / "acp.metrics.csv").read_bytes()
 
 
-def test_calibrate_writes_nothing_when_the_test_split_lacks_a_label(workdir, tmp_path, capsys):
+def test_calibrate_writes_nothing_when_the_test_split_lacks_a_label(workdir, tmp_path, capsys, monkeypatch):
     header, *rows = (workdir / "data.csv").read_text().splitlines()
     kept = [row for row in rows if not row.endswith(",0,test")]
     (tmp_path / "data.csv").write_text("\n".join([header, *kept]) + "\n")
+
+    def build(*args):
+        raise AssertionError("the ACP was built for a test split that lacks a label")
+
+    monkeypatch.setattr(harness, "build_conformal_predictor", build)
     args = ["calibrate", "--data", str(tmp_path / "data.csv"), "--k", "2", "--rounds", "5"]
     assert main(args + ["--out", str(tmp_path / "acp.json")]) == 1
     assert capsys.readouterr().err == "error: no samples with true label 0\n"

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cpseq import conformal, parallel
 from cpseq.boosting import BoostedTreeClassifier, ClassifierConfig
 from cpseq.conformal import (
     Acp,
@@ -212,6 +214,28 @@ def test_models_do_not_depend_on_the_dtype_of_the_counts(tiny_dataset):
         for A in (probe, probe.astype(np.int64)):
             assert clf.predict_margin(A).tobytes() == narrow[0].predict_margin(probe).tobytes()
             assert np.array(acp.p_values_batch(A)).tobytes() == np.array(narrow[1].p_values_batch(probe)).tobytes()
+
+
+@pytest.mark.parametrize("cores", [{0, 1}, {0, 1, 2}])
+def test_acp_is_the_same_bit_for_bit_on_any_number_of_cores(tiny_dataset, monkeypatch, cores):
+    seqs, labels = tiny_dataset.subset("train")
+    X = fingerprints(seqs)
+    config = ClassifierConfig(n_rounds=20, max_depth=3, subsample=0.8)
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0})
+    serial = json.dumps(acp_to_json_dict(build_acp(X, labels, k=10, config=config, seed=3)))
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: cores)
+    assert json.dumps(acp_to_json_dict(build_acp(X, labels, k=10, config=config, seed=3))) == serial
+    assert not multiprocessing.active_children()
+
+
+def test_a_failed_bootstrap_raises_before_any_fit(monkeypatch):
+    # two rows: a resample that holds both labels leaves none out of bag
+    def fit_all(fn, items):
+        raise AssertionError("fits started before every bootstrap was drawn")
+
+    monkeypatch.setattr(conformal, "fork_map", fit_all)
+    with pytest.raises(RuntimeError, match="bootstrap failed"):
+        build_acp(np.zeros((2, 3)), np.array([0, 1]), k=2)
 
 
 def test_build_acp_requires_both_labels():
