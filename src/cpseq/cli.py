@@ -21,6 +21,7 @@ from .conformal import (
     DEFAULT_ICP_COUNT,
     DEFAULT_SIGNIFICANCE,
     PValuePair,
+    check_both_labels,
     load_acp,
     predict_set,
     save_acp,
@@ -129,9 +130,7 @@ def _cmd_train_clf(args) -> int:
 def _cmd_calibrate(args) -> int:
     dataset = read_dataset_csv(args.data)
     test_seqs, test_labels = dataset.subset("test")
-    for label in (0, 1):  # scored per label, so a split that lacks one is refused before the build
-        if not np.any(test_labels == label):
-            raise ValueError(f"no samples with true label {label}")
+    check_both_labels(test_labels)  # scored per label, so a split that lacks one is refused before the build
     acp = harness.build_conformal_predictor(dataset, args.k, _config(ClassifierConfig, args), args.seed)
     p0, p1 = acp.p_values_batch(fingerprints(test_seqs))
     sets = [predict_set(PValuePair(a, b), args.significance) for a, b in zip(p0, p1)]

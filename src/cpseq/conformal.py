@@ -232,6 +232,13 @@ class ConformalMetrics:
     efficiency_1: float
 
 
+def check_both_labels(labels: Sequence[int]) -> None:
+    """Raise unless ``labels`` hold a 0 and a 1, as the per-label metrics need."""
+    for label in (0, 1):
+        if not np.any(np.asarray(labels) == label):
+            raise ValueError(f"no samples with true label {label}")
+
+
 def validity_efficiency(
     sets: Sequence[PredictionSet], labels: Sequence[int]
 ) -> ConformalMetrics:
@@ -242,12 +249,11 @@ def validity_efficiency(
     """
     if len(sets) != len(labels):
         raise ValueError("sets and labels must have equal length")
+    check_both_labels(labels)
     singleton_of = {PredictionSet.CLASS0: 0, PredictionSet.CLASS1: 1}
     out = {}
     for label in (0, 1):
         rows = [s for s, y in zip(sets, labels) if y == label]
-        if not rows:
-            raise ValueError(f"no samples with true label {label}")
         correct = sum(1 for s in rows if singleton_of.get(s) == label)
         both = sum(1 for s in rows if s is PredictionSet.BOTH)
         singles = sum(1 for s in rows if s in singleton_of)

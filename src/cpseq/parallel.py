@@ -16,19 +16,20 @@ def _run(index: int):
 def fork_map(fn: Callable, items: Sequence) -> list:
     """``[fn(x) for x in items]``, in order, with the calls spread over forked workers.
 
-    Workers inherit ``fn`` and ``items`` through the fork, so only an index
-    goes to a worker and only a result, pickled with its exact bits, comes back.
-    It runs in process when one worker would do or the platform cannot fork.
-    Every worker is joined before this returns or raises, and a call's
-    exception is raised again here with its type and message.
+    Workers inherit ``fn`` and ``items`` through the fork, so only an index goes
+    out and only a result, pickled with its exact bits, comes back. It runs in
+    process when one worker would do and off Linux (no ``os.sched_getaffinity``;
+    fork is missing on Windows and unsafe on macOS). Every worker is joined
+    before this returns or raises, and a call's exception is raised again here.
     """
     global _call
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(items), cores)
+    if workers <= 1:
+        return [fn(x) for x in items]
     import multiprocessing  # here, not at the top: the pool's modules add 2 MB to a process that never forks
     from concurrent.futures import ProcessPoolExecutor
 
-    workers = min(len(items), len(os.sched_getaffinity(0)))
-    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        return [fn(x) for x in items]
     _call = (fn, items)
     try:
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:

@@ -1,4 +1,5 @@
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -48,4 +49,11 @@ def test_a_worker_error_is_raised_in_the_parent_and_every_worker_is_joined(monke
     with pytest.raises(ValueError, match=r"^item 3 is odd one out$"):
         fork_map(check, range(6))
     assert parallel._call is None
+    assert not multiprocessing.active_children()
+
+
+def test_fork_map_runs_in_process_where_the_platform_has_no_affinity_call(monkeypatch):
+    monkeypatch.delattr(parallel.os, "sched_getaffinity", raising=False)  # as on macOS and Windows
+    items = list(range(5))
+    assert fork_map(lambda x: (x * x, os.getpid()), items) == [(x * x, os.getpid()) for x in items]
     assert not multiprocessing.active_children()
