@@ -314,6 +314,17 @@ def _check_counts(X: np.ndarray, y: np.ndarray) -> None:
         )
 
 
+def check_labels(y) -> None:
+    """Raise ValueError naming the first label that is not 0 or 1, else a label of the two that ``y`` lacks."""
+    y = np.asarray(y)
+    other = (y != 0) & (y != 1)
+    if other.any():
+        raise ValueError(f"label {y[other][0]} is not 0 or 1")
+    for label in (0, 1):
+        if not (y == label).any():
+            raise ValueError(f"no samples with true label {label}")
+
+
 class BoostedTreeClassifier:
     """Boosted regression trees with Newton leaf values on logistic loss."""
 
@@ -325,11 +336,10 @@ class BoostedTreeClassifier:
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "BoostedTreeClassifier":
         X = np.asarray(X)
-        y = np.asarray(y, dtype=np.float64)
+        y = np.asarray(y)
         _check_counts(X, y)
-        if len(y) < 2 or len(np.unique(y)) < 2:
-            raise ValueError("training data must contain both labels")
-        return self._fit(_SparseBins(X), y)
+        check_labels(y)
+        return self._fit(_SparseBins(X), np.asarray(y, dtype=np.float64))
 
     def _fit(self, bins: _SparseBins, y: np.ndarray) -> "BoostedTreeClassifier":
         """Fit on the bins of a checked count matrix and its float64 labels, which hold both classes."""

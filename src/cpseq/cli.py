@@ -16,12 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
-from .boosting import BoostedTreeClassifier, ClassifierConfig
+from .boosting import BoostedTreeClassifier, ClassifierConfig, check_labels
 from .conformal import (
     DEFAULT_ICP_COUNT,
     DEFAULT_SIGNIFICANCE,
     PValuePair,
-    check_both_labels,
     load_acp,
     predict_set,
     save_acp,
@@ -37,7 +36,6 @@ from .domain import (
     make_queries,
     read_dataset_csv,
     read_queries_csv,
-    validate_template,
     write_dataset_csv,
     write_queries_csv,
 )
@@ -130,7 +128,7 @@ def _cmd_train_clf(args) -> int:
 def _cmd_calibrate(args) -> int:
     dataset = read_dataset_csv(args.data)
     test_seqs, test_labels = dataset.subset("test")
-    check_both_labels(test_labels)  # scored per label, so a split that lacks one is refused before the build
+    check_labels(test_labels)  # scored per label, so a split that lacks one is refused before the build
     acp = harness.build_conformal_predictor(dataset, args.k, _config(ClassifierConfig, args), args.seed)
     p0, p1 = acp.p_values_batch(fingerprints(test_seqs))
     sets = [predict_set(PValuePair(a, b), args.significance) for a, b in zip(p0, p1)]
@@ -154,7 +152,6 @@ def _cmd_calibrate(args) -> int:
 def _cmd_run(args) -> int:
     if args.query is not None:
         query = QueryTemplate.from_text(args.query)
-        validate_template(query)
     else:
         queries = read_queries_csv(args.queries)
         if not 0 <= args.index < len(queries):

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .boosting import BoostedTreeClassifier, ClassifierConfig, _check_counts, _finite, _margins, _proba
+from .boosting import BoostedTreeClassifier, ClassifierConfig, _check_counts, _finite, _margins, _proba, check_labels
 from .boosting import _SparseBins, _stack, _Trees
 from .parallel import fork_map
 from .tables import json_field, read_json
@@ -89,8 +89,7 @@ def calibrate_icp(model: BoostedTreeClassifier, X_cal: np.ndarray, y_cal: np.nda
     underlying model is reused unchanged.
     """
     y_cal = np.asarray(y_cal)
-    if not ((y_cal == 0).any() and (y_cal == 1).any()):
-        raise ValueError("calibration points must contain both labels")
+    check_labels(y_cal)
     p1_hat = model.predict_proba(X_cal)
     p_true = np.where(y_cal == 1, p1_hat, 1.0 - p1_hat)
     alphas = nonconformity(p_true, 1.0 - p_true)
@@ -165,9 +164,8 @@ def build_acp(
     bit on any number of cores, and no setting picks the number.
     """
     X = np.asarray(X)
+    check_labels(y)
     y = np.asarray(y, dtype=np.float64)
-    if not ((y == 0).any() and (y == 1).any()):
-        raise ValueError("training pool must contain both labels")
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_counts(X, y)
@@ -201,10 +199,15 @@ def build_acp(
     return Acp(tuple(calibrate_icp(model, X[oob], y[oob]) for model, (_, _, oob) in zip(models, draws)))
 
 
-def predict_set(pv: PValuePair, significance: float) -> PredictionSet:
-    """Label set at the given significance; membership is p >= significance."""
+def check_significance(significance: float) -> None:
+    """Raise ValueError unless ``significance`` lies in (0, 1); NaN does not."""
     if not 0 < significance < 1:
         raise ValueError("significance must be in (0, 1)")
+
+
+def predict_set(pv: PValuePair, significance: float) -> PredictionSet:
+    """Label set at the given significance; membership is p >= significance."""
+    check_significance(significance)
     in0 = pv.p0 >= significance
     in1 = pv.p1 >= significance
     if in0 and in1:
@@ -232,13 +235,6 @@ class ConformalMetrics:
     efficiency_1: float
 
 
-def check_both_labels(labels: Sequence[int]) -> None:
-    """Raise unless ``labels`` hold a 0 and a 1, as the per-label metrics need."""
-    for label in (0, 1):
-        if not np.any(np.asarray(labels) == label):
-            raise ValueError(f"no samples with true label {label}")
-
-
 def validity_efficiency(
     sets: Sequence[PredictionSet], labels: Sequence[int]
 ) -> ConformalMetrics:
@@ -249,7 +245,7 @@ def validity_efficiency(
     """
     if len(sets) != len(labels):
         raise ValueError("sets and labels must have equal length")
-    check_both_labels(labels)
+    check_labels(labels)
     singleton_of = {PredictionSet.CLASS0: 0, PredictionSet.CLASS1: 1}
     out = {}
     for label in (0, 1):

@@ -65,13 +65,16 @@ _BUCKET_TABLE = np.array(
 
 @dataclass(frozen=True)
 class QueryTemplate:
-    """A token sequence with 1..4 positions masked out for generation."""
+    """A residue-token sequence with 1..4 positions masked out for generation."""
 
     positions: tuple[str, ...]
 
     def __post_init__(self):
         if any(len(p) != 1 for p in self.positions):
             raise ValueError("template entries must be single characters")
+        for p in self.positions:
+            if p != MASK and p not in _RESIDUE_INDEX:
+                raise ValueError(f"template entry {p!r} is not a residue token")
         m = self.masked_count
         if not 1 <= m <= MAX_MASKED:
             raise ValueError(f"masked_count must be in [1, {MAX_MASKED}], got {m}")
@@ -92,13 +95,6 @@ class QueryTemplate:
     @classmethod
     def from_text(cls, text: str) -> "QueryTemplate":
         return cls(tuple(text))
-
-
-def validate_template(query: QueryTemplate) -> None:
-    """Raise if any fixed template entry is not a residue token."""
-    for p in query.positions:
-        if p != MASK and p not in _RESIDUE_INDEX:
-            raise ValueError(f"template entry {p!r} is not a residue token")
 
 
 def assemble(query: QueryTemplate, fills: Sequence[str]) -> str | None:
@@ -338,7 +334,7 @@ class _QueryRow:
     template: str
 
     def __post_init__(self):
-        validate_template(QueryTemplate.from_text(self.template))
+        QueryTemplate.from_text(self.template)  # built here, so a bad template names its file and line
 
 
 def write_dataset_csv(dataset: LabeledDataset, path: str | Path) -> None:

@@ -35,7 +35,7 @@ from .policy import (
     pretrain_prior,
 )
 from .rl import RLConfig, SequenceScorer, StepMetrics, run_rl
-from .scoring import SCORING_KINDS
+from .scoring import SCORING_KINDS, check_kind
 from .tables import json_field, read_json, read_table, write_table
 
 BASELINE_KIND = "rm_p1"
@@ -213,9 +213,9 @@ class CampaignConfig:
     def __post_init__(self):
         if not self.scoring:
             raise ValueError("need at least one scoring kind")
-        for kind in self.scoring:
-            if kind not in SCORING_KINDS:
-                raise ValueError(f"unknown scoring kind {kind!r}")
+        for i, kind in enumerate(self.scoring):
+            if check_kind(kind) in self.scoring[:i]:
+                raise ValueError(f"scoring kind {kind!r} is listed twice")
         # a bad run or build setting fails here, before any build
         self.run_settings()
         self.classifier_settings()
@@ -460,17 +460,11 @@ def _write_summaries(rows: list[RunSummary], out: Path) -> CampaignResult:
     return CampaignResult(rows=rows, wilcoxon=wilcoxon_rows, out_dir=out)
 
 
-def _scoring_kind(value) -> str:
-    if value not in _KIND_CODE:
-        raise ValueError(f"{value!r} is not a scoring kind")
-    return value
-
-
 def _sidecar_summary(meta: dict) -> RunSummary:
     """A run sidecar's summary row, with ``steps_to_half`` left for the run's metrics CSV to give."""
     status = json_field(meta, "status", str)
     key = (json_field(meta, "query_id", int), json_field(meta, "length", int),
-           json_field(meta, "scoring_fn", _scoring_kind))
+           json_field(meta, "scoring_fn", check_kind))
     if status != "ok":
         return RunSummary(*key, None, None, None, "error")
     return RunSummary(*key, json_field(meta, "n_unique_valid", int), json_field(meta, "n_conf_eff", int), None, "ok")

@@ -16,10 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from .boosting import BoostedTreeClassifier
-from .conformal import Acp, DEFAULT_SIGNIFICANCE, PValuePair, is_confident_positive
+from .conformal import Acp, DEFAULT_SIGNIFICANCE, PValuePair, check_significance, is_confident_positive
 from .domain import FINGERPRINT_BUCKETS, QueryTemplate, assemble_batch, fingerprints
 from .policy import Policy
-from .scoring import SCORING_KINDS, score
+from .scoring import check_kind, score
 from .tables import check_integers, check_positive, write_table
 
 
@@ -35,13 +35,11 @@ class RLConfig:
 
     def __post_init__(self):
         check_integers(self, ("batch_size", "steps", "seed"))
-        if self.scoring not in SCORING_KINDS:
-            raise ValueError(f"scoring must be one of {SCORING_KINDS}")
+        check_kind(self.scoring)
         check_positive("sigma", self.sigma)
         if self.batch_size < 1 or self.steps < 1:
             raise ValueError("batch_size and steps must be >= 1")
-        if not 0 < self.significance < 1:
-            raise ValueError("significance must be in (0, 1)")
+        check_significance(self.significance)
         check_positive("learning_rate", self.learning_rate)
 
 
@@ -75,8 +73,9 @@ class SequenceScorer:
     Each sequence's (p0, p1, p1_raw, hit), which does not depend on the kind,
     is memoized in one memo that every scorer from :meth:`for_kind` shares.
 
-    Raises ValueError when the classifier or an ICP's model splits on a column
-    the fingerprints do not have.
+    Raises ValueError on an unknown kind, a significance outside (0, 1), or
+    when the classifier or an ICP's model splits on a column the fingerprints
+    do not have.
     """
 
     def __init__(
@@ -86,8 +85,8 @@ class SequenceScorer:
         acp: Acp,
         significance: float = DEFAULT_SIGNIFICANCE,
     ):
-        if kind not in SCORING_KINDS:
-            raise ValueError(f"scoring kind must be one of {SCORING_KINDS}")
+        check_kind(kind)
+        check_significance(significance)
         models = {"the classifier": classifier, **{f"ICP {i}'s model": icp.model for i, icp in enumerate(acp.icps)}}
         for name, model in models.items():
             columns = model.trees.columns

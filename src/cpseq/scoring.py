@@ -50,8 +50,13 @@ _BY_KIND = {
 SCORING_KINDS = tuple(_BY_KIND)
 
 
+def check_kind(kind: str) -> str:
+    """``kind``, or ValueError unless it is one of :data:`SCORING_KINDS`."""
+    if kind not in SCORING_KINDS:
+        raise ValueError(f"unknown scoring kind {kind!r}; expected one of {SCORING_KINDS}")
+    return kind
+
+
 def score(kind: str, pv: PValuePair, p1_raw: float, significance: float = DEFAULT_SIGNIFICANCE) -> float:
     """Dispatch on a scoring-kind name from :data:`SCORING_KINDS`."""
-    if kind not in _BY_KIND:
-        raise ValueError(f"unknown scoring kind {kind!r}; expected one of {SCORING_KINDS}")
-    return _BY_KIND[kind](pv, p1_raw, significance)
+    return _BY_KIND[check_kind(kind)](pv, p1_raw, significance)

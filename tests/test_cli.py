@@ -11,6 +11,7 @@ from cpseq.conformal import acp_to_json_dict, build_acp, load_acp
 from cpseq.domain import FINGERPRINT_BUCKETS, make_dataset, make_queries, read_dataset_csv, read_queries_csv
 from cpseq.harness import CampaignConfig
 from cpseq.policy import DEFAULT_PRETRAIN_CORPUS_SIZE, build_pretrain_corpus, pretrain_prior
+from cpseq.scoring import SCORING_KINDS
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +192,8 @@ def _campaign_config(workdir, path, *extra, classifier=None):
         ("rl_learning_rate = nan", "learning_rate must be > 0"),
         ("rl_learning_rate = inf", "learning_rate must be finite"),
         ("pretrain_learning_rate = inf", "learning_rate must be finite"),
+        ("scoring = rm_p1, cp_soft, cp_soft", "scoring kind 'cp_soft' is listed twice"),
+        ("scoring = nope", f"unknown scoring kind 'nope'; expected one of {SCORING_KINDS}"),
     ],
 )
 def test_campaign_with_bad_run_settings_fails_before_any_build(workdir, tmp_path, capsys, monkeypatch, line, message):

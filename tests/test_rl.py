@@ -251,12 +251,18 @@ def _per_proposal_rl_step(agent, prior, query, scorer, config, rng, step_index):
 
     rows = list(evals.values())
     n = max(len(rows), 1)
+    # left to right, as rl_step adds: the built-in sum() of floats is compensated from Python 3.12 on
+    score_total = p0_total = p1_total = 0.0
+    for r in rows:
+        score_total += r.score
+        p0_total += r.p0
+        p1_total += r.p1
     return StepMetrics(
         step=step_index,
         scoring_fn=config.scoring,
-        avg_score=sum(r.score for r in rows) / n,
-        avg_p0=sum(r.p0 for r in rows) / n,
-        avg_p1=sum(r.p1 for r in rows) / n,
+        avg_score=score_total / n,
+        avg_p0=p0_total / n,
+        avg_p1=p1_total / n,
         frac_conf_eff=sum(1 for r in rows if r.hit) / n,
         n_sampled=config.batch_size,
         n_valid=len(valid_seqs),
