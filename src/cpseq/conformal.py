@@ -20,7 +20,7 @@ import numpy as np
 from .boosting import BoostedTreeClassifier, ClassifierConfig, _check_counts, _finite, _margins, _proba, check_labels
 from .boosting import _SparseBins, _stack, _Trees
 from .parallel import fork_map
-from .tables import json_field, read_json
+from .tables import check_count, json_field, read_json
 
 DEFAULT_SIGNIFICANCE = 0.2
 DEFAULT_ICP_COUNT = 10
@@ -166,8 +166,7 @@ def build_acp(
     X = np.asarray(X)
     check_labels(y)
     y = np.asarray(y, dtype=np.float64)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_count("k", k)
     _check_counts(X, y)
     pool = _SparseBins(X)
     config = config or ClassifierConfig()

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .tables import read_table, write_table
+from .tables import check_count, read_table, write_table
 
 MASK = "?"
 RESIDUES = tuple("ACDEFGHIKLMNPQRSTVWY")
@@ -70,9 +70,7 @@ class QueryTemplate:
     positions: tuple[str, ...]
 
     def __post_init__(self):
-        if any(len(p) != 1 for p in self.positions):
-            raise ValueError("template entries must be single characters")
-        for p in self.positions:
+        for p in self.positions:  # an entry of several characters is not a residue token either
             if p != MASK and p not in _RESIDUE_INDEX:
                 raise ValueError(f"template entry {p!r} is not a residue token")
         m = self.masked_count
@@ -250,8 +248,7 @@ def make_dataset(
     Label-flip noise applies only here, at dataset-generation time; the oracle
     itself stays clean for property checks.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_count("n", n)
     if not 0 <= noise_rate < 1:
         raise ValueError("noise_rate must be in [0, 1)")
     weights = dict(length_weights or DEFAULT_LENGTH_WEIGHTS)
@@ -299,8 +296,7 @@ def make_queries(
     seed: int = 0,
 ) -> list[QueryTemplate]:
     """Draw n random templates with 1..max_masked masked positions each."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_count("n", n)
     lengths = sorted(set(lengths))
     if not lengths or any(L < 6 or L > 12 for L in lengths):
         raise ValueError("query lengths must lie in [6, 12]")
@@ -327,6 +323,10 @@ class _DatasetRow:
     def __post_init__(self):
         if not self.sequence or any(t not in _RESIDUE_INDEX for t in self.sequence):
             raise ValueError(f"non-residue symbol in sequence {self.sequence!r}")
+        if self.label not in (0, 1):
+            raise ValueError(f"label {self.label} is not 0 or 1")
+        if self.split not in ("train", "test"):
+            raise ValueError(f"split {self.split!r} is not 'train' or 'test'")
 
 
 @dataclass(frozen=True)

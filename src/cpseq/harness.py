@@ -36,7 +36,7 @@ from .policy import (
 )
 from .rl import RLConfig, SequenceScorer, StepMetrics, run_rl
 from .scoring import SCORING_KINDS, check_kind
-from .tables import json_field, read_json, read_table, write_table
+from .tables import check_count, json_field, read_json, read_table, write_table
 
 BASELINE_KIND = "rm_p1"
 _KIND_CODE = {kind: i for i, kind in enumerate(SCORING_KINDS)}
@@ -219,11 +219,9 @@ class CampaignConfig:
         # a bad run or build setting fails here, before any build
         self.run_settings()
         self.classifier_settings()
-        if self.acp_k < 1:
-            raise ValueError("acp_k must be >= 1")
+        check_count("acp_k", self.acp_k)
         check_pretrain_settings(self.pretrain_epochs, self.pretrain_learning_rate)
-        if self.pretrain_corpus_size < 1:
-            raise ValueError("pretrain_corpus_size must be >= 1")
+        check_count("pretrain_corpus_size", self.pretrain_corpus_size)
 
     def classifier_settings(self) -> ClassifierConfig:
         """The classifier settings of the built classifier and, re-seeded per ICP by ``build_acp``, of the ACP."""
@@ -329,9 +327,8 @@ def build_conformal_predictor(dataset: LabeledDataset, k: int, config: Classifie
 
 def build_prior(dataset: LabeledDataset, corpus_size: int, corpus_seed: int, **settings) -> PretrainResult:
     """:func:`pretrain_prior` with ``settings`` on the first ``corpus_size`` train sequences masked with
-    ``corpus_seed``; raises ValueError when ``corpus_size`` is below 1."""
-    if corpus_size < 1:
-        raise ValueError("corpus_size must be >= 1")
+    ``corpus_seed``; raises ValueError when ``corpus_size`` is not a count (:func:`~cpseq.tables.check_count`)."""
+    check_count("corpus_size", corpus_size)
     train_seqs, _ = dataset.subset("train")
     return pretrain_prior(build_pretrain_corpus(train_seqs[:corpus_size], seed=corpus_seed), **settings)
 

@@ -41,7 +41,7 @@ from .domain import (
     assemble_batch,
     mask_out,
 )
-from .tables import check_positive, json_field, read_json
+from .tables import check_count, check_positive, json_field, read_json
 
 MAX_TOKENS_PER_SLOT = MAX_FILL_TOKENS + 1  # content cap plus the terminator
 EMBED_DIM = 16
@@ -452,8 +452,7 @@ class ValidityGateError(RuntimeError):
 
 def check_pretrain_settings(epochs: int, learning_rate: float) -> None:
     """Raises ValueError unless there is at least one epoch and the learning rate is positive and finite."""
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
+    check_count("epochs", epochs)
     check_positive("learning_rate", learning_rate)
 
 

@@ -20,7 +20,7 @@ from .conformal import Acp, DEFAULT_SIGNIFICANCE, PValuePair, check_significance
 from .domain import FINGERPRINT_BUCKETS, QueryTemplate, assemble_batch, fingerprints
 from .policy import Policy
 from .scoring import check_kind, score
-from .tables import check_integers, check_positive, write_table
+from .tables import check_count, check_integer, check_positive, write_table
 
 
 @dataclass(frozen=True)
@@ -34,11 +34,11 @@ class RLConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_integers(self, ("batch_size", "steps", "seed"))
+        check_count("batch_size", self.batch_size)
+        check_count("steps", self.steps)
+        check_integer("seed", self.seed)
         check_kind(self.scoring)
         check_positive("sigma", self.sigma)
-        if self.batch_size < 1 or self.steps < 1:
-            raise ValueError("batch_size and steps must be >= 1")
         check_significance(self.significance)
         check_positive("learning_rate", self.learning_rate)
 

@@ -88,12 +88,17 @@ def read_json(path: str | Path, from_json_dict: Callable):
         raise ValueError(f"{path}: {err}") from None
 
 
-def check_integers(settings, names: Sequence[str]) -> None:
-    """Raises ValueError naming the first of the ``names`` whose value is not an integer (a bool is not)."""
-    for name in names:
-        value = getattr(settings, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+def check_integer(name: str, value) -> None:
+    """Raises ValueError naming the setting unless ``value`` is an integer; a bool is not, a numpy integer is."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_count(name: str, value) -> None:
+    """Raises ValueError naming the setting unless ``value`` is an integer (as :func:`check_integer`) of at least 1."""
+    check_integer(name, value)
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
 
 
 def check_positive(name: str, value: float) -> None:

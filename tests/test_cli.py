@@ -175,8 +175,8 @@ def _campaign_config(workdir, path, *extra, classifier=None):
     "line, message",
     [
         ("sigma = 0", "sigma must be > 0"),
-        ("steps = 0", "batch_size and steps must be >= 1"),
-        ("batch_size = 0", "batch_size and steps must be >= 1"),
+        ("steps = 0", "steps must be >= 1"),
+        ("batch_size = 0", "batch_size must be >= 1"),
         ("significance = 1.5", "significance must be in (0, 1)"),
         ("rl_learning_rate = -0.1", "learning_rate must be > 0"),
         ("acp_k = 0", "acp_k must be >= 1"),

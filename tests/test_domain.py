@@ -69,6 +69,11 @@ def test_template_requires_a_mask():
         QueryTemplate.from_text("ACDEF")
 
 
+def test_template_refuses_an_entry_of_several_characters_as_a_non_residue():
+    with pytest.raises(ValueError, match="^template entry 'AC' is not a residue token$"):
+        QueryTemplate(("AC", MASK, "D"))
+
+
 def test_template_rejects_too_many_masks():
     with pytest.raises(ValueError):
         QueryTemplate.from_text("?????A")
@@ -404,10 +409,13 @@ def test_dataset_csv_rejects_a_row_of_another_width(tmp_path, row):
     [
         ("data.csv", "sequence,label,split\nACDEFH,0,test\nACDXFG,1,train\n", ":3: non-residue symbol"),
         ("data.csv", "sequence,label,split\nACDEFH,x,test\n", ":2: invalid literal"),
+        ("data.csv", "sequence,label,split\nACDEFH,0,test\nACDEFG,2,train\n", ":3: label 2 is not 0 or 1"),
+        ("data.csv", "sequence,label,split\nACDEFH,300,test\n", ":2: label 300 is not 0 or 1"),  # past int8
+        ("data.csv", "sequence,label,split\nACDEFH,0,val\n", ":2: split 'val' is not 'train' or 'test'"),
         ("queries.csv", "template\nAC?DE\nAC?XE\n", ":3: template entry 'X'"),
         ("queries.csv", "template\nACDE\n", ":2: masked_count"),
     ],
-    ids=["residue", "label", "template_entry", "unmasked_template"],
+    ids=["residue", "label", "label_2", "label_300", "split_val", "template_entry", "unmasked_template"],
 )
 def test_csv_readers_name_the_file_and_line_of_a_bad_cell(tmp_path, name, text, message):
     path = tmp_path / name

@@ -1,6 +1,6 @@
-"""Each input rule (scoring kind, labels, significance, template entries) is
-checked in one function; every entry point that takes such an input refuses a
-bad one with that function's message."""
+"""Each input rule (scoring kind, labels, significance, template entries, count
+settings) is checked in one function; every entry point that takes such an
+input refuses a bad one with that function's message."""
 
 import contextlib
 import io
@@ -10,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cpseq.boosting import BoostedTreeClassifier
+from cpseq.boosting import BoostedTreeClassifier, ClassifierConfig
 from cpseq.cli import main
 from cpseq.conformal import PredictionSet, PValuePair, build_acp, calibrate_icp, predict_set, validity_efficiency
-from cpseq.domain import QueryTemplate, read_queries_csv
-from cpseq.harness import CampaignConfig
+from cpseq.domain import QueryTemplate, make_dataset, make_queries, mask_out, read_queries_csv
+from cpseq.harness import CampaignConfig, build_prior
+from cpseq.policy import pretrain_prior
 from cpseq.rl import RLConfig, SequenceScorer
 from cpseq.scoring import SCORING_KINDS, score
 
@@ -115,3 +116,41 @@ def _read_one_query(tmp_path, text):
 )
 def test_a_template_entry_that_is_not_a_residue_is_refused_with_one_message(tmp_path, call):
     _raises_with("template entry '$' is not a residue token", call, tmp_path, "AC$?E")
+
+
+def _campaign(**setting):
+    return CampaignConfig(Path("d.csv"), Path("q.csv"), **setting)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [(0, "must be >= 1"), (-3, "must be >= 1"), (2.5, "must be an integer, got 2.5"),
+     (True, "must be an integer, got True"), (np.int64(2), None)],
+    ids=["0", "-3", "2.5", "True", "int64"],
+)
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("n_rounds", lambda data, n: ClassifierConfig(n_rounds=n)),
+        ("max_depth", lambda data, n: ClassifierConfig(max_depth=n)),
+        ("batch_size", lambda data, n: RLConfig(batch_size=n)),
+        ("steps", lambda data, n: RLConfig(steps=n)),
+        ("acp_k", lambda data, n: _campaign(acp_k=n)),
+        ("pretrain_corpus_size", lambda data, n: _campaign(pretrain_corpus_size=n)),
+        ("epochs", lambda data, n: _campaign(pretrain_epochs=n)),
+        ("k", lambda data, n: build_acp(np.zeros((40, 3)), [0, 1] * 20, k=n, config=ClassifierConfig(n_rounds=1))),
+        ("corpus_size", lambda data, n: build_prior(data, n, 0, epochs=1)),
+        ("epochs", lambda data, n: pretrain_prior([mask_out("ACDEFG", [2])], epochs=n)),
+        ("n", lambda data, n: make_dataset(n)),
+        ("n", lambda data, n: make_queries(n)),
+    ],
+    ids=["ClassifierConfig.n_rounds", "ClassifierConfig.max_depth", "RLConfig.batch_size", "RLConfig.steps",
+         "CampaignConfig.acp_k", "CampaignConfig.pretrain_corpus_size", "CampaignConfig.pretrain_epochs",
+         "build_acp", "build_prior", "pretrain_prior", "make_dataset", "make_queries"],
+)
+def test_a_count_setting_below_1_or_not_an_integer_is_refused_with_one_message(tiny_dataset, name, call, value,
+                                                                                message):
+    if message is None:  # a numpy integer is an integer
+        call(tiny_dataset, value)
+    else:
+        _raises_with(f"{name} {message}", call, tiny_dataset, value)
