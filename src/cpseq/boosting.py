@@ -312,15 +312,20 @@ def _check_counts(X: np.ndarray, y: np.ndarray) -> None:
         )
 
 
+def missing_label(y) -> int | None:
+    """The first of the labels 0 and 1 that ``y`` lacks, or None when it has both."""
+    return next((label for label in (0, 1) if not (np.asarray(y) == label).any()), None)
+
+
 def check_labels(y) -> None:
-    """Raise ValueError naming the first label that is not 0 or 1, else a label of the two that ``y`` lacks."""
+    """Raise ValueError naming the first label that is not 0 or 1, else the :func:`missing_label`."""
     y = np.asarray(y)
     other = (y != 0) & (y != 1)
     if other.any():
         raise ValueError(f"label {y[other][0]} is not 0 or 1")
-    for label in (0, 1):
-        if not (y == label).any():
-            raise ValueError(f"no samples with true label {label}")
+    missing = missing_label(y)
+    if missing is not None:
+        raise ValueError(f"no samples with true label {missing}")
 
 
 class BoostedTreeClassifier:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
-from .boosting import BoostedTreeClassifier, ClassifierConfig, check_labels
+from .boosting import BoostedTreeClassifier, ClassifierConfig, check_labels, missing_label
 from .conformal import (
     DEFAULT_ICP_COUNT,
     DEFAULT_SIGNIFICANCE,
@@ -112,9 +112,9 @@ def _cmd_train_clf(args) -> int:
     model = harness.build_classifier(dataset, _config(ClassifierConfig, args))
     model.save(args.out)
     test_seqs, test_labels = dataset.subset("test")
-    missing = [label for label in (0, 1) if not np.any(test_labels == label)]
-    if test_seqs and missing:  # balanced accuracy needs a row of each label
-        print(f"test balanced accuracy undefined: the {len(test_seqs)} test sequences have no label {missing[0]}")
+    missing = missing_label(test_labels)
+    if test_seqs and missing is not None:  # balanced accuracy needs a row of each label
+        print(f"test balanced accuracy undefined: the {len(test_seqs)} test sequences have no label {missing}")
     elif test_seqs:
         p1 = model.predict_proba(fingerprints(test_seqs))
         pred = (p1 >= 0.5).astype(int)

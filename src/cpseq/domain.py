@@ -343,8 +343,14 @@ def write_dataset_csv(dataset: LabeledDataset, path: str | Path) -> None:
 
 
 def read_dataset_csv(path: str | Path) -> LabeledDataset:
-    """The dataset a CSV holds; a bad row raises ValueError naming the file and the line."""
+    """The dataset a CSV holds; a bad row, or a sequence given two labels, raises ValueError naming file and line."""
     rows = read_table(path, _DatasetRow)
+    first: dict[str, int] = {}  # sequence -> index of its first row; row i is line i + 2 unless a quoted cell wraps
+    for i, row in enumerate(rows):
+        j = first.setdefault(row.sequence, i)
+        if rows[j].label != row.label:
+            raise ValueError(f"{path}:{i + 2}: sequence {row.sequence!r} has label {row.label}, "
+                             f"but line {j + 2} gave it label {rows[j].label}")
     labels = np.array([row.label for row in rows], dtype=np.int8)
     return LabeledDataset(tuple(row.sequence for row in rows), labels, tuple(row.split for row in rows))
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .boosting import BoostedTreeClassifier, ClassifierConfig
 from .conformal import DEFAULT_ICP_COUNT, DEFAULT_SIGNIFICANCE, Acp, build_acp, load_acp
-from .domain import LabeledDataset, fingerprints, read_dataset_csv, read_queries_csv
+from .domain import LabeledDataset, QueryTemplate, fingerprints, read_dataset_csv, read_queries_csv
 from .policy import (
     DEFAULT_GATE_SAMPLES,
     DEFAULT_PRETRAIN_CORPUS_SIZE,
@@ -34,7 +34,7 @@ from .policy import (
     check_pretrain_settings,
     pretrain_prior,
 )
-from .rl import RLConfig, SequenceScorer, StepMetrics, run_rl
+from .rl import RLConfig, RunRecord, SequenceScorer, StepMetrics, run_rl
 from .scoring import SCORING_KINDS, check_kind
 from .tables import check_count, json_field, read_json, read_table, write_table
 
@@ -368,10 +368,6 @@ class CampaignResult:
     out_dir: Path
 
 
-def _run_name(query_id: int, kind: str) -> str:
-    return f"q{query_id:03d}_{kind}"
-
-
 def _write_whole(path: Path, write: Callable[[Path], object]) -> None:
     """``write`` a temporary file beside ``path``, then rename it to ``path``, so ``path`` is whole or absent."""
     tmp = path.with_name(path.name + ".tmp")
@@ -382,51 +378,66 @@ def _write_whole(path: Path, write: Callable[[Path], object]) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def _failure(err: Exception) -> dict[str, str]:
+    """The ``error`` and ``traceback`` a failed cell's sidecar keeps; call it while handling ``err``."""
+    return {"error": f"{type(err).__name__}: {err}", "traceback": traceback.format_exc()}
+
+
+def run_query(query_id: int, query: QueryTemplate, kinds: Sequence[str], settings: RLConfig,
+              artifacts: CampaignArtifacts) -> dict[str, RunRecord | dict[str, str]]:
+    """Run one query's cells in the order of ``kinds``, each ``settings`` with its kind and :func:`run_seed_for` seed.
+
+    The cells share a scorer memo that no other query uses, and nothing is written. A cell that raises gives
+    its sidecar's ``error`` and ``traceback`` in place of its record, and the next kind still runs; all values pickle.
+    """
+    scorer = SequenceScorer(settings.scoring, artifacts.classifier, artifacts.acp, settings.significance)
+    outcomes: dict[str, RunRecord | dict[str, str]] = {}
+    for kind in kinds:
+        config = replace(settings, scoring=kind, seed=run_seed_for(settings.seed, query_id, kind))
+        try:
+            outcomes[kind] = run_rl(query, config, artifacts.prior, scorer.for_kind(kind))
+        except Exception as err:  # per-cell isolation
+            outcomes[kind] = _failure(err)
+    return outcomes
+
+
 def run_campaign(
     config: CampaignConfig,
     out_dir: str | Path,
     artifacts: CampaignArtifacts | None = None,
 ) -> CampaignResult:
-    """Execute every (query x scoring kind) run and write all output files.
+    """Execute every (query x scoring kind) run, a query at a time (:func:`run_query`), and write all output files.
 
-    Each run's CSV and sidecar are written whole or not at all (see :func:`_write_whole`),
-    and its summary row is read back from them as :func:`regenerate_report` reads it.
-    A failing run is recorded with status ``error`` and excluded from the
-    aggregates; it never aborts the campaign. Its sidecar keeps the error and
-    its traceback, and one line naming the run goes to stderr. Nothing is
-    written when the models cannot score fingerprints (see ``SequenceScorer``).
+    Each run's CSV and sidecar are written whole or not at all (see :func:`_write_whole`), and its summary row is
+    read back from them as :func:`regenerate_report` reads it. A run that fails, or whose CSV cannot be written, is
+    recorded with status ``error``, its error and traceback in its sidecar and one line on stderr; it is excluded
+    from the aggregates and never aborts the campaign. Nothing is written when the models cannot score fingerprints.
     """
     queries = read_queries_csv(config.queries)
     if not queries:
         raise ValueError("query file contains no templates")
     if artifacts is None:
         artifacts = build_campaign_artifacts(config)
-    base = config.run_settings()
-    scorer = SequenceScorer(base.scoring, artifacts.classifier, artifacts.acp, base.significance)
-    scorers = {kind: scorer.for_kind(kind) for kind in config.scoring}  # one memo: each sequence is evaluated once
+    SequenceScorer(config.scoring[0], artifacts.classifier, artifacts.acp, config.significance)  # checks the models
     out = Path(out_dir)
     runs_dir = out / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
 
     rows: list[RunSummary] = []
     for query_id, query in enumerate(queries):
-        for kind in config.scoring:
-            name = _run_name(query_id, kind)
-            rl_config = replace(base, scoring=kind, seed=run_seed_for(config.seed, query_id, kind))
-            sidecar: dict[str, object] = {
-                "query_id": query_id,
-                "length": query.length,
-                "scoring_fn": kind,
-            }
-            try:
-                record = run_rl(query, rl_config, artifacts.prior, scorers[kind])
-                _write_whole(runs_dir / f"{name}.csv", record.write_csv)
-                sidecar.update(status="ok", n_unique_valid=len(record.unique_valid),
-                               n_conf_eff=len(record.conf_eff_unique))
-            except Exception as err:  # per-run isolation
-                error = f"{type(err).__name__}: {err}"
-                sidecar.update(status="error", error=error, traceback=traceback.format_exc())
-                print(f"cpseq campaign: run {name} failed: {error}", file=sys.stderr)
+        for kind, outcome in run_query(query_id, query, config.scoring, config.run_settings(), artifacts).items():
+            name = f"q{query_id:03d}_{kind}"
+            sidecar: dict[str, object] = {"query_id": query_id, "length": query.length, "scoring_fn": kind}
+            if isinstance(outcome, RunRecord):
+                try:
+                    _write_whole(runs_dir / f"{name}.csv", outcome.write_csv)
+                    sidecar.update(status="ok", n_unique_valid=len(outcome.unique_valid),
+                                   n_conf_eff=len(outcome.conf_eff_unique))
+                except Exception as err:
+                    outcome = _failure(err)
+            if not isinstance(outcome, RunRecord):
+                sidecar.update(status="error", **outcome)
+                print(f"cpseq campaign: run {name} failed: {outcome['error']}", file=sys.stderr)
             _write_whole(runs_dir / f"{name}.json", lambda tmp: tmp.write_text(json.dumps(sidecar)))
             rows.append(_read_run_summary(runs_dir / f"{name}.json"))  # as the report reads it back
     return _write_summaries(rows, out)

@@ -28,13 +28,15 @@ from cpseq.conformal import (
 )
 from cpseq.domain import fingerprints, make_dataset, make_queries, write_dataset_csv, write_queries_csv
 from cpseq.harness import (
+    CampaignArtifacts,
     parse_campaign_config,
     run_campaign,
+    run_query,
     steps_to_threshold,
     wilcoxon_signed_rank,
 )
 from cpseq.policy import Policy
-from cpseq.rl import RLConfig, SequenceScorer, augmented_log_likelihood, run_rl, squared_loss
+from cpseq.rl import RLConfig, RunRecord, SequenceScorer, augmented_log_likelihood, run_rl, squared_loss
 from cpseq.scoring import (
     score_diff,
     score_harsh,
@@ -235,18 +237,14 @@ def test_criterion_5_learnability_baseline(clf5k, acp5k, prior5k, queries10):
 
 
 def test_criterion_6_directional_reproduction(clf5k, acp5k, prior5k):
-    from cpseq.harness import run_seed_for
-
     queries = make_queries(14, lengths=(6, 7, 10), seed=33)
     kinds = ("rm_p1", "cp_harsh", "cp_soft")
-    scorer = SequenceScorer("rm_p1", clf5k, acp5k.acp)
-    scorers = {k: scorer.for_kind(k) for k in kinds}  # one memo, as run_campaign keeps
+    artifacts = CampaignArtifacts(prior5k, clf5k, acp5k.acp)
     hits: dict[str, list[int]] = {k: [] for k in kinds}
     reach: dict[str, list[int]] = {k: [] for k in kinds}
-    for qi, query in enumerate(queries):
-        for kind in kinds:
-            config = RLConfig(scoring=kind, steps=350, seed=run_seed_for(0, qi, kind))
-            record = run_rl(query, config, prior5k, scorers[kind])
+    for qi, query in enumerate(queries):  # each query's cells run as run_campaign runs them
+        for kind, record in run_query(qi, query, kinds, RLConfig(steps=350, seed=0), artifacts).items():
+            assert isinstance(record, RunRecord), f"query {qi}, {kind}: {record}"
             hits[kind].append(len(record.conf_eff_unique))
             reach[kind].append(steps_to_threshold(record.steps) or NEVER_REACHED)
 

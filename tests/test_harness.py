@@ -1,5 +1,6 @@
 import itertools
 import json
+import pickle
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from cpseq.harness import (
     parse_campaign_config,
     regenerate_report,
     run_campaign,
+    run_query,
     run_seed_for,
     steps_to_threshold,
     stratify_by_length,
@@ -367,6 +369,74 @@ def test_run_seed_derivation_is_stable():
     assert run_seed_for(0, 3, "cp_soft") == run_seed_for(0, 3, "cp_soft")
     assert run_seed_for(0, 3, "cp_soft") != run_seed_for(0, 3, "cp_harsh")
     assert run_seed_for(0, 3, "cp_soft") != run_seed_for(1, 3, "cp_soft")
+
+
+# -- per-query runner ---------------------------------------------------------------------
+
+RUNNER_KINDS = ("cp_soft", "rm_p1", "cp_harsh")
+RUNNER_SETTINGS = rl.RLConfig(steps=4, batch_size=8, seed=3)
+RUNNER_QUERY = QueryTemplate.from_text("TFYAIQ?FAE")  # one masked slot, so the kinds propose the same sequences
+
+
+def _fail_rm_p1(monkeypatch):
+    """Make every rm_p1 cell raise RuntimeError("boom"); the other kinds run as before."""
+    real_run = harness.run_rl
+
+    def flaky(query, rl_config, prior, scorer):
+        if rl_config.scoring == "rm_p1":
+            raise RuntimeError("boom")
+        return real_run(query, rl_config, prior, scorer)
+
+    monkeypatch.setattr(harness, "run_rl", flaky)
+
+
+def test_run_query_cells_equal_direct_runs_bit_for_bit(tiny_models, tiny_prior):
+    clf, acp = tiny_models
+    outcomes = run_query(1, RUNNER_QUERY, RUNNER_KINDS, RUNNER_SETTINGS, CampaignArtifacts(tiny_prior, clf, acp))
+    assert list(outcomes) == list(RUNNER_KINDS)
+    for kind, record in outcomes.items():
+        config = replace(RUNNER_SETTINGS, scoring=kind, seed=run_seed_for(3, 1, kind))
+        direct = rl.run_rl(RUNNER_QUERY, config, tiny_prior, rl.SequenceScorer(kind, clf, acp))
+        assert record.config == config
+        assert repr(record.steps) == repr(direct.steps)  # repr prints each float exactly and tells -0.0 from 0.0
+        assert record.unique_valid == direct.unique_valid and record.conf_eff_unique == direct.conf_eff_unique
+
+
+def test_run_query_starts_each_query_with_an_empty_memo(monkeypatch, tiny_models, tiny_prior):
+    fingerprinted: list[list[str]] = []
+    real = rl.fingerprints
+    monkeypatch.setattr(rl, "fingerprints", lambda seqs: fingerprinted[-1].extend(seqs) or real(seqs))
+    for _ in range(2):  # the same query twice: a memo kept from the first call would fingerprint nothing
+        fingerprinted.append([])
+        run_query(0, RUNNER_QUERY, RUNNER_KINDS, RUNNER_SETTINGS, CampaignArtifacts(tiny_prior, *tiny_models))
+    first, second = fingerprinted
+    assert len(first) == len(set(first)) > 0  # within a query, the kinds share one memo
+    assert second == first
+
+
+def test_run_query_returns_a_failed_cells_error_and_runs_the_next_kind(monkeypatch, tiny_models, tiny_prior):
+    artifacts = CampaignArtifacts(tiny_prior, *tiny_models)
+    expected = run_query(0, RUNNER_QUERY, RUNNER_KINDS, RUNNER_SETTINGS, artifacts)
+    _fail_rm_p1(monkeypatch)
+    outcomes = run_query(0, RUNNER_QUERY, RUNNER_KINDS, RUNNER_SETTINGS, artifacts)
+    assert list(outcomes) == list(RUNNER_KINDS)
+    failure = outcomes["rm_p1"]
+    assert set(failure) == {"error", "traceback"} and failure["error"] == "RuntimeError: boom"
+    assert failure["traceback"].startswith("Traceback (most recent call last):")
+    assert failure["traceback"].endswith("RuntimeError: boom\n")
+    for kind in ("cp_soft", "cp_harsh"):
+        assert repr(outcomes[kind].steps) == repr(expected[kind].steps)
+
+
+def test_run_query_outcomes_pickle(monkeypatch, tiny_models, tiny_prior):
+    _fail_rm_p1(monkeypatch)
+    artifacts = CampaignArtifacts(tiny_prior, *tiny_models)
+    outcomes = run_query(0, RUNNER_QUERY, ("cp_soft", "rm_p1"), RUNNER_SETTINGS, artifacts)
+    copy = pickle.loads(pickle.dumps(outcomes))
+    assert copy["rm_p1"] == outcomes["rm_p1"] and copy["rm_p1"]["error"] == "RuntimeError: boom"
+    record, copied = outcomes["cp_soft"], copy["cp_soft"]
+    assert isinstance(copied, rl.RunRecord) and copied == record
+    assert repr(copied.steps) == repr(record.steps)
 
 
 # -- campaign + report -------------------------------------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cpseq.boosting import BoostedTreeClassifier, ClassifierConfig
+from cpseq.boosting import BoostedTreeClassifier, ClassifierConfig, missing_label
 from cpseq.cli import main
 from cpseq.conformal import PredictionSet, PValuePair, build_acp, calibrate_icp, predict_set, validity_efficiency
 from cpseq.domain import QueryTemplate, make_dataset, make_queries, mask_out, read_queries_csv
@@ -75,6 +75,11 @@ _LABEL_CASES = [([1, 1, 1, 1], "no samples with true label 0"), ([0, 1, 2, 1], "
 )
 def test_labels_other_than_both_of_0_and_1_are_refused_with_one_message(call, labels, message):
     _raises_with(message, call, labels)
+
+
+@pytest.mark.parametrize("labels, missing", [([1, 1], 0), ([0, 0], 1), ([], 0), ([1, 0], None)])
+def test_missing_label_is_the_first_of_0_and_1_that_the_labels_lack(labels, missing):
+    assert missing_label(np.array(labels)) == missing and missing_label(labels) == missing
 
 
 def test_cpseq_calibrate_refuses_a_test_split_without_a_label_with_the_same_message(tmp_path):
