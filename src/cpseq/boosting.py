@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tables import check_count, check_integer, json_field, read_json
+from .tables import check_count, check_seed, json_field, read_json
 
 _BIN_COUNT = 16  # count features are clipped into bins 0..15 for split search
 _PROB_EPS = 1e-12  # keeps predicted probabilities strictly inside (0, 1)
@@ -56,7 +56,7 @@ class ClassifierConfig:
     def __post_init__(self):
         check_count("n_rounds", self.n_rounds)
         check_count("max_depth", self.max_depth)
-        check_integer("seed", self.seed)
+        check_seed("seed", self.seed)
         if not 0 < self.learning_rate <= 1:
             raise ValueError("learning_rate must be in (0, 1]")
         if not 0 < self.subsample <= 1:

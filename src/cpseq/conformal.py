@@ -18,9 +18,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .boosting import BoostedTreeClassifier, ClassifierConfig, _check_counts, _finite, _margins, _proba, check_labels
-from .boosting import _SparseBins, _stack, _Trees
+from .boosting import _SparseBins, _stack, _Trees, missing_label
 from .parallel import fork_map
-from .tables import check_count, json_field, read_json
+from .tables import check_count, check_seed, json_field, read_json
 
 DEFAULT_SIGNIFICANCE = 0.2
 DEFAULT_ICP_COUNT = 10
@@ -167,6 +167,7 @@ def build_acp(
     check_labels(y)
     y = np.asarray(y, dtype=np.float64)
     check_count("k", k)
+    check_seed("seed", seed)
     _check_counts(X, y)
     pool = _SparseBins(X)
     config = config or ClassifierConfig()
@@ -180,11 +181,7 @@ def build_acp(
             boot = rng.integers(0, n, n)
             oob = np.ones(n, dtype=bool)
             oob[boot] = False
-            y_boot = y[boot]
-            y_oob = y[oob]
-            both_in = (y_boot == 0).any() and (y_boot == 1).any()
-            both_out = oob.any() and (y_oob == 0).any() and (y_oob == 1).any()
-            if both_in and both_out:
+            if missing_label(y[boot]) is None and missing_label(y[oob]) is None:
                 break
         else:
             raise RuntimeError("bootstrap failed to produce usable calibration splits")

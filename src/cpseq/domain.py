@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .tables import check_count, read_table, write_table
+from .tables import check_count, check_seed, read_table, write_table
 
 MASK = "?"
 RESIDUES = tuple("ACDEFGHIKLMNPQRSTVWY")
@@ -249,6 +249,7 @@ def make_dataset(
     itself stays clean for property checks.
     """
     check_count("n", n)
+    check_seed("seed", seed)
     if not 0 <= noise_rate < 1:
         raise ValueError("noise_rate must be in [0, 1)")
     weights = dict(length_weights or DEFAULT_LENGTH_WEIGHTS)
@@ -297,10 +298,12 @@ def make_queries(
 ) -> list[QueryTemplate]:
     """Draw n random templates with 1..max_masked masked positions each."""
     check_count("n", n)
+    check_seed("seed", seed)
     lengths = sorted(set(lengths))
     if not lengths or any(L < 6 or L > 12 for L in lengths):
         raise ValueError("query lengths must lie in [6, 12]")
-    if not 1 <= max_masked <= MAX_MASKED:
+    check_count("max_masked", max_masked)
+    if max_masked > MAX_MASKED:
         raise ValueError(f"max_masked must be in [1, {MAX_MASKED}]")
     rng = np.random.default_rng(seed)
     queries = []
@@ -345,7 +348,7 @@ def write_dataset_csv(dataset: LabeledDataset, path: str | Path) -> None:
 def read_dataset_csv(path: str | Path) -> LabeledDataset:
     """The dataset a CSV holds; a bad row, or a sequence given two labels, raises ValueError naming file and line."""
     rows = read_table(path, _DatasetRow)
-    first: dict[str, int] = {}  # sequence -> index of its first row; row i is line i + 2 unless a quoted cell wraps
+    first: dict[str, int] = {}  # sequence -> index of its first row; row i is line i + 2
     for i, row in enumerate(rows):
         j = first.setdefault(row.sequence, i)
         if rows[j].label != row.label:

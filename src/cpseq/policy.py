@@ -41,7 +41,7 @@ from .domain import (
     assemble_batch,
     mask_out,
 )
-from .tables import check_count, check_positive, json_field, read_json
+from .tables import check_count, check_positive, check_seed, json_field, read_json
 
 MAX_TOKENS_PER_SLOT = MAX_FILL_TOKENS + 1  # content cap plus the terminator
 EMBED_DIM = 16
@@ -411,10 +411,13 @@ class Policy:
 def build_pretrain_corpus(
     sequences: Iterable[str], seed: int = 0
 ) -> list[tuple[QueryTemplate, tuple[str, ...]]]:
-    """Mask random positions of full sequences into (template, true fills) pairs."""
+    """Mask random positions of full sequences, each of at least 2 tokens, into (template, true fills) pairs."""
+    check_seed("seed", seed)
     rng = np.random.default_rng(seed)
     corpus = []
     for seq in sequences:
+        if len(seq) < 2:
+            raise ValueError(f"sequence {seq!r} is shorter than 2 tokens, so it cannot be masked into a template")
         m = int(rng.integers(1, min(MAX_MASKED, len(seq) - 1) + 1))
         positions = rng.choice(len(seq), size=m, replace=False)
         corpus.append(mask_out(seq, positions.tolist()))
@@ -422,8 +425,9 @@ def build_pretrain_corpus(
 
 
 def check_gate_settings(n_samples: int, queries: Sequence[QueryTemplate]) -> None:
-    """Raises ValueError unless the fill-validity gate has at least one sample and one query."""
-    if n_samples < 1 or not queries:
+    """Raises ValueError unless the fill-validity gate has a count of samples (:func:`check_count`) and a query."""
+    check_count("gate_samples", n_samples)
+    if not queries:
         raise ValueError(f"fill-validity needs at least 1 sample and 1 query, got {n_samples} and {len(queries)}")
 
 
@@ -478,6 +482,7 @@ def pretrain_prior(
     if not corpus:
         raise ValueError("corpus must be nonempty")
     check_pretrain_settings(epochs, learning_rate)
+    check_seed("seed", seed)
     if gate_queries is not None:
         check_gate_settings(gate_samples, gate_queries)
     policy = Policy.fresh(seed=np.random.SeedSequence([seed, 0]).generate_state(1)[0])
@@ -487,14 +492,13 @@ def pretrain_prior(
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # each epoch checks finiteness below
         for epoch in range(1, epochs + 1):
             shuffle_rng.shuffle(order)
-            epoch_total = 0.0
+            nlls = [np.zeros(1)]  # summed left to right from 0.0: the built-in sum() of floats is compensated on 3.12+
             for start in range(0, len(order), PRETRAIN_BATCH):
                 queries, fills = zip(*(corpus[i] for i in order[start : start + PRETRAIN_BATCH]))
                 nll, backward = policy.nll_and_backward(queries, fills)
                 policy.sgd_step(backward(np.ones(len(nll))), learning_rate)
-                for value in nll.tolist():
-                    epoch_total += value
-            history.append(epoch_total / len(corpus))
+                nlls.append(nll)
+            history.append(float(np.cumsum(np.concatenate(nlls))[-1]) / len(corpus))
             non_finite = policy.non_finite_params()
             if non_finite or not np.isfinite(history[-1]):
                 raise FloatingPointError(

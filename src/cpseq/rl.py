@@ -20,7 +20,7 @@ from .conformal import Acp, DEFAULT_SIGNIFICANCE, PValuePair, check_significance
 from .domain import FINGERPRINT_BUCKETS, QueryTemplate, assemble_batch, fingerprints
 from .policy import Policy
 from .scoring import check_kind, score
-from .tables import check_count, check_integer, check_positive, write_table
+from .tables import check_count, check_positive, check_seed, write_table
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class RLConfig:
     def __post_init__(self):
         check_count("batch_size", self.batch_size)
         check_count("steps", self.steps)
-        check_integer("seed", self.seed)
+        check_seed("seed", self.seed)
         check_kind(self.scoring)
         check_positive("sigma", self.sigma)
         check_significance(self.significance)
@@ -188,26 +188,20 @@ def rl_step(
             f"step {step_index}: the agent is not finite (loss {loss}, non-finite parameters {non_finite})"
         )
 
-    rows = list(evals.values())  # in order of first appearance
-    n = max(len(rows), 1)  # a step without valid samples reports zero averages
-    # plain left-to-right sums, as the built-in sum() of floats is compensated from Python 3.12 on
-    score_total = p0_total = p1_total = 0.0
-    hits = 0
-    for r in rows:
-        score_total += r.score
-        p0_total += r.p0
-        p1_total += r.p1
-        hits += r.hit
+    n = max(len(evals), 1)  # a step without valid samples reports zero averages
+    # each column summed from 0.0 in order of first appearance; the built-in sum() of floats is compensated on 3.12+
+    table = [(0.0, 0.0, 0.0, 0.0)] + [(e.score, e.p0, e.p1, e.hit) for e in evals.values()]
+    avg_score, avg_p0, avg_p1, frac_conf_eff = (np.cumsum(table, axis=0)[-1] / n).tolist()
     metrics = StepMetrics(
         step=step_index,
         scoring_fn=config.scoring,
-        avg_score=score_total / n,
-        avg_p0=p0_total / n,
-        avg_p1=p1_total / n,
-        frac_conf_eff=hits / n,
+        avg_score=avg_score,
+        avg_p0=avg_p0,
+        avg_p1=avg_p1,
+        frac_conf_eff=frac_conf_eff,
         n_sampled=config.batch_size,
         n_valid=len(valid_seqs),
-        n_unique_valid=len(rows),
+        n_unique_valid=len(evals),
         loss=loss,
     )
     return metrics, evals

@@ -6,9 +6,9 @@ the checks of the numeric settings those files and the campaign config hold.
 A table is a list of dataclass rows; its header is the row class's field
 names. Cells are written as: ``None`` → empty, ``float`` → ``repr`` (so values
 read back exactly), anything else → ``str``; lines end with ``\\n``. A row
-with too few or too many cells, or a cell its field type rejects, raises
-ValueError naming the file and the line; a missing or malformed JSON field
-raises ValueError naming the file and the key.
+with too few or too many cells, a cell its field type rejects, or a row over
+several lines (a quoted cell holding a line break) raises ValueError naming the
+file and the line; one for a missing or malformed JSON field names the file and the key.
 """
 
 from __future__ import annotations
@@ -60,13 +60,15 @@ def read_table(path: str | Path, row_type: type[Row]) -> list[Row]:
         if header != names:
             raise ValueError(f"{path}: header {header} does not match the {row_type.__name__} fields {names}")
         rows = []
-        for cells in reader:
+        for line, cells in enumerate(reader, start=2):  # a table puts each row on one line, as write_table does
+            if reader.line_num != line:
+                raise ValueError(f"{path}:{line}: a quoted cell holds a line break, so the row spans several lines")
             if len(cells) != len(names):
-                raise ValueError(f"{path}:{reader.line_num}: expected {len(names)} cells, got {len(cells)}")
+                raise ValueError(f"{path}:{line}: expected {len(names)} cells, got {len(cells)}")
             try:
                 rows.append(row_type(*(parse(cell) for parse, cell in zip(parsers, cells))))
             except ValueError as err:
-                raise ValueError(f"{path}:{reader.line_num}: {err}") from None
+                raise ValueError(f"{path}:{line}: {err}") from None
     return rows
 
 
@@ -99,6 +101,13 @@ def check_count(name: str, value) -> None:
     check_integer(name, value)
     if value < 1:
         raise ValueError(f"{name} must be >= 1")
+
+
+def check_seed(name: str, value) -> None:
+    """Raises ValueError naming the setting unless ``value`` is an integer (as :func:`check_integer`) of at least 0."""
+    check_integer(name, value)
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0")
 
 
 def check_positive(name: str, value: float) -> None:

@@ -194,6 +194,7 @@ def _campaign_config(workdir, path, *extra, classifier=None):
         ("pretrain_learning_rate = inf", "learning_rate must be finite"),
         ("scoring = rm_p1, cp_soft, cp_soft", "scoring kind 'cp_soft' is listed twice"),
         ("scoring = nope", f"unknown scoring kind 'nope'; expected one of {SCORING_KINDS}"),
+        ("scoring = ,", "need at least one scoring kind"),
     ],
 )
 def test_campaign_with_bad_run_settings_fails_before_any_build(workdir, tmp_path, capsys, monkeypatch, line, message):
@@ -296,11 +297,15 @@ def _edited(payload, *path, value=None):
         ("--classifier", lambda payload: _edited(payload, "config", "seed", value=1.5), "config"),
         ("--classifier", lambda payload: _edited(payload, "config", "reg_lambda", value=float("nan")), "config"),
         ("--acp", lambda payload: _edited(payload, "icps", 0, "model", "config", "max_depth", value=2.5), "config"),
+        ("--classifier", lambda payload: _edited(payload, "config", "seed", value=-1), "config"),
+        ("--acp", lambda payload: _edited(payload, "icps", 0, "alphas_0", value=[]), "icps"),
+        ("--acp", lambda payload: _edited(payload, "icps", 1, "alphas_1", value=[0.5, 0.25]), "icps"),
     ],
     ids=["classifier", "classifier_wrong_type", "acp", "acp_wrong_type", "prior", "prior_wrong_shape",
          "classifier_infinite_leaf", "classifier_nan_base_score", "acp_nan_score", "acp_infinite_leaf",
          "acp_nan_base_score", "classifier_fractional_depth", "classifier_fractional_rounds",
-         "classifier_fractional_seed", "classifier_nan_lambda", "acp_fractional_depth"],
+         "classifier_fractional_seed", "classifier_nan_lambda", "acp_fractional_depth", "classifier_negative_seed",
+         "acp_no_scores", "acp_unsorted_scores"],
 )
 def test_run_reports_a_corrupt_artifact_by_file_and_key(workdir, tmp_path, capsys, flag, corrupt, key):
     artifacts = {"--prior": "prior.json", "--classifier": "clf.json", "--acp": "acp.json"}
@@ -322,15 +327,29 @@ def test_gen_queries_rejects_fewer_than_one_query(tmp_path, capsys, n):
     assert not (tmp_path / "queries.csv").exists()
 
 
-@pytest.mark.parametrize("samples, rows, got", [("0", 2, "0 and 2"), ("500", 0, "500 and 0")],
-                         ids=["no_samples", "no_queries"])
-def test_pretrain_with_nothing_to_gate_on_exits_with_a_message(workdir, tmp_path, capsys, samples, rows, got):
+@pytest.mark.parametrize("samples, rows, message", [
+    ("0", 2, "gate_samples must be >= 1"),
+    ("500", 0, "fill-validity needs at least 1 sample and 1 query, got 500 and 0"),
+], ids=["no_samples", "no_queries"])
+def test_pretrain_with_nothing_to_gate_on_exits_with_a_message(workdir, tmp_path, capsys, samples, rows, message):
     lines = (workdir / "queries.csv").read_text().splitlines()  # a header and two templates
     (tmp_path / "gate.csv").write_text("\n".join(lines[: rows + 1]) + "\n")
     args = ["pretrain", "--data", str(workdir / "data.csv"), "--corpus-size", "20", "--epochs", "1"]
     args += ["--gate-queries", str(tmp_path / "gate.csv"), "--gate-samples", samples]
     assert main(args + ["--out", str(tmp_path / "prior.json")]) == 1
-    assert capsys.readouterr().err == f"error: fill-validity needs at least 1 sample and 1 query, got {got}\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "prior.json").exists()
+
+
+def test_pretrain_refuses_a_train_sequence_too_short_to_mask(tmp_path, capsys):
+    # a template needs one masked and one fixed position, so a one-token sequence has none
+    data = tmp_path / "data.csv"
+    data.write_text("sequence,label,split\nA,0,train\nACDEFG,1,train\nACDEFH,0,test\nACDEFL,1,test\n")
+    args = ["pretrain", "--data", str(data), "--corpus-size", "20", "--epochs", "1"]
+    assert main(args + ["--out", str(tmp_path / "prior.json")]) == 1
+    assert capsys.readouterr().err == (
+        "error: sequence 'A' is shorter than 2 tokens, so it cannot be masked into a template\n"
+    )
     assert not (tmp_path / "prior.json").exists()
 
 

@@ -414,10 +414,13 @@ def test_dataset_csv_rejects_a_row_of_another_width(tmp_path, row):
         ("data.csv", "sequence,label,split\nACDEFH,0,val\n", ":2: split 'val' is not 'train' or 'test'"),
         ("data.csv", "sequence,label,split\nACDEFH,0,test\nACDEFL,0,train\nACDEFG,1,train\nACDEFL,1,test\n",
          ":5: sequence 'ACDEFL' has label 1, but line 3 gave it label 0"),
+        ("data.csv", 'sequence,label,split\nACDEFL,"0\n",train\nACDEFG,1,train\nACDEFH,0,test\nACDEFL,1,test\n',
+         ":2: a quoted cell holds a line break, so the row spans several lines"),
         ("queries.csv", "template\nAC?DE\nAC?XE\n", ":3: template entry 'X'"),
         ("queries.csv", "template\nACDE\n", ":2: masked_count"),
     ],
-    ids=["residue", "label", "label_2", "label_300", "split_val", "duplicate", "template_entry", "unmasked_template"],
+    ids=["residue", "label", "label_2", "label_300", "split_val", "duplicate", "wrapped_cell", "template_entry",
+         "unmasked_template"],
 )
 def test_csv_readers_name_the_file_and_line_of_a_bad_cell(tmp_path, name, text, message):
     path = tmp_path / name

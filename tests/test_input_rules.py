@@ -1,6 +1,7 @@
 """Each input rule (scoring kind, labels, significance, template entries, count
-settings) is checked in one function; every entry point that takes such an
-input refuses a bad one with that function's message."""
+settings, seeds) is checked in one function; every entry point that takes such an
+input refuses a bad one with that function's message. The last test holds the
+other input checks, one case each."""
 
 import contextlib
 import io
@@ -12,10 +13,11 @@ import pytest
 
 from cpseq.boosting import BoostedTreeClassifier, ClassifierConfig, missing_label
 from cpseq.cli import main
-from cpseq.conformal import PredictionSet, PValuePair, build_acp, calibrate_icp, predict_set, validity_efficiency
-from cpseq.domain import QueryTemplate, make_dataset, make_queries, mask_out, read_queries_csv
-from cpseq.harness import CampaignConfig, build_prior
-from cpseq.policy import pretrain_prior
+from cpseq.conformal import Acp, PredictionSet, PValuePair, build_acp, calibrate_icp, predict_set, validity_efficiency
+from cpseq.domain import (LabeledDataset, QueryTemplate, make_dataset, make_queries, mask_out, read_queries_csv,
+                          write_dataset_csv)
+from cpseq.harness import CampaignConfig, build_prior, parse_campaign_config
+from cpseq.policy import Policy, build_pretrain_corpus, fill_validity, pretrain_prior
 from cpseq.rl import RLConfig, SequenceScorer
 from cpseq.scoring import SCORING_KINDS, score
 
@@ -148,10 +150,13 @@ def _campaign(**setting):
         ("epochs", lambda data, n: pretrain_prior([mask_out("ACDEFG", [2])], epochs=n)),
         ("n", lambda data, n: make_dataset(n)),
         ("n", lambda data, n: make_queries(n)),
+        ("max_masked", lambda data, n: make_queries(1, max_masked=n)),
+        ("gate_samples", lambda data, n: fill_validity(Policy.fresh(), make_queries(1), n, np.random.default_rng(0))),
     ],
     ids=["ClassifierConfig.n_rounds", "ClassifierConfig.max_depth", "RLConfig.batch_size", "RLConfig.steps",
          "CampaignConfig.acp_k", "CampaignConfig.pretrain_corpus_size", "CampaignConfig.pretrain_epochs",
-         "build_acp", "build_prior", "pretrain_prior", "make_dataset", "make_queries"],
+         "build_acp", "build_prior", "pretrain_prior", "make_dataset", "make_queries", "make_queries.max_masked",
+         "fill_validity"],
 )
 def test_a_count_setting_below_1_or_not_an_integer_is_refused_with_one_message(tiny_dataset, name, call, value,
                                                                                 message):
@@ -159,3 +164,77 @@ def test_a_count_setting_below_1_or_not_an_integer_is_refused_with_one_message(t
         call(tiny_dataset, value)
     else:
         _raises_with(f"{name} {message}", call, tiny_dataset, value)
+
+
+def _seed_cli(tmp, command, seed):
+    data = tmp / "data.csv"
+    write_dataset_csv(make_dataset(200, seed=3), data)
+    (tmp / "c.cfg").write_text(f"dataset = {data}\nqueries = q.csv\n")
+    inputs = {"gen-data": [], "gen-queries": [], "pretrain": ["--data", data], "train-clf": ["--data", data],
+              "calibrate": ["--data", data], "campaign": ["--config", tmp / "c.cfg"]}[command]
+    _cli(command, *inputs, "--seed", seed, "--out", tmp / "out")
+
+
+_SEED_CALLS = {
+    "ClassifierConfig": lambda tmp, seed: ClassifierConfig(seed=seed),
+    "RLConfig": lambda tmp, seed: RLConfig(seed=seed),
+    "make_dataset": lambda tmp, seed: make_dataset(10, seed=seed),
+    "make_queries": lambda tmp, seed: make_queries(1, seed=seed),
+    "build_pretrain_corpus": lambda tmp, seed: build_pretrain_corpus(["ACDEFG"], seed=seed),
+    "pretrain_prior": lambda tmp, seed: pretrain_prior([mask_out("ACDEFG", [2])], epochs=1, seed=seed),
+    "build_acp": lambda tmp, seed: build_acp(np.zeros((40, 3)), [0, 1] * 20, k=1, seed=seed),
+}
+_SEED_VALUES = [(-1, "seed must be >= 0"), (2.5, "seed must be an integer, got 2.5"),
+                (True, "seed must be an integer, got True")]
+
+
+@pytest.mark.parametrize(
+    "call, seed, message",
+    [pytest.param(call, seed, message, id=f"{name}-{seed}")
+     for name, call in _SEED_CALLS.items() for seed, message in _SEED_VALUES]
+    + [pytest.param(lambda tmp, seed, command=command: _seed_cli(tmp, command, seed), -1, "seed must be >= 0",
+                    id=f"cpseq-{command}--1")
+       for command in ("gen-data", "gen-queries", "pretrain", "train-clf", "calibrate", "campaign")],
+)
+def test_a_seed_below_0_or_not_an_integer_is_refused_with_one_message(tmp_path, call, seed, message):
+    _raises_with(message, call, tmp_path, seed)
+    assert not (tmp_path / "out").exists()
+
+
+def _campaign_on_empty_queries(tmp):
+    (tmp / "q.csv").write_text("template\n")
+    (tmp / "c.cfg").write_text("dataset = d.csv\nqueries = q.csv\n")
+    _cli("campaign", "--config", tmp / "c.cfg", "--out", tmp / "out")
+
+
+def _parse_config_line(tmp, line):
+    (tmp / "c.cfg").write_text(f"dataset = d.csv\n{line}\n")
+    parse_campaign_config(tmp / "c.cfg")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda tmp: BoostedTreeClassifier().fit(np.zeros(4), [0, 1, 0, 1]), "X must be (n, d) with one label per row"),
+        (lambda tmp: Acp(()), "need at least one ICP"),
+        (lambda tmp: validity_efficiency([PredictionSet.BOTH] * 3, [0, 1]), "sets and labels must have equal length"),
+        (lambda tmp: QueryTemplate.from_text("??"), "masked_count must be smaller than template length"),
+        (lambda tmp: LabeledDataset(("ACDEFG",), np.array([0, 1]), ("train",)),
+         "sequences, labels and splits must have equal length"),
+        (lambda tmp: LabeledDataset(("ACDEFG",), np.array([2]), ("train",)), "labels must be 0 or 1"),
+        (lambda tmp: LabeledDataset(("ACDEFG",), np.array([0]), ("val",)), "split tags must be 'train' or 'test'"),
+        (lambda tmp: make_dataset(10, noise_rate=1.0), "noise_rate must be in [0, 1)"),
+        (lambda tmp: make_dataset(10, length_weights={6: -1.0, 7: 2.0}),
+         "length weights must be nonnegative with positive sum"),
+        (lambda tmp: make_queries(1, max_masked=5), "max_masked must be in [1, 4]"),
+        (lambda tmp: _parse_config_line(tmp, "steps 40"), "c.cfg:2: expected 'key = value'"),
+        (_campaign_on_empty_queries, "query file contains no templates"),
+        (lambda tmp: _cli("report", "--dir", "."), "no run sidecars found under runs"),
+    ],
+    ids=["X_not_2d", "acp_no_icps", "sets_labels_lengths", "template_all_masked",
+         "dataset_lengths", "dataset_label", "dataset_split", "noise_rate", "length_weights", "max_masked_above_4",
+         "config_line_without_equals", "campaign_no_queries", "report_no_runs"],
+)
+def test_every_other_input_check_refuses_with_its_message(tmp_path, monkeypatch, call, message):
+    monkeypatch.chdir(tmp_path)  # so the report names its runs/ relative to the campaign directory
+    _raises_with(message, call, tmp_path)

@@ -634,7 +634,7 @@ def test_empty_corpus_rejected():
     pytest.param(1, float("nan"), {}, "learning_rate must be > 0", id="1-nan-learning_rate must be > 0"),
     pytest.param(1, float("inf"), {}, "learning_rate must be finite", id="1-inf-learning_rate must be finite"),
     pytest.param(20, 1e-3, {"gate_queries": [QUERY], "gate_samples": 0},
-                 "fill-validity needs at least 1 sample and 1 query, got 0 and 1", id="no_gate_samples"),
+                 "gate_samples must be >= 1", id="no_gate_samples"),
     pytest.param(20, 1e-3, {"gate_queries": [], "gate_samples": 500},
                  "fill-validity needs at least 1 sample and 1 query, got 500 and 0", id="no_gate_queries"),
 ])
