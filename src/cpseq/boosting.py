@@ -335,7 +335,6 @@ class BoostedTreeClassifier:
         self.config = config or ClassifierConfig()
         self.base_score = 0.0  # margin (logit); 0.5 probability before any round
         self.trees = _Trees(*_blank_arrays(0, self.config.max_depth))
-        self.train_losses_: list[float] = []
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "BoostedTreeClassifier":
         X = np.asarray(X)
@@ -350,12 +349,11 @@ class BoostedTreeClassifier:
         rng = np.random.default_rng(cfg.seed)
         n = len(y)
         margins = np.full(n, self.base_score, dtype=np.float64)
-        p = _sigmoid(margins)
         feature, threshold, leaf = _blank_arrays(cfg.n_rounds, cfg.max_depth)
         every_row = np.ones(n, dtype=bool)
-        losses = []
 
         for r in range(cfg.n_rounds):
+            p = _sigmoid(margins)
             g = p - y
             h = p * (1.0 - p)
             if cfg.subsample < 1.0:
@@ -364,11 +362,7 @@ class BoostedTreeClassifier:
             else:
                 active = every_row
             self._grow(bins, active, g, h, margins, (feature[r], threshold[r], leaf[r]))
-            p = _sigmoid(margins)
-            clipped = np.clip(p, _PROB_EPS, 1.0 - _PROB_EPS)
-            losses.append(float(-np.mean(y * np.log(clipped) + (1 - y) * np.log(1 - clipped))))
         self.trees = _Trees(feature, threshold, leaf)
-        self.train_losses_ = losses
         return self
 
     def _grow(self, bins, active, g, h, margins, tree):

@@ -21,6 +21,7 @@ from .conformal import (
     DEFAULT_ICP_COUNT,
     DEFAULT_SIGNIFICANCE,
     PValuePair,
+    check_significance,
     load_acp,
     predict_set,
     save_acp,
@@ -129,6 +130,7 @@ def _cmd_calibrate(args) -> int:
     dataset = read_dataset_csv(args.data)
     test_seqs, test_labels = dataset.subset("test")
     check_labels(test_labels)  # scored per label, so a split that lacks one is refused before the build
+    check_significance(args.significance)
     acp = harness.build_conformal_predictor(dataset, args.k, _config(ClassifierConfig, args), args.seed)
     p0, p1 = acp.p_values_batch(fingerprints(test_seqs))
     sets = [predict_set(PValuePair(a, b), args.significance) for a, b in zip(p0, p1)]

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .tables import check_count, check_seed, read_table, write_table
+from .tables import check_count, check_integer, check_seed, read_table, write_table
 
 MASK = "?"
 RESIDUES = tuple("ACDEFGHIKLMNPQRSTVWY")
@@ -32,9 +32,8 @@ MAX_FILL_TOKENS = 4
 FINGERPRINT_BUCKETS = 2048
 TRAIN_FRACTION = 0.9
 
-# lengths 6/7/10 weighted 40/30/30
-DEFAULT_LENGTH_WEIGHTS = {6: 0.4, 7: 0.3, 10: 0.3}
-DEFAULT_QUERY_LENGTHS = tuple(DEFAULT_LENGTH_WEIGHTS)  # queries come in the dataset's lengths
+LENGTH_WEIGHTS = {6: 0.4, 7: 0.3, 10: 0.3}  # a dataset's lengths and the share of each
+DEFAULT_QUERY_LENGTHS = tuple(LENGTH_WEIGHTS)  # queries come in the dataset's lengths
 DEFAULT_NOISE_RATE = 0.05  # share of dataset labels flipped
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -239,30 +238,26 @@ class LabeledDataset:
 
 def make_dataset(
     n: int,
-    length_weights: dict[int, float] | None = None,
     noise_rate: float = DEFAULT_NOISE_RATE,
     seed: int = 0,
 ) -> LabeledDataset:
     """Generate n unique random sequences with noisy oracle labels and a 90/10 split.
 
-    Label-flip noise applies only here, at dataset-generation time; the oracle
-    itself stays clean for property checks.
+    Lengths are drawn at the ``LENGTH_WEIGHTS`` shares. Label-flip noise
+    applies only here, at dataset-generation time; the oracle itself stays
+    clean for property checks.
     """
     check_count("n", n)
     check_seed("seed", seed)
     if not 0 <= noise_rate < 1:
         raise ValueError("noise_rate must be in [0, 1)")
-    weights = dict(length_weights or DEFAULT_LENGTH_WEIGHTS)
-    lengths = sorted(weights)
-    if any(weights[L] < 0 for L in lengths) or sum(weights.values()) <= 0:
-        raise ValueError("length weights must be nonnegative with positive sum")
+    lengths = list(LENGTH_WEIGHTS)
     capacity = sum(len(RESIDUES) ** L for L in lengths)
     if n > capacity:
         raise ValueError(f"n={n} exceeds the {capacity} distinct sequences available")
 
     rng = np.random.default_rng(seed)
-    probs = np.array([weights[L] for L in lengths], dtype=float)
-    probs /= probs.sum()
+    probs = list(LENGTH_WEIGHTS.values())
 
     seqs: list[str] = []
     seen: set[str] = set()
@@ -299,6 +294,8 @@ def make_queries(
     """Draw n random templates with 1..max_masked masked positions each."""
     check_count("n", n)
     check_seed("seed", seed)
+    for L in lengths:
+        check_integer("lengths", L)
     lengths = sorted(set(lengths))
     if not lengths or any(L < 6 or L > 12 for L in lengths):
         raise ValueError("query lengths must lie in [6, 12]")

@@ -59,7 +59,6 @@ def squared_loss(log_p_aug, log_p_agent):
 class SequenceEval:
     """Score and tracking quantities for one assembled sequence."""
 
-    sequence: str
     p0: float
     p1: float
     p1_raw: float
@@ -118,7 +117,7 @@ class SequenceScorer:
         distinct = list(dict.fromkeys(sequences))
         p0, p1, raw, _ = np.array([memo[s] for s in distinct]).reshape(-1, 4).T
         scores = score(self.kind, PValuePair(p0, p1), raw, self.significance).tolist()
-        return {s: SequenceEval(s, *memo[s][:3], score=value, hit=memo[s][3]) for s, value in zip(distinct, scores)}
+        return {s: SequenceEval(*memo[s][:3], score=value, hit=memo[s][3]) for s, value in zip(distinct, scores)}
 
 
 @dataclass
@@ -142,7 +141,6 @@ class RunRecord:
     """Full trajectory of one reinforcement run."""
 
     config: RLConfig
-    query: QueryTemplate
     steps: list[StepMetrics] = field(default_factory=list)
     unique_valid: set[str] = field(default_factory=set)
     conf_eff_unique: set[str] = field(default_factory=set)
@@ -224,7 +222,7 @@ def run_rl(
         )
     agent = prior.copy()
     rng = np.random.default_rng(config.seed)
-    record = RunRecord(config=config, query=query)
+    record = RunRecord(config=config)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # rl_step checks finiteness itself
         for step_index in range(1, config.steps + 1):
             metrics, evals = rl_step(agent, prior, query, scorer, config, rng, step_index)

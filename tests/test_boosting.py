@@ -105,10 +105,21 @@ def test_deterministic_given_seed(tiny_dataset):
     assert np.array_equal(a.predict_proba(probe), b.predict_proba(probe))
 
 
+def _log_loss(y, p):
+    return float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
+
+
 def test_training_loss_monotone_without_subsampling(tiny_dataset):
     seqs, labels = tiny_dataset.subset("train")
-    clf = BoostedTreeClassifier(ClassifierConfig(n_rounds=80)).fit(fingerprints(seqs), labels)
-    losses = clf.train_losses_
+    X = fingerprints(seqs)
+    clf = BoostedTreeClassifier(ClassifierConfig(n_rounds=80)).fit(X, labels)
+    f, t, l = clf.trees.feature, clf.trees.threshold, clf.trees.leaf
+    base = np.array([clf.base_score])
+    # the training loss after round r, from the model of the first r trees
+    losses = [
+        _log_loss(labels, boosting._proba(boosting._margins(boosting._Trees(f[:r], t[:r], l[:r]), X, base)[:, 0]))
+        for r in range(1, len(f) + 1)
+    ]
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
@@ -253,24 +264,19 @@ def test_fitted_depth3_margins_equal_reference_walk(tiny_dataset):
     assert clf.predict_margin(X).tobytes() == _reference_margin(clf, X).tobytes()
 
 
-def _log_loss(y, p):
-    return float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
-
-
 @pytest.mark.parametrize("max_depth", [2, 3])
 def test_fit_margins_route_every_row_not_only_the_subsample(tiny_dataset, max_depth):
     # fit updates the training margins leaf by leaf; rows outside a round's
-    # subsample must get their leaf value too, or the last loss drifts from
-    # the one the finished model predicts
+    # subsample must get their leaf value too, or the later rounds' gradients,
+    # and so their trees, drift from those of the reference fit, which routes every row
     seqs, labels = tiny_dataset.subset("train")
     X = fingerprints(seqs)
-    y = labels.astype(np.float64)
-    clf = BoostedTreeClassifier(ClassifierConfig(n_rounds=40, max_depth=max_depth, subsample=0.7, seed=3)).fit(X, y)
+    config = ClassifierConfig(n_rounds=40, max_depth=max_depth, subsample=0.7, seed=3)
+    clf = _assert_fit_matches_dense_reference(config, X, labels)
     lowest = slice(2 ** (max_depth - 1) - 1, 2**max_depth - 1)  # the splits just above the leaves
     placeholder = (clf.trees.feature[:, lowest] == 0) & (clf.trees.threshold[:, lowest] == 0)
     twin_leaves = clf.trees.leaf[:, 0::2] == clf.trees.leaf[:, 1::2]
     assert (placeholder & twin_leaves).any()  # some branches end early, so their layout is exercised
-    assert clf.train_losses_[-1] == _log_loss(y, clf.predict_proba(X))
 
 
 def test_refit_and_reload_never_serve_stale_compiled_trees():
@@ -380,7 +386,7 @@ def _dense_best_split(G, H, C, g_tot, h_tot, reg_lambda):
 
 
 def _dense_reference_fit(config, X, y):
-    """(feature, threshold, leaf, losses) of a depth-first, node-by-node fit over the dense bins.
+    """(feature, threshold, leaf) of a depth-first, node-by-node fit over the dense bins.
 
     A frozen copy of the round loop and the recursive node builder: each node
     masks every row, searches all 15 thresholds of every column, and routes
@@ -392,13 +398,11 @@ def _dense_reference_fit(config, X, y):
     bins = _DenseBins(X)
     n = len(y)
     margins = np.zeros(n)
-    p = boosting._sigmoid(margins)
     n_inner = 2**config.max_depth - 1
     feature = np.zeros((config.n_rounds, n_inner), dtype=np.int64)
     threshold = np.zeros((config.n_rounds, n_inner), dtype=np.int64)
     leaf = np.zeros((config.n_rounds, n_inner + 1))
     every_row = np.ones(n, dtype=bool)
-    losses = []
 
     def build_node(r, route, active, g, h, node, level):
         node_mask = route & active
@@ -418,6 +422,7 @@ def _dense_reference_fit(config, X, y):
         margins[route] += value
 
     for r in range(config.n_rounds):
+        p = boosting._sigmoid(margins)
         g = p - y
         h = p * (1.0 - p)
         if config.subsample < 1.0:
@@ -426,18 +431,14 @@ def _dense_reference_fit(config, X, y):
         else:
             active = every_row
         build_node(r, every_row, active, g, h, 0, 0)
-        p = boosting._sigmoid(margins)
-        clipped = np.clip(p, boosting._PROB_EPS, 1.0 - boosting._PROB_EPS)
-        losses.append(float(-np.mean(y * np.log(clipped) + (1 - y) * np.log(1 - clipped))))
-    return feature, threshold, leaf, losses
+    return feature, threshold, leaf
 
 
 def _assert_fit_matches_dense_reference(config, X, y):
     got = BoostedTreeClassifier(config).fit(X, y)
-    *want, want_losses = _dense_reference_fit(config, X, y)
+    want = _dense_reference_fit(config, X, y)
     for name, array in zip(("feature", "threshold", "leaf"), want):
         assert getattr(got.trees, name).tobytes() == array.tobytes(), name
-    assert got.train_losses_ == want_losses
     return got
 
 

@@ -80,18 +80,29 @@ def test_calibrate_writes_metrics_report(workdir):
     assert b"\r" not in (workdir / "acp.metrics.csv").read_bytes()
 
 
-def test_calibrate_writes_nothing_when_the_test_split_lacks_a_label(workdir, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "dropped, extra, message",
+    [
+        (",0,test", [], "no samples with true label 0"),
+        (None, ["--significance", "1.5"], "significance must be in (0, 1)"),
+    ],
+    ids=["test_split_lacks_label_0", "significance_above_1"],
+)
+def test_calibrate_writes_nothing_when_the_test_split_lacks_a_label(
+    workdir, tmp_path, capsys, monkeypatch, dropped, extra, message
+):
+    # either refusal comes before the ACP build, so it wastes no fit
     header, *rows = (workdir / "data.csv").read_text().splitlines()
-    kept = [row for row in rows if not row.endswith(",0,test")]
+    kept = [row for row in rows if dropped is None or not row.endswith(dropped)]
     (tmp_path / "data.csv").write_text("\n".join([header, *kept]) + "\n")
 
     def build(*args):
-        raise AssertionError("the ACP was built for a test split that lacks a label")
+        raise AssertionError("the ACP was built for settings that calibrate refuses")
 
     monkeypatch.setattr(harness, "build_conformal_predictor", build)
-    args = ["calibrate", "--data", str(tmp_path / "data.csv"), "--k", "2", "--rounds", "5"]
+    args = ["calibrate", "--data", str(tmp_path / "data.csv"), "--k", "2", "--rounds", "5", *extra]
     assert main(args + ["--out", str(tmp_path / "acp.json")]) == 1
-    assert capsys.readouterr().err == "error: no samples with true label 0\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "acp.json").exists()
     assert not (tmp_path / "acp.metrics.csv").exists()
 

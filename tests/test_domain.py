@@ -339,9 +339,9 @@ def test_make_dataset_split_sizes_and_partition():
 
 
 def test_make_dataset_capacity_guard():
-    # one more than the 20**6 distinct length-6 sequences: raises before drawing anything
-    with pytest.raises(ValueError):
-        make_dataset(20**6 + 1, length_weights={6: 1.0})
+    # one more than the distinct sequences of lengths 6, 7 and 10: raises before drawing anything
+    with pytest.raises(ValueError, match="exceeds the"):
+        make_dataset(20**6 + 20**7 + 20**10 + 1)
 
 
 def test_conflicting_duplicate_labels_rejected():

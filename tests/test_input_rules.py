@@ -224,15 +224,16 @@ def _parse_config_line(tmp, line):
         (lambda tmp: LabeledDataset(("ACDEFG",), np.array([2]), ("train",)), "labels must be 0 or 1"),
         (lambda tmp: LabeledDataset(("ACDEFG",), np.array([0]), ("val",)), "split tags must be 'train' or 'test'"),
         (lambda tmp: make_dataset(10, noise_rate=1.0), "noise_rate must be in [0, 1)"),
-        (lambda tmp: make_dataset(10, length_weights={6: -1.0, 7: 2.0}),
-         "length weights must be nonnegative with positive sum"),
         (lambda tmp: make_queries(1, max_masked=5), "max_masked must be in [1, 4]"),
+        (lambda tmp: make_queries(2, lengths=[6.5]), "lengths must be an integer, got 6.5"),
+        (lambda tmp: make_queries(2, lengths=[True, 6]), "lengths must be an integer, got True"),
         (lambda tmp: _parse_config_line(tmp, "steps 40"), "c.cfg:2: expected 'key = value'"),
         (_campaign_on_empty_queries, "query file contains no templates"),
         (lambda tmp: _cli("report", "--dir", "."), "no run sidecars found under runs"),
     ],
     ids=["X_not_2d", "acp_no_icps", "sets_labels_lengths", "template_all_masked",
-         "dataset_lengths", "dataset_label", "dataset_split", "noise_rate", "length_weights", "max_masked_above_4",
+         "dataset_lengths", "dataset_label", "dataset_split", "noise_rate", "max_masked_above_4",
+         "query_length_fractional", "query_length_bool",
          "config_line_without_equals", "campaign_no_queries", "report_no_runs"],
 )
 def test_every_other_input_check_refuses_with_its_message(tmp_path, monkeypatch, call, message):

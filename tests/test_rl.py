@@ -118,8 +118,8 @@ def test_evaluate_equals_a_per_row_scalar_reference(tiny_models, kind):
         p0, p1 = acp.p_values_batch(X)
         pv = PValuePair(float(p0[0]), float(p1[0]))
         raw = float(clf.predict_proba(X)[0])
-        expected = (seq, pv.p0, pv.p1, raw, score(kind, pv, raw, 0.3), is_confident_positive(pv, 0.3))
-        assert (e.sequence, e.p0, e.p1, e.p1_raw, e.score, e.hit) == expected
+        expected = (pv.p0, pv.p1, raw, score(kind, pv, raw, 0.3), is_confident_positive(pv, 0.3))
+        assert (e.p0, e.p1, e.p1_raw, e.score, e.hit) == expected
         assert [type(v) for v in (e.p0, e.p1, e.p1_raw, e.score, e.hit)] == [float] * 4 + [bool]
 
 
